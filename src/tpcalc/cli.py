@@ -39,6 +39,9 @@ from .tpcore import (
 )
 
 
+PORTEOUS_MAX_K = 8  # k = 8 takes about a second, each step beyond about six times more
+
+
 class UsageError(Exception):
     pass
 
@@ -157,6 +160,9 @@ def _cmd_count(args) -> Report:
 
 
 def _cmd_porteous(args) -> Report:
+    if args.k > PORTEOUS_MAX_K:
+        raise ValueError(f"--k {args.k} is above the limit of {PORTEOUS_MAX_K}; "
+                         "the determinant's cost grows about 2^k * k")
     rep = Report("porteous", {"kappa": args.kappa, "k": args.k})
     rep.result = render_expr(thom_porteous(args.kappa, args.k))
     return rep

@@ -120,10 +120,7 @@ class SymbolicExpr:
         if isinstance(other, (int, Fraction)):
             return SymbolicExpr({m: c * other for m, c in self.terms.items()})
         acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
+        add_product(acc, self.terms, other.terms)
         return SymbolicExpr(acc)
 
     __rmul__ = __mul__
@@ -181,10 +178,11 @@ class SymbolicExpr:
 
     def map_monomials(self, fn) -> "SymbolicExpr":
         """Linear extension of a map monomial -> SymbolicExpr."""
-        acc = SymbolicExpr.zero()
+        acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            acc = acc + fn(mono) * coeff
-        return acc
+            for m, c in fn(mono).terms.items():
+                acc[m] = acc.get(m, 0) + c * coeff
+        return SymbolicExpr(acc)
 
     def __repr__(self) -> str:
         return f"<{render_expr(self)}>"
@@ -220,11 +218,17 @@ def _canon_monomial(mono) -> Monomial:
     return tuple(sorted(acc.items(), key=lambda kv: _symbol_key(kv[0])))
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    acc: dict[Symbol, int] = dict(m1)
-    for sym, e in m2:
-        acc[sym] = acc.get(sym, 0) + e
-    return tuple(sorted(acc.items(), key=lambda kv: _symbol_key(kv[0])))
+def add_product(acc: dict, terms1: Mapping[Monomial, Scalar],
+                terms2: Mapping[Monomial, Scalar], scale: Scalar = 1) -> None:
+    """acc += scale * terms1 * terms2, on term mappings of canonical monomials."""
+    for m1, c1 in terms1.items():
+        c1 = c1 * scale
+        for m2, c2 in terms2.items():
+            exps: dict[Symbol, int] = dict(m1)
+            for sym, e in m2:
+                exps[sym] = exps.get(sym, 0) + e
+            mono = tuple(sorted(exps.items(), key=lambda kv: _symbol_key(kv[0])))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
 
 
 # -- symbol constructors ---------------------------------------------------

@@ -22,13 +22,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, integrate_top
 from .maps import MapModel
 from .symbolic import (
     SymbolicExpr,
+    add_product,
     c,
     c_monomial,
     fs,
@@ -250,14 +251,10 @@ class ResidualDB:
 
     def get(self, names: Iterable[str], kappa: int) -> SymbolicExpr:
         names = tuple(sorted(names))
-        try:
-            return self._store[(names, kappa)]
-        except KeyError:
-            pass
+        if (names, kappa) in self._store:
+            return self._store[names, kappa]
         if set(names) == {"A0"} and kappa >= 1 and len(names) <= 3:
-            R = residual_a0_family(len(names), kappa)
-            self._store[(names, kappa)] = R
-            return R
+            return residual_a0_family(len(names), kappa)
         raise MissingResidual(names, kappa)
 
     # - file format: one line per entry, e.g.
@@ -318,81 +315,73 @@ def default_db() -> ResidualDB:
 # -- the two partition expansions ---------------------------------------------
 
 
-def _push_to_s(R: SymbolicExpr) -> SymbolicExpr:
-    """Formal pushforward of a pure-Chern polynomial: c^I -> s_I."""
+def _push_chern(R: SymbolicExpr, symbol) -> SymbolicExpr:
+    """Formal pushforward c^I -> s_I (symbol = s), or its pullback
+    f^* f_*: c^I -> fs_I (symbol = fs), of a pure-Chern polynomial."""
 
     def push(mono):
         K, fs_part, s_part = split_monomial(mono)
         if fs_part or s_part:
             raise SingTypeError("residual polynomials must be pure Chern polynomials")
-        return s(*K)
+        return symbol(*K)
 
     return R.map_monomials(push)
 
 
-def _pull_of_push(R: SymbolicExpr) -> SymbolicExpr:
-    """Formal f^* f_* of a pure-Chern polynomial: c^I -> fs_I."""
+def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
+                   proper: bool = False) -> SymbolicExpr:
+    """Sum over the set partitions of t's entries of the product of block values.
 
-    def pull(mono):
-        K, fs_part, s_part = split_monomial(mono)
-        if fs_part or s_part:
-            raise SingTypeError("residual polynomials must be pure Chern polynomials")
-        return fs(*K)
+    On the target side every block contributes its pushed residual; on the
+    source side the block holding entry 1 keeps its residual and the others
+    contribute pulled-back pushforwards.  `proper` drops the single-block term.
 
-    return R.map_monomials(pull)
-
-
-def _block_names(t: MultiSingType, block: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(sorted(t.entries[i - 1] for i in block))
+    A product depends only on the multiset of type names in each block, so
+    with M the count vector of the entries and D the block holding a lead
+    entry (entry 1 for M itself):
+    F(M) = sum_D prod_n C(m_n - [n = lead], d_n - [n = lead]) value(D) F(M - D),
+    filled in bottom-up by increasing size over the prod (m_n + 1) sub-multisets.
+    """
+    names = sorted(set(t.entries))
+    full = tuple(t.entries.count(n) for n in names)
+    subsets = sorted(product(*(range(m + 1) for m in full)), key=sum)
+    values: dict[tuple, dict] = {}  # (block, keeps its residual) -> terms
+    sums: dict[tuple, dict] = {subsets[0]: {(): 1}}  # sub-multiset -> terms of F
+    for v in subsets[1:]:
+        top = v == full
+        lead = names.index(t.entries[0]) if top else next(n for n, k in enumerate(v) if k)
+        keep = top and side == "source"
+        acc: dict = {}
+        for d in product(*(range(k + 1) for k in v)):
+            if not d[lead] or (proper and d == full):
+                continue
+            if (d, keep) not in values:
+                R = db.get([n for n, k in zip(names, d) for _ in range(k)], t.kappa)
+                values[d, keep] = (R if keep else
+                                   _push_chern(R, s if side == "target" else fs)).terms
+            weight = math.prod(math.comb(k - (n == lead), e - (n == lead))
+                               for n, (k, e) in enumerate(zip(v, d)))
+            add_product(acc, values[d, keep], sums[tuple(k - e for k, e in zip(v, d))], weight)
+        sums[v] = {m: x for m, x in acc.items() if x}
+    return SymbolicExpr(sums[full])
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
     """Target expansion: the sum over set partitions of products of pushed
     residuals, a homogeneous polynomial of degree ell(t) in the s_I."""
-    total = SymbolicExpr.zero()
-    for partition in set_partitions(t.r):
-        term = SymbolicExpr.constant(1)
-        for block in partition:
-            term = term * _push_to_s(db.get(_block_names(t, block), t.kappa))
-        total = total + term
-    return total
+    return _partition_sum(t, db, "target")
 
 
 def expand_source(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
     """Source expansion: over set partitions, the residual of the block
     containing entry 1 stays in Chern symbols while the other blocks
     contribute pulled-back pushforwards; homogeneous of degree ell(t) - kappa."""
-    total = SymbolicExpr.zero()
-    for partition in set_partitions(t.r):
-        first = next(block for block in partition if 1 in block)
-        term = db.get(_block_names(t, first), t.kappa)
-        for block in partition:
-            if block is first:
-                continue
-            term = term * _pull_of_push(db.get(_block_names(t, block), t.kappa))
-        total = total + term
-    return total
+    return _partition_sum(t, db, "source")
 
 
 def _proper_part(t: MultiSingType, db: ResidualDB, side: str) -> SymbolicExpr:
     """The expansion restricted to partitions with at least two blocks."""
-    total = SymbolicExpr.zero()
-    for partition in set_partitions(t.r):
-        if len(partition) == 1:
-            continue
-        if side == "target":
-            term = SymbolicExpr.constant(1)
-            for block in partition:
-                term = term * _push_to_s(db.get(_block_names(t, block), t.kappa))
-        else:
-            first = next(block for block in partition if 1 in block)
-            term = db.get(_block_names(t, first), t.kappa)
-            for block in partition:
-                if block is first:
-                    continue
-                term = term * _pull_of_push(db.get(_block_names(t, block), t.kappa))
-        total = total + term
-    return total
+    return _partition_sum(t, db, side, proper=True)
 
 
 def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
@@ -421,8 +410,7 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
                 )
         R = delta
     else:
-        terms = {}
-        for mono, coeff in delta.terms.items():
+        def unpush(mono):
             K, fs_part, s_part = split_monomial(mono)
             if K or fs_part or len(s_part) != 1 or s_part[0][1] != 1:
                 raise InconsistentExtraction(
@@ -430,10 +418,9 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
                     f"leftover term {render_expr(SymbolicExpr({mono: 1}))!r} "
                     "is not a single s-symbol"
                 )
-            I = s_part[0][0]
-            for m2, c2 in (c_monomial(I) * coeff).terms.items():
-                terms[m2] = terms.get(m2, Fraction(0)) + c2
-        R = SymbolicExpr(terms)
+            return c_monomial(s_part[0][0])
+
+        R = delta.map_monomials(unpush)
     db.insert(t.key, t.kappa, R)
     return R
 
@@ -442,22 +429,25 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
 
 
 def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
-    """The k x k determinant det[c_(kappa+k+j-i)] with c_0 = 1, c_{<0} = 0."""
+    """The k x k determinant det[c_(kappa+k+j-i)] with c_0 = 1, c_{<0} = 0.
+
+    Laplace expansion along the top row, memoised over column subsets: the
+    minors of the bottom rows are built row by row from the bottom, one layer
+    of column masks at a time (about 2^k * k products in place of k! * k).
+    """
     if k < 1:
         raise ValueError("thom_porteous needs k >= 1")
-    total = SymbolicExpr.zero()
-    for perm in permutations(range(k)):
-        sign = 1
-        for a in range(k):
-            for b in range(a + 1, k):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        term = SymbolicExpr.constant(sign)
-        for i in range(k):
-            j = perm[i]
-            term = term * c(kappa + k + (j + 1) - (i + 1))
-        total = total + term
-    return total
+    minors: dict[int, dict] = {0: {(): 1}}  # column mask -> terms of its minor
+    for i in range(k - 1, -1, -1):
+        layer: dict[int, dict] = {}
+        for mask, minor in minors.items():
+            for j in range(k):
+                if not mask >> j & 1:
+                    sign = (-1) ** bin(mask & ((1 << j) - 1)).count("1")
+                    add_product(layer.setdefault(mask | 1 << j, {}),
+                                c(kappa + k + j - i).terms, minor, sign)
+        minors = {mask: {m: x for m, x in acc.items() if x} for mask, acc in layer.items()}
+    return SymbolicExpr(minors[(1 << k) - 1])
 
 
 # -- evaluation on map models ----------------------------------------------------

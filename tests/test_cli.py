@@ -93,6 +93,17 @@ class TestPorteous:
         assert code == 0
         assert out.splitlines()[0] == "c1^2 - c2"
 
+    def test_large_k_fails_before_any_work(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("thom_porteous must not be called")
+
+        monkeypatch.setattr(cli, "thom_porteous", never)
+        code, _, err = run(capsys, ["porteous", "--kappa", "1", "--k", "9"])
+        assert code == 2
+        assert err.splitlines()[0] == (
+            "error: --k 9 is above the limit of 8; "
+            "the determinant's cost grows about 2^k * k")
+
 
 class TestExtract:
     def test_table_row(self, capsys):

@@ -1,9 +1,17 @@
+import random
+from collections import Counter
+from itertools import permutations, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcalc.algebra import render_class
 from tpcalc.maps import get_model
-from tpcalc.symbolic import c, fs, parse_expr, s, sify
+from tpcalc.symbolic import SymbolicExpr, c, c_monomial, fs, parse_expr, render_expr, s, sify
 from tpcalc.tpcore import (
+    _proper_part,
+    _push_chern,
     InconsistentExtraction,
     MissingResidual,
     MultiSingType,
@@ -30,6 +38,103 @@ from tpcalc.tpcore import (
 @pytest.fixture
 def db():
     return default_db()
+
+
+# -- reference implementations: the set-partition and permutation sums ---------
+
+
+def _block_names(t, block):
+    return tuple(sorted(t.entries[i - 1] for i in block))
+
+
+def oracle_expand_target(t, db):
+    total = SymbolicExpr.zero()
+    for partition in set_partitions(t.r):
+        term = SymbolicExpr.constant(1)
+        for block in partition:
+            term = term * _push_chern(db.get(_block_names(t, block), t.kappa), s)
+        total = total + term
+    return total
+
+
+def oracle_expand_source(t, db):
+    total = SymbolicExpr.zero()
+    for partition in set_partitions(t.r):
+        first = next(block for block in partition if 1 in block)
+        term = db.get(_block_names(t, first), t.kappa)
+        for block in partition:
+            if block is first:
+                continue
+            term = term * _push_chern(db.get(_block_names(t, block), t.kappa), fs)
+        total = total + term
+    return total
+
+
+def oracle_proper_part(t, db, side):
+    total = SymbolicExpr.zero()
+    for partition in set_partitions(t.r):
+        if len(partition) == 1:
+            continue
+        if side == "target":
+            term = SymbolicExpr.constant(1)
+            for block in partition:
+                term = term * _push_chern(db.get(_block_names(t, block), t.kappa), s)
+        else:
+            first = next(block for block in partition if 1 in block)
+            term = db.get(_block_names(t, first), t.kappa)
+            for block in partition:
+                if block is first:
+                    continue
+                term = term * _push_chern(db.get(_block_names(t, block), t.kappa), fs)
+        total = total + term
+    return total
+
+
+def oracle_porteous(kappa, k):
+    total = SymbolicExpr.zero()
+    for perm in permutations(range(k)):
+        sign = 1
+        for a in range(k):
+            for b in range(a + 1, k):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        term = SymbolicExpr.constant(sign)
+        for i in range(k):
+            j = perm[i]
+            term = term * c(kappa + k + (j + 1) - (i + 1))
+        total = total + term
+    return total
+
+
+def _chern_indices(degree, top=None):
+    """Every exponent vector I with sum j * i_j = degree, slots 1..top."""
+    top = degree if top is None else top
+    if top == 0:
+        return [()] if degree == 0 else []
+    out = []
+    for e in range(degree // top + 1):
+        for rest in _chern_indices(degree - e * top, top - 1):
+            out.append(rest + (0,) * (top - 1 - len(rest)) + (e,))
+    return out
+
+
+def seeded_db(names, kappa, seed):
+    """A store holding a dense seeded integer residual for every nonempty
+    sub-multiset of `names`: every Chern monomial of the degree gets a
+    nonzero coefficient."""
+    rng = random.Random(seed)
+    db = ResidualDB()
+    counts = Counter(names)
+    kinds = sorted(counts)
+    for combo in product(*(range(counts[n] + 1) for n in kinds)):
+        sub = tuple(n for n, k in zip(kinds, combo) for _ in range(k))
+        if not sub:
+            continue
+        R = SymbolicExpr.zero()
+        for I in _chern_indices(MultiSingType(sub, kappa).ell_total - kappa):
+            R = R + c_monomial(I) * (rng.choice([-1, 1]) * rng.randint(1, 9))
+        db.insert(sub, kappa, R)
+    return db
 
 
 class TestRegistry:
@@ -117,6 +222,11 @@ class TestResidualDB:
     def test_on_demand_generation(self, db):
         assert db.get(("A0", "A0"), 3) == -c(3)
 
+    def test_lookup_does_not_store(self, db):
+        keys, text = db.keys(), db.dump()
+        db.get(("A0", "A0"), 3)
+        assert db.keys() == keys and db.dump() == text
+
     def test_missing_reports_key(self, db):
         with pytest.raises(MissingResidual) as err:
             db.get(("A1", "A1"), 1)
@@ -168,6 +278,45 @@ class TestExpandTarget:
         t = multi_type("A0,A0,A0", 1)
         raw_terms = len(expand_target(t, db).terms)
         assert raw_terms <= len(set_partitions(3)) == bell_number(3)
+
+
+class TestAgainstPartitionOracle:
+    # at most two A1 entries: an A1 block raises the residual degree by 3 and
+    # the reference enumerates all Bell(r) partitions of dense residuals
+    @settings(max_examples=20, deadline=None)
+    @given(st.tuples(st.integers(0, 2), st.integers(0, 6))
+           .filter(lambda counts: 1 <= sum(counts) <= 6)
+           .flatmap(lambda counts: st.permutations(["A1"] * counts[0] + ["A0"] * counts[1])),
+           st.integers(0, 2 ** 16))
+    def test_mixed_tuples(self, entries, seed):
+        t = MultiSingType(tuple(entries), 1)
+        db = seeded_db(entries, 1, seed)
+        assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
+        assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
+        for side in ("target", "source"):
+            assert (render_expr(_proper_part(t, db, side))
+                    == render_expr(oracle_proper_part(t, db, side)))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 16))
+    def test_fold_family(self, r, seed):
+        t = MultiSingType(("A1",) * r, -1)
+        db = seeded_db(t.entries, -1, seed)
+        assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
+        assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
+        for side in ("target", "source"):
+            assert (render_expr(_proper_part(t, db, side))
+                    == render_expr(oracle_proper_part(t, db, side)))
+
+    def test_eight_immersion_points_push_forward(self):
+        t = MultiSingType(("A0",) * 8, 1)
+        db = seeded_db(t.entries, 1, 8)
+        assert sify(expand_source(t, db)) == expand_target(t, db)
+
+    @pytest.mark.parametrize("kappa", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_porteous(self, k, kappa):
+        assert render_expr(thom_porteous(kappa, k)) == render_expr(oracle_porteous(kappa, k))
 
 
 class TestExpandSource:
