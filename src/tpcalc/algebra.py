@@ -13,6 +13,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+from .grammar import parse_sum, render_sum
+
 Scalar = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
@@ -297,84 +299,25 @@ def integrate_top(ring: RingSpec, p: GradedClass) -> Fraction:
 # -- textual grammar -----------------------------------------------------
 #
 # Classes render as e.g. "1 + 5*h + 6*h^2" or "1 + H - h^2 - h*H": terms
-# sorted by total degree then lex on exponent vectors, coefficients as "a/b"
-# with "/1" suppressed, unit coefficients dropped in front of monomials.
-
-
-def _render_monomial(ring: RingSpec, mono: tuple[int, ...]) -> str:
-    parts = []
-    for name, e in zip(ring.names, mono):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+# sorted by total degree then lex on exponent vectors (see grammar.py for
+# the shared sign and coefficient rules).
 
 
 def render_class(p: GradedClass) -> str:
-    if not p.terms:
-        return "0"
     deg = p.ring.monomial_degree
-    out = []
-    for mono in sorted(p.terms, key=lambda m: (deg(m), tuple(-e for e in m))):
-        coeff = p.terms[mono]
-        mstr = _render_monomial(p.ring, mono)
-        mag = abs(coeff)
-        if not mstr:
-            body = str(mag)
-        elif mag == 1:
-            body = mstr
-        else:
-            body = f"{mag}*{mstr}"
-        if not out:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(out)
-
-
-_TERM_SPLIT_RE = re.compile(r"(?<![\^*/])\s*([+-])\s*")
-_FACTOR_RE = re.compile(r"(\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
-
-
-def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    """Split 'a + b - c' into [(+1,'a'), (+1,'b'), (-1,'c')]."""
-    text = text.strip()
-    if not text:
-        raise RingError("empty expression")
-    pieces = _TERM_SPLIT_RE.split(text)
-    # pieces alternates [term, sign, term, sign, ...]; a leading sign gives
-    # an empty first chunk.
-    terms: list[tuple[int, str]] = []
-    sign = 1
-    if pieces[0].strip():
-        terms.append((1, pieces[0].strip()))
-    for i in range(1, len(pieces), 2):
-        sign = 1 if pieces[i] == "+" else -1
-        chunk = pieces[i + 1].strip()
-        if not chunk:
-            raise RingError(f"dangling sign in {text!r}")
-        terms.append((sign, chunk))
-    return terms
+    return render_sum(
+        (p.terms[mono], [(name, e) for name, e in zip(p.ring.names, mono) if e])
+        for mono in sorted(p.terms, key=lambda m: (deg(m), tuple(-e for e in m)))
+    )
 
 
 def parse_class(ring: RingSpec, text: str) -> GradedClass:
     """Parse the rendering grammar back into a GradedClass."""
-    if text.strip() == "0":
-        return ring.zero()
     terms: dict[tuple[int, ...], Fraction] = {}
-    for sign, chunk in _split_signed_terms(text):
-        coeff = Fraction(sign)
+    for coeff, factors in parse_sum(text, RingError):
         expos = [0] * len(ring.gens)
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise RingError(f"cannot parse factor {factor!r}")
-            base, power = m.group(1), int(m.group(2) or 1)
-            if base[0].isdigit():
-                coeff *= Fraction(base) ** power
-            else:
-                expos[ring.index(base)] += power
+        for name, e in factors:
+            expos[ring.index(name)] += e
         mono = tuple(expos)
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return GradedClass(ring, terms)

@@ -54,13 +54,6 @@ class Report:
     checks: list = field(default_factory=list)
     elapsed_ms: float | None = None
 
-    def add_check(self, name: str, expected, got) -> bool:
-        ok = expected == got
-        self.checks.append(
-            {"name": name, "expected": str(expected), "got": str(got), "pass": ok}
-        )
-        return ok
-
     @property
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.checks)
@@ -106,20 +99,21 @@ def _get_type(args) -> MultiSingType:
     return multi_type(args.type, args.kappa)
 
 
+def _expand(t: MultiSingType, side: str, normalized: bool, db):
+    """The expansion on one side, divided by #Aut (of the tail) if normalized."""
+    if side == "target":
+        expr = expand_target(t, db)
+        return expr / t.aut_order if normalized else expr
+    expr = expand_source(t, db)
+    return expr / t.aut_order_rest if normalized else expr
+
+
 def _cmd_expand(args) -> Report:
     db = _load_db(args)
     t = _get_type(args)
     rep = Report("expand", {"type": args.type, "kappa": args.kappa,
                             "side": args.side, "normalized": args.normalized})
-    if args.side == "target":
-        expr = expand_target(t, db)
-        if args.normalized:
-            expr = expr / t.aut_order
-    else:
-        expr = expand_source(t, db)
-        if args.normalized:
-            expr = expr / t.aut_order_rest
-    rep.result = render_expr(expr)
+    rep.result = render_expr(_expand(t, args.side, args.normalized, db))
     return rep
 
 
@@ -135,16 +129,8 @@ def _cmd_eval(args) -> Report:
         expr = parse_expr(args.expr)
         side = args.side or (expr.side if expr.side != "scalar" else "source")
     else:
-        t = multi_type(args.type, model.kappa)
         side = args.side or "target"
-        if side == "target":
-            expr = expand_target(t, db)
-            if args.normalized:
-                expr = expr / t.aut_order
-        else:
-            expr = expand_source(t, db)
-            if args.normalized:
-                expr = expr / t.aut_order_rest
+        expr = _expand(multi_type(args.type, model.kappa), side, args.normalized, db)
     value = evaluate(expr, model, side=side)
     rep.result = render_class(value)
     return rep
@@ -313,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(fn=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)  # main prints the failing subcommand's usage
     return parser
 
 
@@ -325,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelError, SingTypeError, MissingResidual, OracleError, UsageError,
             InconsistentExtraction, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        args.subparser.print_usage(sys.stderr)
         return 2
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(report.to_json() if args.json else report.to_text())

@@ -13,11 +13,12 @@ The resultant is the Sylvester determinant, evaluated fraction-free
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
+
+from .grammar import parse_sum, render_sum
 
 Poly = tuple[Fraction, ...]  # coefficient i belongs to t^i; () is the zero poly
 UPoly = tuple[Poly, ...]  # coefficient j (a Poly in t) belongs to u^j
@@ -124,55 +125,20 @@ def poly_content_free(p: Poly) -> Poly:
 
 
 def poly_str(p: Poly, var: str = "t") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        a = p[i]
-        if a == 0:
-            continue
-        mag = abs(a)
-        if i == 0:
-            body = str(mag)
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if a > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if a > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-_POLY_FACTOR_RE = re.compile(r"(\d+(?:/\d+)?|[A-Za-z])(?:\^(\d+))?$")
+    return render_sum(
+        (p[i], [(var, i)] if i else []) for i in range(len(p) - 1, -1, -1) if p[i]
+    )
 
 
 def parse_poly(text: str, var: str = "t") -> Poly:
     """Parse e.g. 't^3 - 2*t + 1/2' into a Poly."""
-    text = text.strip()
-    if not text:
-        raise OracleError("empty polynomial")
-    chunks = re.split(r"(?<![\^*/])\s*([+-])\s*", text)
-    signed = []
-    if chunks[0].strip():
-        signed.append((1, chunks[0].strip()))
-    for i in range(1, len(chunks), 2):
-        signed.append((1 if chunks[i] == "+" else -1, chunks[i + 1].strip()))
     coeffs: dict[int, Fraction] = {}
-    for sign, chunk in signed:
-        coeff = Fraction(sign)
+    for coeff, factors in parse_sum(text, OracleError):
         power = 0
-        for factor in chunk.split("*"):
-            m = _POLY_FACTOR_RE.match(factor.strip())
-            if not m:
-                raise OracleError(f"cannot parse {factor!r}")
-            base, exp = m.group(1), int(m.group(2) or 1)
-            if base[0].isdigit():
-                coeff *= Fraction(base) ** exp
-            elif base == var:
-                power += exp
-            else:
-                raise OracleError(f"unknown variable {base!r} (expected {var!r})")
+        for name, e in factors:
+            if name != var:
+                raise OracleError(f"unknown variable {name!r} (expected {var!r})")
+            power += e
         coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
     out = [Fraction(0)] * (max(coeffs) + 1)
     for k, v in coeffs.items():

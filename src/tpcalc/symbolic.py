@@ -9,7 +9,8 @@ Three families of commuting symbols, with no relations imposed:
 
 Indices I are tuples of non-negative exponents, one per Chern-class slot;
 trailing zeros are trimmed and the empty index prints as ``0`` (so ``s_0``
-is the pushforward of 1).  Target-side expressions use ``s`` symbols only,
+is the pushforward of 1).  An index prints one digit per slot (``s_01``),
+or delimited (``s_(10,0,1)``) when an entry exceeds 9.  Target-side expressions use ``s`` symbols only,
 source-side ones use ``c`` and ``fs``; the two kinds never mix.
 """
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .grammar import parse_sum, render_sum
 
 Scalar = Union[int, Fraction]
 Index = tuple[int, ...]
@@ -43,10 +46,11 @@ def index_c_degree(I: Index) -> int:
 
 
 def index_str(I: Index) -> str:
+    """One digit per slot ("01"), or "(10,0,1)" when some entry exceeds 9."""
     if not I:
         return "0"
     if any(i > 9 for i in I):
-        raise ValueError(f"index {I} not renderable in the one-digit-per-slot grammar")
+        return "(" + ",".join(str(i) for i in I) + ")"
     return "".join(str(i) for i in I)
 
 
@@ -340,71 +344,32 @@ def _monomial_sort_key(mono: Monomial):
     )
 
 
-def _render_sym_monomial(mono: Monomial) -> str:
-    parts = []
-    for sym, e in mono:
-        parts.append(_symbol_str(sym) if e == 1 else f"{_symbol_str(sym)}^{e}")
-    return "*".join(parts)
-
-
 def render_expr(expr: SymbolicExpr) -> str:
-    if not expr.terms:
-        return "0"
-    out = []
-    for mono in sorted(expr.terms, key=_monomial_sort_key):
-        coeff = expr.terms[mono]
-        mstr = _render_sym_monomial(mono)
-        mag = abs(coeff)
-        if not mstr:
-            body = str(mag)
-        elif mag == 1:
-            body = mstr
-        else:
-            body = f"{mag}*{mstr}"
-        if not out:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(out)
+    return render_sum(
+        (expr.terms[mono], [(_symbol_str(sym), e) for sym, e in mono])
+        for mono in sorted(expr.terms, key=_monomial_sort_key)
+    )
 
 
-_SYM_TERM_SPLIT_RE = re.compile(r"(?<![\^*/])\s*([+-])\s*")
-_SYM_FACTOR_RE = re.compile(
-    r"(?:(\d+(?:/\d+)?)|c(\d+)|(s|fs)_(\d+))(?:\^(\d+))?$"
-)
+_SYMBOL_RE = re.compile(r"c(\d+)|(s|fs)_(?:(\d+)|\((\d+(?:,\d+)*)\))")
 
 
 def parse_expr(text: str) -> SymbolicExpr:
     """Parse the grammar produced by render_expr (round-trips bit-exactly)."""
-    text = text.strip()
-    if text == "0":
-        return SymbolicExpr.zero()
-    total = SymbolicExpr.zero()
-    pieces = _SYM_TERM_SPLIT_RE.split(text)
-    signed: list[tuple[int, str]] = []
-    if pieces[0].strip():
-        signed.append((1, pieces[0].strip()))
-    for i in range(1, len(pieces), 2):
-        sign = 1 if pieces[i] == "+" else -1
-        chunk = pieces[i + 1].strip()
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        signed.append((sign, chunk))
-    for sign, chunk in signed:
-        term = SymbolicExpr.constant(sign)
-        for factor in chunk.split("*"):
-            m = _SYM_FACTOR_RE.match(factor.strip())
+    terms: dict[Monomial, Fraction] = {}
+    for coeff, factors in parse_sum(text, ValueError):
+        mono = []
+        for name, e in factors:
+            m = _SYMBOL_RE.fullmatch(name)
             if not m:
-                raise ValueError(f"cannot parse factor {factor!r}")
-            number, cj, skind, sdigits, power = m.groups()
-            e = int(power or 1)
-            if number is not None:
-                term = term * (Fraction(number) ** e)
-            elif cj is not None:
-                term = term * c(int(cj), e)
+                raise ValueError(f"cannot parse factor {name!r}")
+            cj, kind, digits, entries = m.groups()
+            if cj is not None:
+                if int(cj):  # c0 is the constant 1
+                    mono.append((("c", int(cj)), e))
             else:
-                I = canon_index(int(d) for d in sdigits)
-                sym = ("s" if skind == "s" else "fs", I)
-                term = term * SymbolicExpr({((sym, e),): Fraction(1)})
-        total = total + term
-    return total
+                I = digits if digits is not None else entries.split(",")
+                mono.append(((kind, canon_index(int(i) for i in I)), e))
+        mono = tuple(mono)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return SymbolicExpr(terms)

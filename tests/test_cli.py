@@ -236,3 +236,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_error_usage_names_the_subcommand(self, capsys):
+        code, _, err = run(capsys, ["porteous", "--kappa", "1", "--k", "9"])
+        assert code == 2
+        assert "tpcalc porteous" in err
+
+
+class TestGrammarErrors:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "veronese-p3", "--expr", "1/0"],
+        ["eval", "--model", "veronese-p3", "--expr", ""],
+        ["oracle", "--curve", "1/0*t, t^2"],
+        ["expand", "--type", "A1", "--kappa", "1", "--db", "{db}"],
+    ])
+    def test_bad_text_exits_2(self, capsys, tmp_path, argv):
+        dbfile = tmp_path / "bad.db"
+        dbfile.write_text("types=[A1] kappa=1 R= 1/0*c1\n")
+        code, _, err = run(capsys, [a.format(db=dbfile) for a in argv])
+        assert code == 2
+        assert err.startswith("error:")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcalc.oracle import (
     CurveParam,
@@ -47,6 +49,18 @@ class TestPolyBasics:
         p = parse_poly("t^3 - 2*t + 1/2")
         assert p == poly([Fraction(1, 2), -2, 0, 1])
         assert poly_str(p) == "t^3 - 2*t + 1/2"
+
+
+_coefficients = st.one_of(
+    st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=4)
+)
+
+
+@given(st.lists(_coefficients, max_size=10).map(poly))
+@settings(max_examples=80)
+def test_poly_round_trip(p):
+    assert parse_poly(poly_str(p)) == p
+    assert poly_str(()) == "0"
 
 
 class TestDividedDifference:

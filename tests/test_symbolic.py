@@ -122,10 +122,10 @@ class TestRendering:
 
 _symbols = st.one_of(
     st.integers(min_value=1, max_value=4).map(lambda j: ("c", j)),
-    st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(
+    st.lists(st.integers(min_value=0, max_value=12), max_size=3).map(
         lambda I: ("s", canon_index(I))
     ),
-    st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(
+    st.lists(st.integers(min_value=0, max_value=12), max_size=3).map(
         lambda I: ("fs", canon_index(I))
     ),
 )
