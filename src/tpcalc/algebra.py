@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .grammar import parse_sum, render_sum
@@ -30,9 +31,15 @@ class RingSpec:
     A monomial is a tuple of exponents in generator order; it is in normal
     form iff every exponent e_i <= n_i.  The top class is the monomial
     (n_1, ..., n_k) of degree ``top_degree``.
+
+    Packed form: exponent i sits in a bit field of k value bits (2^k > every
+    n_i) and a guard bit, so a product's packed monomial is one integer add.
+    With 2^k - 1 - n_i added to field i, a guard bit is set exactly when an
+    exponent sum passes n_i: truncation is one ``& guard`` test.
     """
 
-    __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index")
+    __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index",
+                 "_shifts", "_mask", "_bias", "_guard", "_decode")
 
     def __init__(self, gens: Iterable[tuple[str, int, int]]):
         gens = tuple((str(n), int(d), int(b)) for (n, d, b) in gens)
@@ -52,6 +59,23 @@ class RingSpec:
         self.bounds = tuple(g[2] for g in gens)
         self.top_degree = sum(d * b for (_, d, b) in gens)
         self._index = {name: i for i, name in enumerate(names)}
+        k = max(self.bounds, default=0).bit_length()
+        self._shifts = tuple(range(0, (k + 1) * len(gens), k + 1))
+        self._mask = (1 << k) - 1
+        self._bias = sum((self._mask - b) << s for s, b in zip(self._shifts, self.bounds))
+        self._guard = sum(1 << (s + k) for s in self._shifts)
+        self._decode: dict[int, tuple[int, ...]] = {}  # packed -> exponents
+
+    def _pack(self, mono: tuple[int, ...]) -> int:
+        key = sum(e << s for e, s in zip(mono, self._shifts))
+        self._decode.setdefault(key, mono)
+        return key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        mono = self._decode.get(key)
+        if mono is None:
+            mono = self._decode[key] = tuple(key >> s & self._mask for s in self._shifts)
+        return mono
 
     def index(self, name: str) -> int:
         try:
@@ -62,24 +86,19 @@ class RingSpec:
     def monomial_degree(self, mono: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
 
-    def in_normal_form(self, mono: tuple[int, ...]) -> bool:
-        return len(mono) == len(self.gens) and all(
-            0 <= e <= b for e, b in zip(mono, self.bounds)
-        )
-
     @property
     def top_monomial(self) -> tuple[int, ...]:
         return self.bounds
 
     def zero(self) -> "GradedClass":
-        return GradedClass(self, {})
+        return GradedClass._trusted(self, {})
 
     def one(self) -> "GradedClass":
-        return GradedClass(self, {(0,) * len(self.gens): Fraction(1)})
+        return GradedClass._trusted(self, {(0,) * len(self.gens): Fraction(1)})
 
     def gen(self, name: str) -> "GradedClass":
         mono = tuple(1 if i == self.index(name) else 0 for i in range(len(self.gens)))
-        return GradedClass(self, {mono: Fraction(1)})
+        return GradedClass._trusted(self, {mono: Fraction(1)})
 
     def monomials_of_degree(self, d: int) -> Iterator[tuple[int, ...]]:
         """All normal-form monomials of total degree d, lex order."""
@@ -116,51 +135,59 @@ class GradedClass:
 
     Immutable after construction.  Monomials that violate a nilpotency bound
     are dropped (that is the ring's truncation), zero coefficients are never
-    stored.
+    stored.  Products and inverses run on packed monomials (see RingSpec) and
+    integer numerators over a common denominator (``_ints``, kept once built).
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_ints")
 
     def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
-        ngens = len(ring.gens)
         for mono, coeff in terms.items():
             mono = tuple(mono)
-            if len(mono) != ngens:
+            if len(mono) != len(ring.gens):
                 raise RingError(f"monomial {mono} has wrong arity for {ring!r}")
             if any(e < 0 for e in mono):
                 raise RingError(f"negative exponent in {mono}")
             coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(e > b for e, b in zip(mono, ring.bounds)):
-                continue  # truncated away
-            clean[mono] = clean.get(mono, Fraction(0)) + coeff
-            if clean[mono] == 0:
-                del clean[mono]
-        self.ring = ring
-        self.terms = clean
-        self._hash = None
+            if all(e <= b for e, b in zip(mono, ring.bounds)):  # else truncated away
+                clean[mono] = clean.get(mono, 0) + coeff
+        self.ring, self.terms = ring, {m: c for m, c in clean.items() if c}
+        self._hash = self._ints = None
+
+    @classmethod
+    def _trusted(cls, ring: RingSpec, terms: dict, ints=None) -> "GradedClass":
+        """Wrap nonzero Fractions on normal-form tuples, unchecked."""
+        self = object.__new__(cls)
+        self.ring, self.terms, self._hash, self._ints = ring, terms, None, ints
+        return self
+
+    def _packed(self) -> tuple[int, list[tuple[int, int]]]:
+        """(D, [(packed monomial, D * coefficient)]) with D the lcm of the denominators."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            pack = self.ring._pack
+            self._ints = (den, [(pack(m), c.numerator * (den // c.denominator))
+                                for m, c in self.terms.items()])
+        return self._ints
 
     # -- ring arithmetic -------------------------------------------------
 
-    def _check_ring(self, other: "GradedClass") -> None:
-        if self.ring != other.ring:
-            raise RingError("operands live in different rings")
-
     def __add__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
         other = self._coerce(other)
-        self._check_ring(other)
+        if self.ring != other.ring:
+            raise RingError("operands live in different rings")
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return GradedClass(self.ring, terms)
+            if c := c + terms.pop(mono, 0):
+                terms[mono] = c
+        return GradedClass._trusted(self.ring, terms)
 
     def __radd__(self, other: Scalar) -> "GradedClass":
         return self.__add__(other)
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(self.ring, {m: -c for m, c in self.terms.items()})
+        return GradedClass._trusted(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
         return self.__add__(-self._coerce(other))
@@ -170,17 +197,21 @@ class GradedClass:
 
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
         if isinstance(other, (int, Fraction)):
-            return GradedClass(self.ring, {m: c * other for m, c in self.terms.items()})
-        self._check_ring(other)
-        bounds = self.ring.bounds
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = tuple(a + b for a, b in zip(m1, m2))
-                if any(e > b for e, b in zip(prod, bounds)):
-                    continue
-                acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
-        return GradedClass(self.ring, acc)
+            return GradedClass._trusted(
+                self.ring, {m: c * other for m, c in self.terms.items()} if other else {})
+        if self.ring != other.ring:
+            raise RingError("operands live in different rings")
+        ring = self.ring
+        (den1, left), (den2, right) = self._packed(), other._packed()
+        nums = list(_mul_packed(ring, {}, left, right).items())
+        den = den1 * den2
+        g = gcd(den, *(n for _, n in nums))
+        if g > 1:
+            den, nums = den // g, [(k, n // g) for k, n in nums]
+        unpack = ring._unpack
+        return GradedClass._trusted(ring, {
+            unpack(k): Fraction(n, den) if den > 1 else Fraction(n) for k, n in nums
+        }, (den, nums))
 
     def __rmul__(self, other: Scalar) -> "GradedClass":
         return self.__mul__(other)
@@ -191,19 +222,16 @@ class GradedClass:
     def __pow__(self, n: int) -> "GradedClass":
         if n < 0:
             return self.invert() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n else self.ring.one()
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def _coerce(self, value: Union["GradedClass", Scalar]) -> "GradedClass":
         if isinstance(value, GradedClass):
             return value
-        return GradedClass(self.ring, {(0,) * len(self.ring.gens): Fraction(value)})
+        value, unit = Fraction(value), (0,) * len(self.ring.gens)
+        return GradedClass._trusted(self.ring, {unit: value} if value else {})
 
     # -- structure -------------------------------------------------------
 
@@ -216,9 +244,8 @@ class GradedClass:
     def graded_component(self, d: int) -> "GradedClass":
         """The sum of terms of total degree exactly d (zero if none)."""
         deg = self.ring.monomial_degree
-        return GradedClass(
-            self.ring, {m: c for m, c in self.terms.items() if deg(m) == d}
-        )
+        return GradedClass._trusted(self.ring, {m: c for m, c in self.terms.items()
+                                                if deg(m) == d})
 
     def components(self) -> dict[int, "GradedClass"]:
         """Decomposition into homogeneous pieces, keyed by degree."""
@@ -234,25 +261,31 @@ class GradedClass:
     def invert(self) -> "GradedClass":
         """Multiplicative inverse of a unit, by degreewise recursion.
 
-        Requires a nonzero constant term; raises RingError otherwise.
+        For self = P/D, P integral with constant term a != 0 (else RingError),
+        the integral Q_d = a^(d+1) (1/P)_d obey Q_0 = 1 and Q_d =
+        -sum_{i=1..d} a^(i-1) P_i Q_(d-i); the inverse is sum_d D Q_d / a^(d+1).
         """
-        c0 = self.constant_term()
-        if c0 == 0:
+        ring = self.ring
+        den, nums = self._packed()
+        a = dict(nums).get(0)  # the constant monomial packs to 0
+        if a is None:
             raise RingError("not a unit: zero constant term")
-        top = self.ring.top_degree
-        p = {d: self.graded_component(d) for d in range(top + 1)}
-        q = [self.ring.one() * (Fraction(1) / c0)]
-        for d in range(1, top + 1):
-            s = self.ring.zero()
-            for i in range(1, d + 1):
-                if p[i].is_zero():
-                    continue
-                s = s + p[i] * q[d - i]
-            q.append(s * (Fraction(-1) / c0))
-        total = self.ring.zero()
-        for piece in q:
-            total = total + piece
-        return total
+        parts: dict[int, list[tuple[int, int]]] = {}  # i -> -a^(i-1) P_i
+        for k, n in nums:
+            if k:
+                i = ring.monomial_degree(ring._unpack(k))
+                parts.setdefault(i, []).append((k, -n * a ** (i - 1)))
+        q: list[dict[int, int]] = [{0: 1}]
+        terms = {(0,) * len(ring.gens): Fraction(den, a)}
+        for d in range(1, ring.top_degree + 1):
+            acc: dict[int, int] = {}
+            for i, part in parts.items():
+                if i <= d:
+                    acc = _mul_packed(ring, acc, part, q[d - i].items())
+            q.append(acc)
+            terms.update((ring._unpack(k), Fraction(den * n, a ** (d + 1)))
+                         for k, n in acc.items())
+        return GradedClass._trusted(ring, terms)
 
     # -- equality / rendering ---------------------------------------------
 
@@ -275,6 +308,20 @@ class GradedClass:
 
     def __str__(self) -> str:
         return render_class(self)
+
+
+def _mul_packed(ring: RingSpec, acc: dict[int, int], left, right) -> dict[int, int]:
+    """acc + left * right on (packed monomial, integer) terms, truncating; no zeros."""
+    bias, guard = ring._bias, ring._guard
+    acc = {k + bias: n for k, n in acc.items()}
+    get = acc.get
+    for k1, n1 in left:
+        k1 += bias
+        for k2, n2 in right:
+            k = k1 + k2
+            if not k & guard:
+                acc[k] = get(k, 0) + n1 * n2
+    return {k - bias: n for k, n in acc.items() if n}
 
 
 def multiply(p: GradedClass, q: GradedClass) -> GradedClass:

@@ -10,6 +10,7 @@ class, so representative ambiguity never leaks.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ class ModelError(ValueError):
 
 
 _DEFAULT_NAME_SETS = {1: ("h",), 2: ("h", "H")}
+MAX_RING_SIZE = 4096  # largest prod (n_i + 1) product_projective builds; may be raised
 
 
 def _factor_names(count: int, names: Sequence[str] | None) -> tuple[str, ...]:
@@ -68,6 +70,8 @@ def product_projective(dims: Iterable[int],
         raise ModelError("need at least one projective factor")
     if any(d < 1 for d in dims):
         raise ModelError("projective factors need dimension >= 1")
+    if (size := math.prod(d + 1 for d in dims)) > MAX_RING_SIZE:
+        raise ModelError(f"ring of {size} monomials exceeds MAX_RING_SIZE = {MAX_RING_SIZE}")
     gen_names = _factor_names(len(dims), names)
     ring = make_ring([(n, 1, d) for n, d in zip(gen_names, dims)])
     tangent = ring.one()

@@ -82,13 +82,17 @@ class SymbolicExpr:
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in terms.items():
             coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            mono = _canon_monomial(mono)
-            clean[mono] = clean.get(mono, Fraction(0)) + coeff
-            if clean[mono] == 0:
-                del clean[mono]
-        self.terms = clean
+            if coeff:
+                mono = _canon_monomial(mono)
+                clean[mono] = clean.get(mono, 0) + coeff
+        self.terms = {m: x for m, x in clean.items() if x}
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "SymbolicExpr":
+        """Wrap Fraction coefficients on canonical monomials, unchecked; drops zeros."""
+        self = object.__new__(cls)
+        self.terms = {m: x for m, x in terms.items() if x}
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -106,13 +110,13 @@ class SymbolicExpr:
         other = _coerce(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return SymbolicExpr(terms)
+            terms[mono] = terms.get(mono, 0) + c
+        return SymbolicExpr._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr({m: -c for m, c in self.terms.items()})
+        return SymbolicExpr._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         return self + (-_coerce(other))
@@ -122,10 +126,10 @@ class SymbolicExpr:
 
     def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         if isinstance(other, (int, Fraction)):
-            return SymbolicExpr({m: c * other for m, c in self.terms.items()})
+            return SymbolicExpr._trusted({m: c * other for m, c in self.terms.items()})
         acc: dict[Monomial, Fraction] = {}
         add_product(acc, self.terms, other.terms)
-        return SymbolicExpr(acc)
+        return SymbolicExpr._trusted(acc)
 
     __rmul__ = __mul__
 
@@ -186,7 +190,7 @@ class SymbolicExpr:
         for mono, coeff in self.terms.items():
             for m, c in fn(mono).terms.items():
                 acc[m] = acc.get(m, 0) + c * coeff
-        return SymbolicExpr(acc)
+        return SymbolicExpr._trusted(acc)
 
     def __repr__(self) -> str:
         return f"<{render_expr(self)}>"
@@ -370,6 +374,6 @@ def parse_expr(text: str) -> SymbolicExpr:
             else:
                 I = digits if digits is not None else entries.split(",")
                 mono.append(((kind, canon_index(int(i) for i in I)), e))
-        mono = tuple(mono)
+        mono = _canon_monomial(mono)
         terms[mono] = terms.get(mono, 0) + coeff
-    return SymbolicExpr(terms)
+    return SymbolicExpr._trusted(terms)

@@ -282,8 +282,10 @@ class ResidualDB:
             if not m:
                 raise ValueError(f"bad residual-db line {lineno}: {raw!r}")
             names = tuple(n.strip() for n in m.group(1).split(",") if n.strip())
-            kappa = int(m.group(2))
-            db.insert(names, kappa, parse_expr(m.group(3)))
+            try:
+                db.insert(names, int(m.group(2)), parse_expr(m.group(3)))
+            except ValueError as exc:  # same class, with the line number
+                raise type(exc)(f"bad residual-db line {lineno}: {exc}") from None
         return db
 
 
@@ -363,7 +365,7 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
                                for n, (k, e) in enumerate(zip(v, d)))
             add_product(acc, values[d, keep], sums[tuple(k - e for k, e in zip(v, d))], weight)
         sums[v] = {m: x for m, x in acc.items() if x}
-    return SymbolicExpr(sums[full])
+    return SymbolicExpr._trusted(sums[full])
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
@@ -447,7 +449,7 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
                     add_product(layer.setdefault(mask | 1 << j, {}),
                                 c(kappa + k + j - i).terms, minor, sign)
         minors = {mask: {m: x for m, x in acc.items() if x} for mask, acc in layer.items()}
-    return SymbolicExpr(minors[(1 << k) - 1])
+    return SymbolicExpr._trusted(minors[(1 << k) - 1])
 
 
 # -- evaluation on map models ----------------------------------------------------

@@ -177,3 +177,139 @@ def test_all_arithmetic_exact():
     third = GradedClass(P2, {(0,): Fraction(1, 3)})
     assert (third * 3) == P2.one()
     assert isinstance(integrate_top(P2, P2.gen("h") ** 2), Fraction)
+
+
+# -- the packed integer kernel against the pairwise Fraction loops it replaced --
+
+
+def ref_mul(p, q):
+    """The pairwise loop: one Fraction product per term pair, tuple sums."""
+    bounds = p.ring.bounds
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            prod = tuple(a + b for a, b in zip(m1, m2))
+            if any(e > b for e, b in zip(prod, bounds)):
+                continue
+            acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
+    return GradedClass(p.ring, acc)
+
+
+def ref_invert(p):
+    """Degreewise recursion q_d = -(1/c0) sum_i p_i q_(d-i) through ref_mul."""
+    ring = p.ring
+    c0 = p.constant_term()
+    if c0 == 0:
+        raise RingError("not a unit: zero constant term")
+    parts = [GradedClass(ring, {m: c for m, c in p.terms.items()
+                                if ring.monomial_degree(m) == d})
+             for d in range(ring.top_degree + 1)]
+    q = [GradedClass(ring, {(0,) * len(ring.gens): 1 / c0})]
+    total = dict(q[0].terms)
+    for d in range(1, ring.top_degree + 1):
+        s = {}
+        for i in range(1, d + 1):
+            for m, c in ref_mul(parts[i], q[d - i]).terms.items():
+                s[m] = s.get(m, 0) + c
+        q.append(GradedClass(ring, {m: -c / c0 for m, c in s.items()}))
+        total.update(q[d].terms)
+    return GradedClass(ring, total)
+
+
+def ref_pow(p, n):
+    base = ref_invert(p) if n < 0 else p
+    result = GradedClass(p.ring, {(0,) * len(p.ring.gens): 1})
+    for _ in range(abs(n)):
+        result = ref_mul(result, base)
+    return result
+
+
+def same(got, want):
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert render_class(got) == render_class(want)
+
+
+@st.composite
+def ring_with_classes(draw, count=3):
+    """A ring of 1-4 factors, some of degree 2, and `count` sparse classes in it
+    with mixed-denominator coefficients (the first with a nonzero constant)."""
+    gens = draw(st.lists(st.tuples(st.sampled_from([1, 1, 2]), st.integers(1, 4)),
+                         min_size=1, max_size=4))
+    ring = make_ring([(f"g{i}", d, b) for i, (d, b) in enumerate(gens)])
+    monos = [m for d in range(ring.top_degree + 1) for m in ring.monomials_of_degree(d)]
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    classes = []
+    for j in range(count):
+        terms = draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=10))
+        if j == 0:
+            terms[(0,) * len(gens)] = draw(coeff.filter(bool))
+        classes.append(GradedClass(ring, terms))
+    return ring, classes
+
+
+@given(ring_with_classes())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_pairwise_loop(case):
+    _, (p, q, r) = case
+    same(p * q, ref_mul(p, q))
+    same(q * q, ref_mul(q, q))
+    # the product's cached integer form feeds the next product
+    same((p * q) * r, ref_mul(ref_mul(p, q), r))
+    scalar = GradedClass(p.ring, {(0,) * len(p.ring.gens): Fraction(-3, 4)})
+    same(p * Fraction(-3, 4), ref_mul(p, scalar))
+    same(p * scalar, ref_mul(p, scalar))
+
+
+@given(ring_with_classes())
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_degreewise_reference(case):
+    _, (unit, q, _) = case
+    same(unit.invert(), ref_invert(unit))
+    product = unit * (q + 1)  # inverted from the integer form its product cached
+    if product.constant_term():
+        same(product.invert(), ref_invert(product))
+    if not q.constant_term():
+        with pytest.raises(RingError):
+            q.invert()
+
+
+@given(ring_with_classes(count=1), st.integers(-3, 5))
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_reference(case, n):
+    _, (unit,) = case
+    same(unit ** n, ref_pow(unit, n))
+
+
+def test_dense_square_and_inverse_match_reference():
+    ring = make_ring([("a", 1, 3), ("b", 1, 3), ("c", 2, 2)])
+    monos = [m for d in range(ring.top_degree + 1) for m in ring.monomials_of_degree(d)]
+    p = GradedClass(ring, {m: Fraction(i % 7 - 3, 1 + i % 5) for i, m in enumerate(monos)})
+    p = p + (1 - p.constant_term())
+    same(p * p, ref_mul(p, p))
+    same(p.invert(), ref_invert(p))
+    same(p * p.invert(), ring.one())
+
+
+def test_equal_rings_share_the_layout():
+    a, b = make_ring([("x", 1, 3), ("y", 2, 1)]), make_ring([("x", 1, 3), ("y", 2, 1)])
+    p, q = parse_class(a, "1 + x - 1/2*y"), parse_class(b, "2 - x^2 + 3/5*x*y")
+    same(p * q, ref_mul(p, q))
+    same(q * p, ref_mul(q, p))
+
+
+class TestPublicConstructorChecks:
+    def test_wrong_arity(self):
+        with pytest.raises(RingError):
+            GradedClass(P2xP3, {(1,): 1})
+        with pytest.raises(RingError):
+            GradedClass(P2, {(0, 0): 1})
+
+    def test_negative_exponent(self):
+        with pytest.raises(RingError):
+            GradedClass(P2xP3, {(1, -1): 1})
+
+    def test_truncates_and_merges(self):
+        p = GradedClass(P2, {(3,): 5, (1,): Fraction(1, 2), (0,): 0})
+        assert p.terms == {(1,): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in p.terms.values())

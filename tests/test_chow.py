@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tpcalc import chow
 from tpcalc.algebra import GradedClass, integrate_top, parse_class
 from tpcalc.chow import (
     ModelError,
@@ -37,6 +38,15 @@ class TestProductProjective:
     def test_bad_dimension(self):
         with pytest.raises(ModelError):
             product_projective([0])
+
+    def test_ring_size_limit(self, monkeypatch):
+        assert chow.MAX_RING_SIZE >= 256  # the largest model in tests, demos and README
+        with pytest.raises(ModelError, match="9261 monomials"):
+            product_projective([20, 20, 20])
+        monkeypatch.setattr(chow, "MAX_RING_SIZE", 12)
+        assert product_projective([2, 3]).ambient.bounds == (2, 3)
+        with pytest.raises(ModelError, match="16 monomials"):
+            product_projective([3, 3])
 
 
 class TestCompleteIntersection:

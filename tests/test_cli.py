@@ -230,6 +230,27 @@ class TestDbOverride:
         assert code == 0
         assert out.splitlines()[0] == "s_0^2 - s_1"
 
+    def test_bad_polynomial_names_its_line(self, capsys, tmp_path):
+        dbfile = tmp_path / "bad.db"
+        dbfile.write_text("# header\n\ntypes=[A0] kappa=1 R= 1/0*c1\n")
+        code, _, err = run(capsys, [
+            "expand", "--type", "A0", "--kappa", "1", "--db", str(dbfile)
+        ])
+        assert code == 2
+        assert err.startswith("error: bad residual-db line 3: zero denominator")
+
+
+class TestRingSizeLimit:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--type", "A0,A0"],
+        ["eval", "--expr", "s_1"],
+    ])
+    def test_oversized_ring_exits_2(self, capsys, argv):
+        model = "product [20,20,20] ci [(1,1,1)] -> [0]"
+        code, _, err = run(capsys, argv[:1] + ["--model", model] + argv[1:])
+        assert code == 2
+        assert "9261 monomials exceeds MAX_RING_SIZE" in err
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
