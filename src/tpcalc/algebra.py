@@ -343,6 +343,16 @@ def integrate_top(ring: RingSpec, p: GradedClass) -> Fraction:
     return p.coefficient(ring.top_monomial)
 
 
+def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fraction:
+    """integrate_top(ring, p * q) without forming the product: each term of p
+    pairs with the term of q at the complementary monomial top/m."""
+    if p.ring != ring or q.ring != ring:
+        raise RingError("class does not live in the given ring")
+    (den1, left), (den2, right) = p._packed(), q._packed()
+    right, top = dict(right), ring._pack(ring.bounds)
+    return Fraction(sum(n * right.get(top - k, 0) for k, n in left), den1 * den2)
+
+
 # -- textual grammar -----------------------------------------------------
 #
 # Classes render as e.g. "1 + 5*h + 6*h^2" or "1 + H - h^2 - h*H": terms

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, RingSpec, integrate_top, make_ring
+from .algebra import GradedClass, RingSpec, _integrate_product, make_ring
 
 
 class ModelError(ValueError):
@@ -74,9 +76,8 @@ def product_projective(dims: Iterable[int],
         raise ModelError(f"ring of {size} monomials exceeds MAX_RING_SIZE = {MAX_RING_SIZE}")
     gen_names = _factor_names(len(dims), names)
     ring = make_ring([(n, 1, d) for n, d in zip(gen_names, dims)])
-    tangent = ring.one()
-    for name, d in zip(gen_names, dims):
-        tangent = tangent * (ring.one() + ring.gen(name)) ** (d + 1)
+    tangent = reduce(mul, [(ring.one() + ring.gen(name)) ** (d + 1)
+                           for name, d in zip(gen_names, dims)])
     return VarietyModel(ring, dims, (), sum(dims), tangent, ring.one())
 
 
@@ -110,13 +111,10 @@ def complete_intersection(ambient: VarietyModel,
         classes.append(L)
     if len(classes) >= ambient.dimension:
         raise ModelError("too many divisors: dimension would drop to zero or below")
-    tangent = ambient.tangent_total
-    fundamental = ring.one()
-    denom = ring.one()
-    for L in classes:
-        denom = denom * (ring.one() + L)
-        fundamental = fundamental * L
-    tangent = tangent * denom.invert()
+    if not classes:
+        return ambient
+    fundamental = reduce(mul, classes)
+    tangent = ambient.tangent_total * reduce(mul, [ring.one() + L for L in classes]).invert()
     return VarietyModel(ring, ambient.factor_dims, tuple(classes),
                         ambient.dimension - len(classes), tangent, fundamental)
 
@@ -127,7 +125,7 @@ def integrate_on(variety: VarietyModel, p: GradedClass) -> Fraction:
     Factors through the ambient integral against the fundamental class:
     int_X alpha = int_ambient alpha * [X].
     """
-    return integrate_top(variety.ambient, p * variety.fundamental)
+    return _integrate_product(variety.ambient, p, variety.fundamental)
 
 
 # -- textual model descriptions ----------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: expand, eval, count, porteous, extract, interp, oracle, verify.
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage errors
-(unknown subcommand, model or type).  `--json` emits a structured report
-carrying the same payload as the text output; timing lives outside the
-checked payload so reports are deterministic for fixed inputs.
+Exit codes: 0 success, 1 a mathematical check failed (a `count` that is
+not a non-negative integer included), 2 usage errors (unknown subcommand,
+model or type).  `--json` emits a structured report carrying the same
+payload as the text output; timing lives outside the checked payload so
+reports are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -141,7 +142,11 @@ def _cmd_count(args) -> Report:
     model = get_model(args.model)
     t = multi_type(args.type, model.kappa)
     rep = Report("count", {"model": args.model, "type": args.type})
-    rep.result = str(count_points(model, t, db))
+    n = count_points(model, t, db)
+    rep.result = str(n)
+    if n < 0 or n.denominator != 1:  # a wrong db entry or a non-generic map
+        rep.checks.append({"name": "count", "expected": "a non-negative integer",
+                           "got": str(n), "pass": False})
     return rep
 
 

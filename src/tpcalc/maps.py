@@ -1,37 +1,33 @@
 """Proper-map models: pullback, pushforward, quotient Chern classes,
 Landweber-Novikov classes.
 
-Three kinds of model are shipped:
+Every shipped model is a map f: X -> Y onto a product of projective spaces
+Y = P^{t_1} x ... x P^{t_k}, given by its source X, its target Y and the
+pullbacks f^*(h_i) of the target's hyperplane classes (degree-1 classes on
+X).  They fix the rest: f^* is the ring map sending h_i to f^*(h_i), and
+since the monomials m of Y and their duals m^v = top/m are dual bases,
+f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
+The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
-  onto a subset of the factors (pushforward = fiber integration against the
-  fundamental class);
-* generic linear projections X -> P^t of a smooth variety embedded by a
-  degree-1 class e (pushforward via the degree rule
-  f_*(alpha) = (int_X alpha * e^(dim X - c)) * h^(t - dim X + c));
+  onto a subset of the factors (f^*(h_i) the factor's own generator);
+* generic linear projections X -> P^t of a variety embedded by a degree-1
+  class e (f^*(h) = e);
 * parametrized rational plane curves of degree d (a linear projection of P^1
   with e = d*p onto P^2).
 
-Every model exposes exact pullback/pushforward satisfying the projection
-formula on the nose, which the test suite checks on random classes.
+The test suite checks the projection formula on random classes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
+from functools import reduce
+from operator import mul
 from typing import Iterable, Sequence
 
-import re
-
-from .algebra import GradedClass, RingSpec, make_ring
-from .chow import (
-    ModelError,
-    VarietyModel,
-    complete_intersection,
-    integrate_on,
-    parse_variety,
-    product_projective,
-)
+from .algebra import GradedClass, _integrate_product
+from .chow import ModelError, VarietyModel, parse_variety, product_projective
 from .symbolic import canon_index, index_c_degree, index_str
 
 
@@ -58,50 +54,48 @@ class LNIndex(tuple):
 
 
 class MapModel:
-    """Common behaviour: quotient Chern class, LN classes, caching."""
+    """A proper map f: X -> Y: quotient Chern class, LN classes, caching.
+
+    Subclasses give ``pullback`` and ``pushforward``; the target is a
+    VarietyModel whose ambient ring holds the target classes.
+    """
 
     kind = "abstract"
 
-    def __init__(self, source: VarietyModel, target_ring: RingSpec):
+    def __init__(self, source: VarietyModel, target: VarietyModel):
         self.source = source
-        self.target_ring = target_ring
-        self.kappa = target_ring.top_degree - source.dimension
+        self.target = target
+        self.target_ring = target.ambient
+        self.kappa = self.target_ring.top_degree - source.dimension
         self._chern_total: GradedClass | None = None
+        self._chern: dict[int, GradedClass] | None = None
         self._ln_cache: dict[tuple[int, ...], GradedClass] = {}
 
-    # subclasses implement these three
     def pullback(self, beta: GradedClass) -> GradedClass:
         raise NotImplementedError
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         raise NotImplementedError
 
-    def target_tangent_total(self) -> GradedClass:
-        raise NotImplementedError
-
     def quotient_chern(self) -> GradedClass:
         """Total class of f^*TY - TX in the source's ambient ring."""
         if self._chern_total is None:
-            pulled = self.pullback(self.target_tangent_total())
+            pulled = self.pullback(self.target.tangent_total)
             self._chern_total = pulled * self.source.tangent_total.invert()
         return self._chern_total
 
     def chern(self, j: int) -> GradedClass:
         """c_j(f); c_0 = 1, c_{<0} = 0."""
-        if j < 0:
-            return self.source.ambient.zero()
-        if j == 0:
-            return self.source.ambient.one()
-        return self.quotient_chern().graded_component(j)
+        if self._chern is None:
+            self._chern = self.quotient_chern().components()
+        return self._chern.get(j, self.source.ambient.zero())
 
     def landweber_novikov(self, I: Iterable[int]) -> GradedClass:
         """s_I(f) = f_*(c_1^{i_1} c_2^{i_2} ...) in the target ring."""
         I = canon_index(I)
         if I not in self._ln_cache:
-            prod = self.source.ambient.one()
-            for j, e in enumerate(I, start=1):
-                if e:
-                    prod = prod * self.chern(j) ** e
+            factors = [self.chern(j) ** e for j, e in enumerate(I, start=1) if e]
+            prod = reduce(mul, factors) if factors else self.source.ambient.one()
             self._ln_cache[I] = self.pushforward(prod)
         return self._ln_cache[I]
 
@@ -109,123 +103,91 @@ class MapModel:
         return f"<{self.kind} map, kappa={self.kappa}>"
 
 
-class ProductProjectionMap(MapModel):
-    """Projection of X inside P^{n_1} x ... x P^{n_k} onto a subset of factors."""
+class ProductTargetMap(MapModel):
+    """A map to a product of projective spaces, given by the pullbacks of the
+    target's hyperplane classes (degree-1 source classes, one per factor).
 
-    kind = "product-projection"
+    f^*(m) and [X] f^*(m) are built on demand, one product per target
+    monomial m, from the entry for m with one exponent lowered.
+    """
 
-    def __init__(self, X: VarietyModel, target_factors: Sequence[int]):
-        factors = tuple(sorted(set(int(i) for i in target_factors)))
-        k = len(X.factor_dims)
-        if not factors:
-            raise ModelError("need at least one target factor")
-        if any(i < 0 or i >= k for i in factors):
-            raise ModelError("target factor index out of range")
-        if len(factors) == k:
-            raise ModelError("target equals the full ambient product")
-        ambient = X.ambient
-        target_ring = make_ring(
-            [(ambient.names[i], 1, X.factor_dims[i]) for i in factors]
-        )
-        self.target_factors = factors
-        self.fiber_factors = tuple(i for i in range(k) if i not in factors)
-        super().__init__(X, target_ring)
+    def __init__(self, source: VarietyModel, target: VarietyModel,
+                 hyperplanes: Sequence[GradedClass], kind: str):
+        super().__init__(source, target)
+        self.kind = kind
+        self.hyperplanes = hyperplanes = tuple(hyperplanes)
+        amb, n = source.ambient, len(hyperplanes)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        self._pulled = {(0,) * n: amb.one(), **dict(zip(units, hyperplanes))}
+        fundamental = source.fundamental
+        self._cycles = (self._pulled if fundamental == amb.one()
+                        else {(0,) * n: fundamental})
 
-    def target_tangent_total(self) -> GradedClass:
-        t = self.target_ring.one()
-        for name, dim in zip(self.target_ring.names, self.target_ring.bounds):
-            t = t * (self.target_ring.one() + self.target_ring.gen(name)) ** (dim + 1)
-        return t
-
-    def pullback(self, beta: GradedClass) -> GradedClass:
-        if beta.ring != self.target_ring:
-            raise ModelError("pullback argument lives in the wrong ring")
-        ambient = self.source.ambient
-        terms = {}
-        for mono, coeff in beta.terms.items():
-            amb = [0] * len(ambient.gens)
-            for pos, e in zip(self.target_factors, mono):
-                amb[pos] = e
-            terms[tuple(amb)] = coeff
-        return GradedClass(ambient, terms)
-
-    def pushforward(self, alpha: GradedClass) -> GradedClass:
-        """Multiply by [X], then integrate the fibered factors to the top."""
-        if alpha.ring != self.source.ambient:
-            raise ModelError("pushforward argument lives in the wrong ring")
-        beta = alpha * self.source.fundamental
-        bounds = self.source.ambient.bounds
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in beta.terms.items():
-            if any(mono[i] != bounds[i] for i in self.fiber_factors):
-                continue
-            tgt = tuple(mono[i] for i in self.target_factors)
-            terms[tgt] = terms.get(tgt, Fraction(0)) + coeff
-        return GradedClass(self.target_ring, terms)
-
-
-class LinearProjectionMap(MapModel):
-    """Generic linear projection of an embedded variety to P^{target_dim}."""
-
-    kind = "linear-projection"
-
-    def __init__(self, X: VarietyModel, e: GradedClass, target_dim: int,
-                 target_name: str = "h"):
-        if e.ring != X.ambient:
-            raise ModelError("embedding class lives in the wrong ring")
-        if e.is_zero() or not e.is_homogeneous(1):
-            raise ModelError("embedding class must be homogeneous of degree 1")
-        self.embedding = e
-        self.target_dim = int(target_dim)
-        target_ring = make_ring([(target_name, 1, self.target_dim)])
-        super().__init__(X, target_ring)
-
-    def target_tangent_total(self) -> GradedClass:
-        ring = self.target_ring
-        return (ring.one() + ring.gen(ring.names[0])) ** (self.target_dim + 1)
+    def _image(self, table: dict, m: tuple[int, ...]) -> GradedClass:
+        """The unit entry of table times f^*(m), cached in table."""
+        img = table.get(m)
+        if img is None:
+            i = next(i for i, e in enumerate(m) if e)
+            lower = m[:i] + (m[i] - 1,) + m[i + 1:]
+            img = table[m] = self._image(table, lower) * self.hyperplanes[i]
+        return img
 
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:
             raise ModelError("pullback argument lives in the wrong ring")
         out = self.source.ambient.zero()
         for mono, coeff in beta.terms.items():
-            out = out + coeff * self.embedding ** mono[0]
+            out = out + coeff * self._image(self._pulled, mono)
         return out
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
-        if alpha.ring != self.source.ambient:
+        """The coefficient of m is int_X alpha * f^*(top/m)."""
+        ambient = self.source.ambient
+        if alpha.ring != ambient:
             raise ModelError("pushforward argument lives in the wrong ring")
-        n = self.source.dimension
-        ring = self.target_ring
-        h = ring.gen(ring.names[0])
-        out = ring.zero()
-        for cdeg, piece in alpha.components().items():
-            if cdeg > n or cdeg + self.kappa > self.target_dim or cdeg + self.kappa < 0:
-                continue
-            weight = integrate_on(self.source, piece * self.embedding ** (n - cdeg))
-            out = out + weight * h ** (cdeg + self.kappa)
-        return out
+        ring, top = self.target_ring, self.target_ring.top_monomial
+        terms = {}
+        for d in {ambient.monomial_degree(m) for m in alpha.terms}:
+            for m in ring.monomials_of_degree(d + self.kappa):
+                dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))
+                terms[m] = _integrate_product(ambient, alpha, dual)
+        return GradedClass(ring, terms)
 
 
 def projection_from_product(X: VarietyModel,
-                            target_factors: Sequence[int]) -> ProductProjectionMap:
-    return ProductProjectionMap(X, target_factors)
+                            target_factors: Sequence[int]) -> ProductTargetMap:
+    """Projection of X inside P^{n_1} x ... x P^{n_k} onto a subset of factors."""
+    factors = sorted(set(int(i) for i in target_factors))
+    k = len(X.factor_dims)
+    if not factors:
+        raise ModelError("need at least one target factor")
+    if any(i < 0 or i >= k for i in factors):
+        raise ModelError("target factor index out of range")
+    if len(factors) == k:
+        raise ModelError("target equals the full ambient product")
+    names = [X.ambient.names[i] for i in factors]
+    target = product_projective([X.factor_dims[i] for i in factors], names=names)
+    return ProductTargetMap(X, target, [X.ambient.gen(n) for n in names],
+                            "product-projection")
 
 
 def linear_projection_model(X: VarietyModel, e: GradedClass,
-                            target_dim: int) -> LinearProjectionMap:
-    return LinearProjectionMap(X, e, target_dim)
+                            target_dim: int) -> ProductTargetMap:
+    """Generic linear projection to P^{target_dim} of X embedded by e."""
+    if e.ring != X.ambient:
+        raise ModelError("embedding class lives in the wrong ring")
+    if e.is_zero() or not e.is_homogeneous(1):
+        raise ModelError("embedding class must be homogeneous of degree 1")
+    return ProductTargetMap(X, product_projective([target_dim]), [e], "linear-projection")
 
 
-def rational_curve_model(d: int) -> LinearProjectionMap:
+def rational_curve_model(d: int) -> ProductTargetMap:
     """Generic degree-d parametrized rational plane curve P^1 -> P^2."""
     if d < 1:
         raise ModelError("curve degree must be >= 1")
     p1 = product_projective([1], names=("p",))
-    model = LinearProjectionMap(p1, d * p1.ambient.gen("p"), 2)
-    model.kind = "rational-curve"
-    model.curve_degree = d
-    return model
+    return ProductTargetMap(p1, product_projective([2]), [d * p1.ambient.gen("p")],
+                            "rational-curve")
 
 
 # -- module-level operation aliases matching the published surface ----------
@@ -250,45 +212,28 @@ def pullback(f: MapModel, beta: GradedClass) -> GradedClass:
 # -- named built-in models ---------------------------------------------------
 
 
-def _veronese_p3() -> LinearProjectionMap:
+def _veronese_p3() -> ProductTargetMap:
     p2 = product_projective([2])
-    return LinearProjectionMap(p2, 2 * p2.ambient.gen("h"), 3)
+    return linear_projection_model(p2, 2 * p2.ambient.gen("h"), 3)
 
 
-def _scroll_q_p3() -> LinearProjectionMap:
+def _scroll_q_p3() -> ProductTargetMap:
     quadric = product_projective([1, 1], names=("a", "b"))
     e = quadric.ambient.gen("a") + 2 * quadric.ambient.gen("b")
-    return LinearProjectionMap(quadric, e, 3)
+    return linear_projection_model(quadric, e, 3)
 
-
-def _pencil(d: int) -> ProductProjectionMap:
-    ambient = product_projective([2, 1])
-    X = complete_intersection(ambient, [(d, 1)])
-    return ProductProjectionMap(X, (1,))
-
-
-def _web3(d: int) -> ProductProjectionMap:
-    ambient = product_projective([2, 3])
-    X = complete_intersection(ambient, [(d, 1)])
-    return ProductProjectionMap(X, (1,))
-
-
-def _dual_surface(d: int) -> ProductProjectionMap:
-    ambient = product_projective([3, 3])
-    X = complete_intersection(ambient, [(d, 0), (1, 1)])
-    return ProductProjectionMap(X, (1,))
-
-
-_PARAMETRIC_MODELS = {
-    "ratcurve": (rational_curve_model, 1),
-    "pencil": (_pencil, 1),
-    "web3": (_web3, 1),
-    "dual-surface": (_dual_surface, 1),
-}
 
 _FIXED_MODELS = {
     "veronese-p3": _veronese_p3,
     "scroll-q-p3": _scroll_q_p3,
+}
+
+# name:<d> for d >= 1: a builder, or a projection description with {d}
+_PARAMETRIC_MODELS = {
+    "ratcurve": rational_curve_model,
+    "pencil": "product [2,1] ci [({d},1)] -> [1]",
+    "web3": "product [2,3] ci [({d},1)] -> [1]",
+    "dual-surface": "product [3,3] ci [({d},0),(1,1)] -> [1]",
 }
 
 
@@ -309,6 +254,18 @@ def get_model(name: str) -> MapModel:
     name = name.strip()
     if name in _FIXED_MODELS:
         return _FIXED_MODELS[name]()
+    head, colon, arg = name.partition(":")
+    if colon and head in _PARAMETRIC_MODELS:
+        try:
+            d = int(arg)
+        except ValueError:
+            raise ModelError(f"bad parameter in model name {name!r}") from None
+        if d < 1:
+            raise ModelError(f"model {head} needs parameter >= 1")
+        build = _PARAMETRIC_MODELS[head]
+        if not isinstance(build, str):
+            return build(d)
+        name = build.format(d=d)
     if name.startswith("product"):
         m = _PROJECTION_DESC_RE.match(name)
         if not m:
@@ -317,18 +274,7 @@ def get_model(name: str) -> MapModel:
             )
         X = parse_variety(m.group(1))
         factors = [int(x) for x in m.group(2).split(",") if x.strip()]
-        return ProductProjectionMap(X, factors)
-    if ":" in name:
-        head, _, arg = name.partition(":")
-        if head in _PARAMETRIC_MODELS:
-            builder, min_d = _PARAMETRIC_MODELS[head]
-            try:
-                d = int(arg)
-            except ValueError:
-                raise ModelError(f"bad parameter in model name {name!r}") from None
-            if d < min_d:
-                raise ModelError(f"model {head} needs parameter >= {min_d}")
-            return builder(d)
+        return projection_from_product(X, factors)
     raise ModelError(
         f"unknown model {name!r}; available: {', '.join(model_names())} "
         "or a description like 'product [2,1] ci [(3,1)] -> [1]'"

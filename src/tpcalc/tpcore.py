@@ -19,9 +19,11 @@ order of the tuple's symmetry group.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
@@ -468,7 +470,7 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     ring = f.target_ring if actual == "target" else f.source.ambient
     total = ring.zero()
     for mono, coeff in expr.terms.items():
-        val = ring.one()
+        factors = []
         for (kind, payload), e in mono:
             if kind == "c":
                 g = f.chern(payload)
@@ -476,8 +478,8 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
                 g = f.landweber_novikov(payload)
             else:
                 g = f.pullback(f.landweber_novikov(payload))
-            val = val * g ** e
-        total = total + coeff * val
+            factors.append(g ** e)
+        total = total + coeff * (reduce(operator.mul, factors) if factors else ring.one())
     return total
 
 

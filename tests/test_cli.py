@@ -86,6 +86,37 @@ class TestCount:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("residual, count", [
+        ("c2 - c1^2", "-12"),
+        ("1/5*c1^2 - 1/5*c2", "12/5"),
+    ])
+    def test_suspect_count_fails_check(self, capsys, tmp_path, residual, count):
+        dbfile = tmp_path / "suspect.db"
+        dbfile.write_text(f"types=[A1] kappa=-1 R= {residual}\n")
+        code, out, _ = run(capsys, [
+            "count", "--model", "pencil:3", "--type", "A1", "--db", str(dbfile)
+        ])
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            count, f"FAIL count: expected a non-negative integer, got {count}"
+        ]
+        code, blob, _ = run(capsys, [
+            "count", "--model", "pencil:3", "--type", "A1", "--db", str(dbfile), "--json"
+        ])
+        assert code == 1
+        assert json.loads(blob)["checks"] == [{
+            "name": "count", "expected": "a non-negative integer", "got": count,
+            "pass": False,
+        }]
+
+    def test_valid_count_has_no_checks(self, capsys):
+        code, blob, _ = run(capsys, [
+            "count", "--model", "pencil:3", "--type", "A1", "--json"
+        ])
+        assert code == 0
+        payload = json.loads(blob)
+        assert payload["result"] == "12" and payload["checks"] == []
+
 
 class TestPorteous:
     def test_fold(self, capsys):

@@ -1,7 +1,13 @@
-import pytest
+import functools
+import random
+from fractions import Fraction
 
-from tpcalc.algebra import GradedClass, parse_class, render_class
-from tpcalc.chow import ModelError, product_projective
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tpcalc.algebra import GradedClass, integrate_top, parse_class, render_class
+from tpcalc.chow import ModelError, integrate_on, product_projective
 from tpcalc.maps import (
     LNIndex,
     get_model,
@@ -210,3 +216,144 @@ class TestModelRegistry:
     def test_description_needs_arrow(self):
         with pytest.raises(ModelError):
             get_model("product [2,1] ci [(3,1)]")
+
+
+# -- the two map formulas the single model replaced, kept as references ------
+#
+# A factor projection pulls a target monomial back to the ambient monomial
+# with the same exponents on the target factors, and pushes alpha forward by
+# keeping the terms of alpha * [X] that sit at the top of every fiber factor.
+# A linear projection to P^t with f^*(h) = e pulls h^k back to e^k and pushes
+# the degree-c part of alpha to (int_X alpha_c e^(dim X - c)) h^(c + kappa).
+
+
+def _factor_positions(f):
+    return [f.source.ambient.index(name) for name in f.target_ring.names]
+
+
+def reference_pullback(f, beta):
+    ambient = f.source.ambient
+    if f.kind == "product-projection":
+        terms = {}
+        for mono, coeff in beta.terms.items():
+            amb = [0] * len(ambient.gens)
+            for pos, e in zip(_factor_positions(f), mono):
+                amb[pos] = e
+            terms[tuple(amb)] = coeff
+        return GradedClass(ambient, terms)
+    out = ambient.zero()
+    for mono, coeff in beta.terms.items():
+        out = out + coeff * f.hyperplanes[0] ** mono[0]
+    return out
+
+
+def reference_pushforward(f, alpha):
+    ring, ambient = f.target_ring, f.source.ambient
+    if f.kind == "product-projection":
+        beta = alpha * f.source.fundamental
+        targets = _factor_positions(f)
+        fibers = [i for i in range(len(ambient.gens)) if i not in targets]
+        terms = {}
+        for mono, coeff in beta.terms.items():
+            if all(mono[i] == ambient.bounds[i] for i in fibers):
+                tgt = tuple(mono[i] for i in targets)
+                terms[tgt] = terms.get(tgt, Fraction(0)) + coeff
+        return GradedClass(ring, terms)
+    n, t, e = f.source.dimension, ring.bounds[0], f.hyperplanes[0]
+    h = ring.gen(ring.names[0])
+    out = ring.zero()
+    for cdeg, piece in alpha.components().items():
+        if cdeg <= n and 0 <= cdeg + f.kappa <= t:
+            out = out + integrate_on(f.source, piece * e ** (n - cdeg)) * h ** (cdeg + f.kappa)
+    return out
+
+
+def reference_quotient_chern(f):
+    ring = f.target_ring
+    tangent = ring.one()
+    for name, dim in zip(ring.names, ring.bounds):
+        tangent = tangent * (ring.one() + ring.gen(name)) ** (dim + 1)
+    return reference_pullback(f, tangent) * f.source.tangent_total.invert()
+
+
+def reference_landweber_novikov(f, I):
+    c = reference_quotient_chern(f)
+    prod = f.source.ambient.one()
+    for j, e in enumerate(I, start=1):
+        prod = prod * c.graded_component(j) ** e
+    return reference_pushforward(f, prod)
+
+
+def seeded_descriptions(seed, count, target_size):
+    """Factor projections of random complete intersections, in the
+    'product [...] ci [...] -> [...]' grammar, onto target_size factors."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(target_size + 1, 3)
+        dims = [rng.randint(1, 3) for _ in range(k)]
+        vectors = [[rng.randint(0, 3) for _ in range(k)]
+                   for _ in range(rng.randint(0, min(2, sum(dims) - 1)))]
+        if not all(any(v) for v in vectors):
+            continue
+        desc = f"product {dims}"
+        if vectors:
+            desc += " ci [" + ",".join(str(tuple(v)) for v in vectors) + "]"
+        out.append(f"{desc} -> {sorted(rng.sample(range(k), target_size))}")
+    return out
+
+
+MODEL_NAMES = (["veronese-p3", "scroll-q-p3"]
+               + [f"{m}:{d}" for m in ("ratcurve", "pencil", "web3", "dual-surface")
+                  for d in (1, 2, 4)]
+               + seeded_descriptions(7, 8, 1) + seeded_descriptions(8, 8, 2))
+LN_INDICES = [(), (1,), (2,), (0, 1), (3,), (1, 1), (0, 0, 1), (4,), (2, 1),
+              (0, 2), (1, 0, 1), (0, 0, 0, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _model(name):
+    return get_model(name)
+
+
+def classes_in(ring):
+    monos = [m for d in range(ring.top_degree + 1) for m in ring.monomials_of_degree(d)]
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    return st.dictionaries(st.sampled_from(monos), coeff, max_size=8).map(
+        lambda terms: GradedClass(ring, terms))
+
+
+@st.composite
+def model_with_classes(draw):
+    f = _model(draw(st.sampled_from(MODEL_NAMES)))
+    return f, draw(classes_in(f.source.ambient)), draw(classes_in(f.target_ring))
+
+
+def test_descriptions_cover_both_target_sizes():
+    sizes = {len(_model(name).target_ring.gens) for name in MODEL_NAMES}
+    assert sizes == {1, 2}
+
+
+@given(model_with_classes())
+@settings(max_examples=200, deadline=None)
+def test_pullback_and_pushforward_match_references(case):
+    f, alpha, beta = case
+    assert f.pullback(beta) == reference_pullback(f, beta)
+    assert f.pushforward(alpha) == reference_pushforward(f, alpha)
+    assert f.pushforward(alpha * f.pullback(beta)) == f.pushforward(alpha) * beta
+
+
+@given(st.sampled_from(MODEL_NAMES), st.sampled_from(LN_INDICES))
+@settings(max_examples=100, deadline=None)
+def test_chern_and_ln_classes_match_references(name, I):
+    f = get_model(name)  # fresh, so the lazy tables fill in a random order
+    assert f.landweber_novikov(I) == reference_landweber_novikov(f, I)
+    assert f.quotient_chern() == reference_quotient_chern(f)
+
+
+@given(model_with_classes())
+@settings(max_examples=100, deadline=None)
+def test_integrate_on_pairs_without_the_product(case):
+    f, alpha, _ = case
+    X = f.source
+    assert integrate_on(X, alpha) == integrate_top(X.ambient, alpha * X.fundamental)
