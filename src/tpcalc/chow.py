@@ -87,8 +87,9 @@ def complete_intersection(ambient: VarietyModel,
     """Cut a complete intersection out of a product of projective spaces.
 
     Each multidegree is either a degree-1 ambient class or an integer vector
-    (d_1, ..., d_k) standing for sum d_i * g_i.  The tangent class follows by
-    adjunction: c(TX) = c(T_ambient) / prod (1 + L_j).
+    (d_1, ..., d_k) standing for sum d_i * g_i, with no negative entry or
+    coefficient (such a class cuts out no hypersurface).  The tangent class
+    follows by adjunction: c(TX) = c(T_ambient) / prod (1 + L_j).
     """
     if ambient.divisors:
         raise ModelError("ambient model must be a bare product of projective spaces")
@@ -108,6 +109,8 @@ def complete_intersection(ambient: VarietyModel,
             raise ModelError("divisor class lives in the wrong ring")
         if L.is_zero() or not L.is_homogeneous(1):
             raise ModelError("divisor classes must be homogeneous of degree 1")
+        if any(x < 0 for x in L.terms.values()):
+            raise ModelError("divisor classes need non-negative multidegree entries")
         classes.append(L)
     if len(classes) >= ambient.dimension:
         raise ModelError("too many divisors: dimension would drop to zero or below")

@@ -189,23 +189,17 @@ def _cmd_interp(args) -> Report:
             f"R= {render_expr(outcome.residual())}"
         )
     elif outcome.status == "underdetermined":
-        kern = ["; ".join(f"{render_expr_index(I)}={a}" for I, a in vec.items())
+        label = dict(zip(system.unknowns, system.describe_unknowns()))
+        kern = ["; ".join(f"{label[I]}={a}" for I, a in vec.items())
                 for vec in outcome.kernel]
         rep.result = {
             "status": "underdetermined",
-            "particular": {render_expr_index(I): str(a)
-                           for I, a in outcome.solution.items()},
+            "particular": {label[I]: str(a) for I, a in outcome.solution.items()},
             "kernel": kern,
         }
     else:
         rep.result = {"status": "inconsistent", "violated": outcome.violated}
     return rep
-
-
-def render_expr_index(I) -> str:
-    from .symbolic import c_monomial
-
-    return render_expr(c_monomial(I))
 
 
 def _cmd_oracle(args) -> Report:

@@ -14,30 +14,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import integrate_top
+from .algebra import RingSpec, integrate_top
 from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr
 from .tpcore import MultiSingType, ResidualDB, _proper_part, evaluate
 
 
 def chern_monomials_of_degree(degree: int) -> list[Index]:
     """Exponent vectors I with sum j*i_j = degree, c_1-heavy first."""
-    out: list[Index] = []
-
-    def rec(j: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            out.append(canon_index(acc))
-            return
-        if j > remaining:
-            return
-        for e in range(remaining // j, -1, -1):
-            rec(j + 1, remaining - j * e, acc + [e])
-
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    if degree == 0:
-        return [()]
-    rec(1, degree, [])
-    return out
+    ring = RingSpec((f"c{j}", j, degree // j) for j in range(1, degree + 1))
+    return [canon_index(I) for I in reversed(list(ring.monomials_of_degree(degree)))]
 
 
 @dataclass

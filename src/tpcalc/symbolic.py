@@ -263,11 +263,7 @@ def fs(*I: int) -> SymbolicExpr:
 
 def c_monomial(I: Index) -> SymbolicExpr:
     """c^I = c_1^{i_1} c_2^{i_2} ... as a SymbolicExpr."""
-    expr = SymbolicExpr.constant(1)
-    for j, e in enumerate(I, start=1):
-        if e:
-            expr = expr * SymbolicExpr({((("c", j), e),): Fraction(1)})
-    return expr
+    return SymbolicExpr({tuple((("c", j), e) for j, e in enumerate(I, start=1)): 1})
 
 
 def c_exponents(mono: Monomial) -> Index:

@@ -9,8 +9,10 @@ The key objects:
   as a polynomial in the s_I, and the source class as a polynomial in c_j
   and fs_I;
 * their inverse (recovering a residual from a known expansion), the
-  determinantal polynomial for corank-1 loci, evaluation on map models,
-  zero-dimensional point counts and the exponential generating identity.
+  determinantal polynomial for corank-1 loci, evaluation on map models and
+  zero-dimensional point counts;
+* a check of the exponential generating identity against the target
+  expansion.
 
 Ordered tuples of types are the raw objects; geometric counts divide by the
 order of the tuple's symmetry group.
@@ -24,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, integrate_top
@@ -33,6 +35,7 @@ from .symbolic import (
     SymbolicExpr,
     add_product,
     c,
+    c_exponents,
     c_monomial,
     fs,
     parse_expr,
@@ -322,14 +325,7 @@ def default_db() -> ResidualDB:
 def _push_chern(R: SymbolicExpr, symbol) -> SymbolicExpr:
     """Formal pushforward c^I -> s_I (symbol = s), or its pullback
     f^* f_*: c^I -> fs_I (symbol = fs), of a pure-Chern polynomial."""
-
-    def push(mono):
-        K, fs_part, s_part = split_monomial(mono)
-        if fs_part or s_part:
-            raise SingTypeError("residual polynomials must be pure Chern polynomials")
-        return symbol(*K)
-
-    return R.map_monomials(push)
+    return R.map_monomials(lambda mono: symbol(*c_exponents(mono)))
 
 
 def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
@@ -500,11 +496,15 @@ def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:
 
 def verify_generating_series(types: Sequence[SingType], max_r: int,
                              db: ResidualDB) -> bool:
-    """Check 1 + sum n_t/|Aut| = exp(sum x_t/|Aut|) coefficientwise.
+    """Check 1 + sum n_t/|Aut t| = exp(sum f_*(R_J)/|Aut J|) coefficientwise.
 
-    The check is formal: the pushed residuals f_*(R_J) are kept as free
-    commuting symbols x_J, the tuple-size truncation is max_r, and every
-    multiset of the given mono-types up to that size must be in the db.
+    The left side is the engine's own: at a count vector m of the given
+    mono-types its coefficient is expand_target(m) / |Aut m|.  The right
+    side's coefficient E_m comes from the derivative recurrence
+    m_n E_m = sum_{0 < k <= m} k_n S_k E_(m-k), with S_k the pushed residual
+    of k over |Aut k| and n any name with m_n > 0.  The tuple-size
+    truncation is max_r, and every multiset of the given mono-types up to
+    that size must be in the db.
     """
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
@@ -514,56 +514,23 @@ def verify_generating_series(types: Sequence[SingType], max_r: int,
     kappa = kappas.pop()
     names = sorted({ty.name for ty in types})
 
-    multisets = []
-    for size in range(1, max_r + 1):
-        for mu in combinations_with_replacement(names, size):
-            db.get(mu, kappa)  # raises MissingResidual if absent
-            multisets.append(mu)
+    def entries(m):
+        return tuple(n for n, k in zip(names, m) for _ in range(k))
 
-    def tvec(mu):
-        return tuple(mu.count(n) for n in names)
-
-    Term = tuple  # ((t-exponents), (sorted (multiset, power) pairs))
-
-    def mul(p: dict, q: dict) -> dict:
-        out: dict[Term, Fraction] = {}
-        for (tv1, xm1), c1 in p.items():
-            for (tv2, xm2), c2 in q.items():
-                tv = tuple(a + b for a, b in zip(tv1, tv2))
-                if sum(tv) > max_r:
-                    continue
-                merged = dict(xm1)
-                for k, e in xm2:
-                    merged[k] = merged.get(k, 0) + e
-                key = (tv, tuple(sorted(merged.items())))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return {k: v for k, v in out.items() if v != 0}
-
-    unit_t = (0,) * len(names)
-    one = {(unit_t, ()): Fraction(1)}
-
-    lhs = dict(one)
-    for mu in multisets:
-        coeff = Fraction(1, _aut_order(mu))
-        for partition in set_partitions(len(mu)):
-            xm: dict[tuple[str, ...], int] = {}
-            for block in partition:
-                key = tuple(sorted(mu[i - 1] for i in block))
-                xm[key] = xm.get(key, 0) + 1
-            term = (tvec(mu), tuple(sorted(xm.items())))
-            lhs[term] = lhs.get(term, Fraction(0)) + coeff
-    lhs = {k: v for k, v in lhs.items() if v != 0}
-
-    S = {
-        (tvec(mu), ((mu, 1),)): Fraction(1, _aut_order(mu))
-        for mu in multisets
-    }
-    rhs = dict(one)
-    power = dict(one)
-    for k in range(1, max_r + 1):
-        power = mul(power, S)
-        for key, v in power.items():
-            rhs[key] = rhs.get(key, Fraction(0)) + v / math.factorial(k)
-    rhs = {k: v for k, v in rhs.items() if v != 0}
-
-    return lhs == rhs
+    # by size, so every E_(m-k) precedes E_m; a missing entry is reported smallest first
+    vectors = sorted((m for m in product(range(max_r + 1), repeat=len(names))
+                      if 0 < sum(m) <= max_r), key=lambda m: (sum(m), [-k for k in m]))
+    S = {m: _push_chern(db.get(entries(m), kappa), s) / _aut_order(entries(m))
+         for m in vectors}  # raises MissingResidual if absent
+    E = {(0,) * len(names): SymbolicExpr.constant(1)}
+    for m in vectors:
+        n = next(i for i, k in enumerate(m) if k)
+        acc = SymbolicExpr.zero()
+        for k in product(*(range(e + 1) for e in m)):
+            if k[n]:
+                acc = acc + k[n] * S[k] * E[tuple(a - b for a, b in zip(m, k))]
+        E[m] = acc / m[n]
+        t = MultiSingType(entries(m), kappa)
+        if expand_target(t, db) / t.aut_order != E[m]:
+            return False
+    return True

@@ -2,7 +2,8 @@
 
 Each suite returns a list of {name, expected, got, pass} dicts.  Everything
 is exact and deterministic: random operands come from seeded generators and
-no check depends on the environment.
+no check depends on the environment.  The series suite checks the engine's
+target expansions against the exponential generating identity.
 """
 
 from __future__ import annotations

@@ -102,6 +102,13 @@ class TestCompleteIntersection:
         with pytest.raises(ModelError):
             complete_intersection(p2, [p2.ambient.zero()])
 
+    def test_negative_multidegree_rejected(self):
+        amb = product_projective([2, 1])
+        for md in [(-3, 1), (3, -1), parse_class(amb.ambient, "-3*h + H")]:
+            with pytest.raises(ModelError, match="non-negative"):
+                complete_intersection(amb, [md])
+        assert complete_intersection(amb, [(3, 0)]).dimension == 2
+
     def test_nested_ci_rejected(self):
         p3 = product_projective([3])
         X = complete_intersection(p3, [(2,)])

@@ -283,6 +283,14 @@ class TestRingSizeLimit:
         assert "9261 monomials exceeds MAX_RING_SIZE" in err
 
 
+class TestNegativeMultidegree:
+    def test_negative_entry_exits_2(self, capsys):
+        code, out, err = run(capsys, ["count", "--model", "product [2,1] ci [(-3,1)] -> [1]",
+                                      "--type", "A1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: divisor classes need non-negative")
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -9,7 +9,7 @@ from tpcalc.interp import (
     solve_exact,
 )
 from tpcalc.maps import get_model
-from tpcalc.symbolic import c
+from tpcalc.symbolic import c, canon_index
 from tpcalc.tpcore import count_points, default_db, multi_type
 
 
@@ -18,7 +18,32 @@ def db():
     return default_db()
 
 
+def reference_chern_monomials(degree):
+    """The depth-first enumeration, c_1 exponent descending, then c_2, ..."""
+    out = []
+
+    def rec(j, remaining, acc):
+        if remaining == 0:
+            out.append(canon_index(acc))
+            return
+        if j > remaining:
+            return
+        for e in range(remaining // j, -1, -1):
+            rec(j + 1, remaining - j * e, acc + [e])
+
+    rec(1, degree, [])
+    return out
+
+
 class TestChernMonomials:
+    @pytest.mark.parametrize("degree", range(16))
+    def test_matches_reference(self, degree):
+        assert chern_monomials_of_degree(degree) == reference_chern_monomials(degree)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            chern_monomials_of_degree(-1)
+
     def test_degree_one(self):
         assert chern_monomials_of_degree(1) == [(1,)]
 

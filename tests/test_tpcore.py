@@ -1,11 +1,14 @@
+import math
 import random
 from collections import Counter
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpcalc import tpcore
 from tpcalc.algebra import render_class
 from tpcalc.maps import get_model
 from tpcalc.symbolic import SymbolicExpr, c, c_monomial, fs, parse_expr, render_expr, s, sify
@@ -476,6 +479,22 @@ class TestGeneratingSeries:
         scratch.insert(("A1", "A1"), 1, c(1) ** 5 - 3 * c(2) * c(3))
         types = [get_sing_type("A0", 1), get_sing_type("A1", 1)]
         assert verify_generating_series(types, 2, scratch)
+
+    @pytest.mark.parametrize("names, kappa, max_r", [
+        (("A0",) * 5, 1, 5),
+        (("A1",) * 4, -1, 4),
+        (("A0", "A0", "A0", "A1", "A1", "A1"), 1, 3),
+    ])
+    def test_dense_stores(self, names, kappa, max_r):
+        types = [get_sing_type(n, kappa) for n in sorted(set(names))]
+        assert verify_generating_series(types, max_r, seeded_db(names, kappa, 6))
+
+    def test_wrong_partition_weight_fails(self, db, monkeypatch):
+        def comb(n, k):  # one binomial weight of the A0^4 expansion off by one
+            return math.comb(n, k) + ((n, k) == (3, 1))
+
+        monkeypatch.setattr(tpcore, "math", SimpleNamespace(**{**vars(math), "comb": comb}))
+        assert not verify_generating_series([get_sing_type("A0", 1)], 4, db)
 
     def test_missing_entries(self, db):
         scratch = db.copy()
