@@ -41,6 +41,7 @@ from .tpcore import (
 
 
 PORTEOUS_MAX_K = 8  # k = 8 takes about a second, each step beyond about six times more
+ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2.5 s
 
 
 class UsageError(Exception):
@@ -203,7 +204,7 @@ def _cmd_interp(args) -> Report:
 
 
 def _cmd_oracle(args) -> Report:
-    curve = CurveParam.parse(args.curve)
+    curve = CurveParam.parse(args.curve, max_degree=ORACLE_MAX_DEGREE)
     deg = double_point_degree(curve)
     d = curve.degree
     predicted = verify_suites.engine_double_point_degree(d)

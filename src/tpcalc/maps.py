@@ -157,10 +157,12 @@ class ProductTargetMap(MapModel):
 def projection_from_product(X: VarietyModel,
                             target_factors: Sequence[int]) -> ProductTargetMap:
     """Projection of X inside P^{n_1} x ... x P^{n_k} onto a subset of factors."""
-    factors = sorted(set(int(i) for i in target_factors))
+    factors = sorted(int(i) for i in target_factors)
     k = len(X.factor_dims)
     if not factors:
         raise ModelError("need at least one target factor")
+    if len(set(factors)) < len(factors):
+        raise ModelError(f"repeated target factor in {factors}")
     if any(i < 0 or i >= k for i in factors):
         raise ModelError("target factor index out of range")
     if len(factors) == k:

@@ -7,20 +7,21 @@ resultant in u counts double points with multiplicity -- each node twice,
 each cusp-like branch with its local multiplicity (twice the delta
 invariant of the affine image).
 
-The resultant is the Sylvester determinant, evaluated fraction-free
-(Bareiss) over exact rational polynomials.
+The resultant is the Sylvester determinant. Each row's denominators are
+cleared first, so the determinant is evaluated fraction-free (Bareiss) over
+Z[t], every division an exact integer one, and the scale divided back out once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .grammar import parse_sum, render_sum
 
-Poly = tuple[Fraction, ...]  # coefficient i belongs to t^i; () is the zero poly
+Poly = tuple  # coefficient i (int or Fraction) belongs to t^i; () is zero
 UPoly = tuple[Poly, ...]  # coefficient j (a Poly in t) belongs to u^j
 
 
@@ -28,14 +29,19 @@ class OracleError(ValueError):
     pass
 
 
-# -- univariate polynomials over Q -------------------------------------------
+# -- univariate polynomials ----------------------------------------------------
+# The arithmetic keeps the coefficient type: ints in, ints out; Fractions in,
+# Fractions out.
 
 
-def poly(coeffs: Sequence) -> Poly:
-    out = [Fraction(x) for x in coeffs]
+def _trim(out: list) -> Poly:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def poly(coeffs: Sequence) -> Poly:
+    return _trim([Fraction(x) for x in coeffs])
 
 
 def poly_deg(p: Poly) -> int:
@@ -43,10 +49,9 @@ def poly_deg(p: Poly) -> int:
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
+    if len(p) < len(q):
+        p, q = q, p
+    return _trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
 
 
 def poly_neg(p: Poly) -> Poly:
@@ -60,36 +65,37 @@ def poly_sub(p: Poly, q: Poly) -> Poly:
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[0] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return poly(out)
+    return _trim(out)
+
+
+def _quotient(a, b):
+    """a / b over Q; over Z the floor, so a step that is not exact leaves its
+    residue in poly_divmod's remainder."""
+    return a // b if isinstance(a, int) and isinstance(b, int) else a / b
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(rem) >= len(q) and any(x != 0 for x in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        factor = rem[-1] / lead
-        shift = len(rem) - len(q)
-        quo[shift] = factor
-        for i, b in enumerate(q):
-            rem[shift + i] -= factor * b
-        rem.pop()
-    return poly(quo), poly(rem)
+    n, lead = len(q), q[-1]
+    quo = [lead * 0] * max(len(p) - n + 1, 0)
+    for shift in range(len(p) - n, -1, -1):
+        if rem[shift + n - 1]:
+            factor = quo[shift] = _quotient(rem[shift + n - 1], lead)
+            for i, b in enumerate(q):
+                rem[shift + i] -= factor * b
+    return _trim(quo), _trim(rem)
 
 
 def poly_div_exact(p: Poly, q: Poly) -> Poly:
+    """p / q, which for two integer polys must divide over Z[t]."""
     quo, rem = poly_divmod(p, q)
     if rem:
         raise OracleError("inexact polynomial division")
@@ -97,7 +103,7 @@ def poly_div_exact(p: Poly, q: Poly) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
+    a, b = poly(p), poly(q)  # over Q[t]
     while b:
         a, b = b, poly_divmod(a, b)[1]
     if not a:
@@ -113,12 +119,7 @@ def poly_content_free(p: Poly) -> Poly:
     """Divide out the numeric content; leading coefficient made positive."""
     if not p:
         return ()
-    num = 0
-    den = 1
-    for x in p:
-        num = gcd(num, x.numerator)
-        den = den * x.denominator // gcd(den, x.denominator)
-    scale = Fraction(den, num)
+    scale = Fraction(lcm(*(x.denominator for x in p)), gcd(*(x.numerator for x in p)))
     if p[-1] < 0:
         scale = -scale
     return tuple(x * scale for x in p)
@@ -130,8 +131,8 @@ def poly_str(p: Poly, var: str = "t") -> str:
     )
 
 
-def parse_poly(text: str, var: str = "t") -> Poly:
-    """Parse e.g. 't^3 - 2*t + 1/2' into a Poly."""
+def parse_poly(text: str, var: str = "t", max_degree: int | None = None) -> Poly:
+    """Parse e.g. 't^3 - 2*t + 1/2' into a Poly of degree at most max_degree."""
     coeffs: dict[int, Fraction] = {}
     for coeff, factors in parse_sum(text, OracleError):
         power = 0
@@ -140,17 +141,13 @@ def parse_poly(text: str, var: str = "t") -> Poly:
                 raise OracleError(f"unknown variable {name!r} (expected {var!r})")
             power += e
         coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, v in coeffs.items():
-        out[k] = v
-    return poly(out)
+    top = max((k for k, v in coeffs.items() if v), default=0)
+    if max_degree is not None and top > max_degree:
+        raise OracleError(f"degree {top} is above the limit of {max_degree}")
+    return poly([coeffs.get(k, 0) for k in range(top + 1)])
 
 
 # -- resultants ----------------------------------------------------------------
-
-
-def _upoly_deg(p: UPoly) -> int:
-    return len(p) - 1
 
 
 def _trim_upoly(p: Sequence[Poly]) -> UPoly:
@@ -161,13 +158,10 @@ def _trim_upoly(p: Sequence[Poly]) -> UPoly:
 
 
 def _bareiss_det(M: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a matrix of polynomials."""
+    """Fraction-free determinant of a matrix of polynomials over Z[t]."""
     n = len(M)
-    if n == 0:
-        return (Fraction(1),)
     sign = 1
-    prev: Poly = (Fraction(1),)
-    M = [row[:] for row in M]
+    prev: Poly = (1,)
     for k in range(n - 1):
         if not M[k][k]:
             swap = next((i for i in range(k + 1, n) if M[i][k]), None)
@@ -185,10 +179,18 @@ def _bareiss_det(M: list[list[Poly]]) -> Poly:
     return det if sign == 1 else poly_neg(det)
 
 
+def _integral(p: UPoly) -> tuple[int, UPoly]:
+    """(c, c*p) with c the least c > 0 making every coefficient an integer."""
+    c = lcm(*(x.denominator for a in p for x in a))
+    return c, tuple(tuple(x.numerator * (c // x.denominator) for x in a) for a in p)
+
+
 def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
     """Sylvester resultant in u of two polynomials with Q[t] coefficients.
 
     With this layout Res(u - a, q) = q(a) and Res(p, q*r) = Res(p,q)*Res(p,r).
+    The rows are made integral by Res(c*p, q) = c^deg(q) * Res(p, q), so the
+    elimination runs over Z[t].
     """
     p = _trim_upoly(p)
     q = _trim_upoly(q)
@@ -196,22 +198,15 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
         raise OracleError("resultant of two zero polynomials")
     if not p or not q:
         return ()
-    m, n = _upoly_deg(p), _upoly_deg(q)
+    m, n = len(p) - 1, len(q) - 1  # the u-degrees
     if m == 0 and n == 0:
         return (Fraction(1),)
-    size = m + n
-    matrix: list[list[Poly]] = []
-    for i in range(n):  # n rows of p-coefficients
-        row = [()] * size
-        for k in range(m + 1):
-            row[i + k] = p[m - k]
-        matrix.append(row)
-    for i in range(m):  # m rows of q-coefficients
-        row = [()] * size
-        for k in range(n + 1):
-            row[i + k] = q[n - k]
-        matrix.append(row)
-    return _bareiss_det(matrix)
+    (cp, p), (cq, q) = _integral(p), _integral(q)
+    # n shifted rows of p's coefficients above m of q's, highest u-degree first
+    matrix = [[()] * i + list(p[::-1]) + [()] * (n - 1 - i) for i in range(n)]
+    matrix += [[()] * i + list(q[::-1]) + [()] * (m - 1 - i) for i in range(m)]
+    scale = cp**n * cq**m
+    return tuple(Fraction(x, scale) for x in _bareiss_det(matrix))
 
 
 # -- parametrized curves ---------------------------------------------------------
@@ -233,12 +228,12 @@ class CurveParam:
         return max(poly_deg(self.x), poly_deg(self.y), 1)
 
     @staticmethod
-    def parse(text: str) -> "CurveParam":
-        """Parse 'x(t), y(t)', e.g. 't^2, t^3'."""
+    def parse(text: str, max_degree: int | None = None) -> "CurveParam":
+        """Parse 'x(t), y(t)', e.g. 't^2, t^3'; no degree above max_degree."""
         pieces = text.split(",")
         if len(pieces) != 2:
             raise OracleError("curve must be given as 'x(t), y(t)'")
-        return CurveParam(parse_poly(pieces[0]), parse_poly(pieces[1]))
+        return CurveParam(*(parse_poly(p, max_degree=max_degree) for p in pieces))
 
     def is_immersive(self) -> bool:
         g = poly_gcd(poly_derivative(self.x), poly_derivative(self.y))
@@ -263,7 +258,7 @@ def double_point_resultant(curve: CurveParam) -> Poly:
     Q = divided_difference(curve.y)
     if not P and not Q:
         raise OracleError("degenerate curve: both coordinates constant")
-    if _upoly_deg(P) <= 0 and _upoly_deg(Q) <= 0:
+    if len(P) <= 1 and len(Q) <= 1:
         # affine-linear in both coordinates: injective, no double points
         return (Fraction(1),)
     if not P or not Q:

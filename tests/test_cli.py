@@ -190,6 +190,31 @@ class TestOracle:
         assert code == 2
         assert "non-birational" in err
 
+    def test_degree_at_the_limit_runs(self, capsys):
+        d = cli.ORACLE_MAX_DEGREE
+        code, out, _ = run(capsys, ["oracle", "--curve", f"t^{d} + t, t^{d - 1} - 2*t^2"])
+        assert code == 0
+        assert f"degree: {d}" in out
+
+    @pytest.mark.parametrize("curve", ["t^{big} + t, t^2", "t, 3*t^2 - 1/2*t^{big}",
+                                       "t^100000, t^3"])
+    def test_large_degree_fails_before_any_work(self, capsys, monkeypatch, curve):
+        def never(*args):
+            raise AssertionError("double_point_degree must not be called")
+
+        monkeypatch.setattr(cli, "double_point_degree", never)
+        curve = curve.format(big=cli.ORACLE_MAX_DEGREE + 1)
+        code, out, err = run(capsys, ["oracle", "--curve", curve])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: degree ")
+        assert f"is above the limit of {cli.ORACLE_MAX_DEGREE}" in err.splitlines()[0]
+
+    def test_cancelled_top_terms_do_not_count(self, capsys):
+        big = cli.ORACLE_MAX_DEGREE + 1
+        code, out, _ = run(capsys, ["oracle", "--curve", f"t^{big} + t^2 - t^{big}, t^3"])
+        assert code == 0
+        assert "delta_degree: 2" in out
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["table1", "classical", "series"])
@@ -289,6 +314,14 @@ class TestNegativeMultidegree:
                                       "--type", "A1"])
         assert (code, out) == (2, "")
         assert err.startswith("error: divisor classes need non-negative")
+
+
+class TestRepeatedTargetFactor:
+    def test_repeated_factor_exits_2(self, capsys):
+        code, out, err = run(capsys, ["count", "--model", "product [2,1] ci [(3,1)] -> [1,1]",
+                                      "--type", "A1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: repeated target factor")
 
 
 class TestUsage:

@@ -129,6 +129,14 @@ class TestProductProjection:
         with pytest.raises(ModelError):
             projection_from_product(amb, ())
 
+    @pytest.mark.parametrize("factors", [(1, 1), (0, 0), (2, 0, 2)])
+    def test_repeated_factor_is_refused(self, factors):
+        amb = product_projective([2, 1, 1])
+        with pytest.raises(ModelError, match="repeated target factor"):
+            projection_from_product(amb, factors)
+        with pytest.raises(ModelError, match="repeated target factor"):
+            get_model(f"product [2,1,1] -> [{','.join(map(str, factors))}]")
+
     def test_web3_shape(self):
         f = get_model("web3:4")
         assert f.kappa == -1

@@ -13,11 +13,14 @@ from tpcalc.oracle import (
     double_point_resultant,
     parse_poly,
     poly,
+    poly_content_free,
     poly_div_exact,
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_neg,
     poly_str,
+    poly_sub,
     resultant,
 )
 from tpcalc.verify import engine_double_point_degree
@@ -44,6 +47,21 @@ class TestPolyBasics:
         a = poly_mul(poly([1, 1]), poly([2, 1]))
         b = poly_mul(poly([1, 1]), poly([5, 1]))
         assert poly_gcd(a, b) == poly([1, 1])
+        assert poly_gcd((2, 2), (0, 3, 3)) == poly([1, 1])  # ints taken over Q
+
+    def test_integers_stay_integers(self):
+        p = poly_mul((1, 2), (-3, 1, 1))
+        assert p == (-3, -5, 3, 2) and all(type(x) is int for x in p)
+        q = poly_div_exact(p, (1, 2))
+        assert q == (-3, 1, 1) and all(type(x) is int for x in q)
+        assert poly_div_exact((0, 6), (3,)) == (0, 2)
+        assert poly_divmod((2, 4), (3,)) == ((0, 1), (2, 1))  # floor steps over Z
+
+    def test_inexact_integer_division(self):
+        with pytest.raises(OracleError, match="inexact polynomial division"):
+            poly_div_exact((2, 4), (3,))  # a coefficient not divisible
+        with pytest.raises(OracleError, match="inexact polynomial division"):
+            poly_div_exact((1, 0, 1), (1, 1))  # a nonzero remainder
 
     def test_parse_and_render(self):
         p = parse_poly("t^3 - 2*t + 1/2")
@@ -121,6 +139,116 @@ class TestResultant:
     def test_both_zero(self):
         with pytest.raises(OracleError):
             resultant((), ())
+
+
+# -- the retired Fraction elimination, kept as the reference ----------------------
+
+
+def _fraction_bareiss_det(M):
+    """Fraction-free determinant of a matrix of polynomials over Q[t]."""
+    n = len(M)
+    if n == 0:
+        return (Fraction(1),)
+    sign = 1
+    prev = (Fraction(1),)
+    M = [row[:] for row in M]
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return ()
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = poly_sub(poly_mul(M[i][j], M[k][k]), poly_mul(M[i][k], M[k][j]))
+                M[i][j] = poly_div_exact(num, prev) if num else ()
+            M[i][k] = ()
+        prev = M[k][k]
+    det = M[n - 1][n - 1]
+    return det if sign == 1 else poly_neg(det)
+
+
+def _fraction_resultant(p, q):
+    """The Sylvester determinant with Fraction entries throughout."""
+    p, q = list(p), list(q)
+    for f in (p, q):
+        while f and not f[-1]:
+            f.pop()
+    if not p and not q:
+        raise OracleError("resultant of two zero polynomials")
+    if not p or not q:
+        return ()
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0 and n == 0:
+        return (Fraction(1),)
+    size = m + n
+    matrix = []
+    for i in range(n):
+        row = [()] * size
+        for k in range(m + 1):
+            row[i + k] = p[m - k]
+        matrix.append(row)
+    for i in range(m):
+        row = [()] * size
+        for k in range(n + 1):
+            row[i + k] = q[n - k]
+        matrix.append(row)
+    return _fraction_bareiss_det(matrix)
+
+
+# zero is drawn often, so leading and inner coefficients vanish, pivots hit
+# zero and some determinants are zero; denominators up to 6 mix across rows
+_q_coeff = st.one_of(st.just(0), st.just(0),
+                     st.fractions(min_value=-7, max_value=7, max_denominator=6))
+_t_poly = st.lists(_q_coeff, max_size=6).map(poly)  # t-degree up to 5
+_u_poly = st.lists(_t_poly, max_size=6).map(tuple)  # u-degree up to 5
+_nonzero_t = st.builds(lambda low, top: poly(low + [top]), st.lists(_q_coeff, max_size=2),
+                       st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool))
+
+
+def _u_factor(min_degree):
+    """u-degree min_degree to 2, a nonzero leading coefficient, t-degree up to 2."""
+    return st.builds(lambda low, top: tuple(low) + (top,),
+                     st.lists(_t_poly.map(lambda p: p[:3]), min_size=min_degree, max_size=2),
+                     _nonzero_t)
+
+
+class TestAgainstFractionElimination:
+    @given(_u_poly, _u_poly)
+    @settings(max_examples=150, deadline=None)
+    def test_random_u_polynomials(self, p, q):
+        if not any(p) and not any(q):
+            with pytest.raises(OracleError):
+                resultant(p, q)
+            return
+        got = resultant(p, q)
+        assert got == _fraction_resultant(p, q)
+        assert all(type(x) is Fraction for x in got)
+
+    @given(_u_factor(0), _u_factor(0), _u_factor(1))
+    @settings(max_examples=40, deadline=None)
+    def test_common_factor_gives_zero(self, a, b, c):
+        p, q = _upoly_mul(a, c), _upoly_mul(b, c)
+        assert resultant(p, q) == _fraction_resultant(p, q) == ()
+
+    def test_zero_pivot_swaps_rows(self):
+        # Res(u^2 + 2u + 2, u^3/2) = 2^3 * (1/2)^2; a pivot vanishes on the way
+        p = upoly([2], [2], [1])
+        q = upoly([0], [0], [0], [Fraction(1, 2)])
+        assert resultant(p, q) == _fraction_resultant(p, q) == poly([2])
+
+    def test_seeded_curves(self):
+        rng = random.Random(7)
+        for d in (3, 4, 5, 6, 7, 5, 6, 7):
+            x = [rng.randint(-5, 5) for _ in range(d)] + [rng.choice([-3, -1, 2, 5])]
+            y = [rng.randint(-5, 5) for _ in range(d)] + [rng.choice([-2, 1, 4])]
+            for scale in (lambda a: a, lambda a: Fraction(a, rng.randint(1, 9))):
+                curve = CurveParam(poly(map(scale, x)), poly(map(scale, y)))
+                P = divided_difference(curve.x)
+                Q = divided_difference(curve.y)
+                want = poly_content_free(_fraction_resultant(P, Q))
+                assert double_point_resultant(curve) == want
 
 
 def _upoly_mul(a, b):
