@@ -3,15 +3,17 @@
 Subcommands: expand, eval, count, porteous, extract, interp, oracle, verify.
 Exit codes: 0 success, 1 a mathematical check failed (a `count` that is
 not a non-negative integer included), 2 usage errors (unknown subcommand,
-model or type).  `--json` emits a structured report carrying the same
-payload as the text output; timing lives outside the checked payload so
-reports are deterministic for fixed inputs.
+model or type, an unreadable --db, an input above a size limit).  `--json`
+emits a structured report carrying the same payload as the text output;
+timing lives outside the checked payload so reports are deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -19,16 +21,13 @@ from fractions import Fraction
 
 from . import verify as verify_suites
 from .algebra import render_class
-from .chow import ModelError
 from .interp import assemble_system, solve_exact
 from .maps import get_model, model_names
-from .oracle import CurveParam, OracleError, double_point_degree, poly_str
+from .oracle import CurveParam, double_point_degree, poly_str
 from .symbolic import parse_expr, render_expr
 from .tpcore import (
-    InconsistentExtraction,
     MissingResidual,
     MultiSingType,
-    SingTypeError,
     count_points,
     default_db,
     evaluate,
@@ -36,12 +35,14 @@ from .tpcore import (
     expand_target,
     extract_residual,
     multi_type,
+    residual_line,
     thom_porteous,
 )
 
 
 PORTEOUS_MAX_K = 8  # k = 8 takes about a second, each step beyond about six times more
 ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2.5 s
+ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 2 s at degree 14
 
 
 class UsageError(Exception):
@@ -92,8 +93,12 @@ def _load_db(args):
     db = default_db()
     path = getattr(args, "db", None)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            db = type(db).loads(fh.read(), base=db)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --db {path}: {exc.strerror}") from None
+        db = type(db).loads(text, base=db)
     return db
 
 
@@ -167,7 +172,7 @@ def _cmd_extract(args) -> Report:
     R = extract_residual(t, known, args.side, db)
     rep = Report("extract", {"type": args.type, "kappa": args.kappa,
                              "side": args.side, "known": args.known})
-    rep.result = f"types=[{','.join(t.key)}] kappa={t.kappa} R= {render_expr(R)}"
+    rep.result = residual_line(t.key, t.kappa, R)
     return rep
 
 
@@ -179,16 +184,17 @@ def _cmd_interp(args) -> Report:
         name, _, value = spec.partition("=")
         if not value:
             raise UsageError(f"constraint {spec!r} must look like model=count")
-        constraints.append((name.strip(), get_model(name.strip()), Fraction(value)))
+        try:
+            count = Fraction(value)
+        except ZeroDivisionError:
+            raise UsageError(f"constraint {spec!r} has a zero denominator") from None
+        constraints.append((name.strip(), get_model(name.strip()), count))
     system = assemble_system(t, db, constraints)
     outcome = solve_exact(system)
     rep = Report("interp", {"type": args.type, "kappa": args.kappa,
                             "constraints": list(args.constraint)})
     if outcome.status == "unique":
-        rep.result = (
-            f"types=[{','.join(t.key)}] kappa={t.kappa} "
-            f"R= {render_expr(outcome.residual())}"
-        )
+        rep.result = residual_line(t.key, t.kappa, outcome.residual())
     elif outcome.status == "underdetermined":
         label = dict(zip(system.unknowns, system.describe_unknowns()))
         kern = ["; ".join(f"{label[I]}={a}" for I, a in vec.items())
@@ -205,6 +211,11 @@ def _cmd_interp(args) -> Report:
 
 def _cmd_oracle(args) -> Report:
     curve = CurveParam.parse(args.curve, max_degree=ORACLE_MAX_DEGREE)
+    for p in (curve.x, curve.y):  # p = (integer coefficients) / den
+        den = math.lcm(*(a.denominator for a in p))
+        if max([den, *(abs(a * den) for a in p)]) >= 10 ** ORACLE_MAX_DIGITS:
+            raise UsageError("a coefficient or the common denominator of a curve "
+                             f"coordinate has more than {ORACLE_MAX_DIGITS} digits")
     deg = double_point_degree(curve)
     d = curve.degree
     predicted = verify_suites.engine_double_point_degree(d)
@@ -310,8 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report: Report = args.fn(args)
-    except (ModelError, SingTypeError, MissingResidual, OracleError, UsageError,
-            InconsistentExtraction, ValueError) as exc:
+    except (ValueError, MissingResidual, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         args.subparser.print_usage(sys.stderr)
         return 2

@@ -2,10 +2,11 @@
 
 Writing the unknown residual as R = sum a_I c^I over the Chern monomials of
 the right degree, the integrated target expansion of a multi-type is affine
-in the a_I, so each (model, known count) pair contributes one exact linear
-equation.  Solving is plain Gaussian elimination over the rationals: pivots
-are exact, under-determination is reported as a kernel basis and
-inconsistency points back at the offending constraints.
+in the a_I, so each constraint contributes one exact linear equation.  A
+constraint has one shape, a (label, model, known count) triple.  Solving is
+one Gauss-Jordan pass over the rationals: pivots are exact,
+under-determination is reported as a kernel basis and inconsistency points
+back at the labels of the offending constraints.
 """
 
 from __future__ import annotations
@@ -49,116 +50,84 @@ class SolveResult:
         """The solved polynomial sum a_I c^I (unique solutions only)."""
         if self.status != "unique":
             raise ValueError(f"system is {self.status}, no unique residual")
-        total = SymbolicExpr.zero()
-        for I, a in self.solution.items():
-            total = total + c_monomial(I) * a
-        return total
+        terms = (c_monomial(I) * a for I, a in self.solution.items())
+        return sum(terms, SymbolicExpr.zero())
 
 
 def assemble_system(t: MultiSingType, db: ResidualDB,
                     constraints: Sequence[tuple]) -> LinearSystem:
-    """One equation per (model, count) constraint.
+    """One equation per constraint, always a (label, model, count) triple.
 
-    Constraints are (model, count) or (label, model, count) tuples; each
-    model must have dim Y = ell(t) so the count is a plain number.  The db
-    must hold every strict sub-multiset of t; t itself is the unknown.
+    Each model must have dim Y = ell(t) so the count is a plain number.  The
+    db must hold every strict sub-multiset of t; t itself is the unknown.
     """
     degree = t.ell_total - t.kappa
     system = LinearSystem(unknowns=chern_monomials_of_degree(degree))
     proper = _proper_part(t, db, "target")
-    for entry in constraints:
-        if len(entry) == 3:
-            label, model, count = entry
-        else:
-            model, count = entry
-            label = repr(model)
-        count = Fraction(count)
+    for label, model, count in constraints:
         if t.ell_total != model.target_ring.top_degree:
             raise ValueError(
                 f"constraint {label!r}: ell(t) = {t.ell_total} but the model's "
                 f"target has dimension {model.target_ring.top_degree}"
             )
-        base = Fraction(0)
-        if not proper.is_zero():
-            base = integrate_top(model.target_ring,
-                                 evaluate(proper, model, side="target"))
+        base = integrate_top(model.target_ring, evaluate(proper, model, side="target"))
         coeffs = [
             integrate_top(model.target_ring, model.landweber_novikov(I))
             for I in system.unknowns
         ]
-        system.rows.append((coeffs, t.aut_order * count - base, label))
+        system.rows.append((coeffs, t.aut_order * Fraction(count) - base, label))
     return system
 
 
 def solve_exact(system: LinearSystem) -> SolveResult:
-    """Exact Gauss-Jordan elimination; every outcome is a typed result."""
-    n = len(system.unknowns)
-    m = len(system.rows)
-    # work rows carry (coeff vector, rhs, combination of original rows)
+    """Exact Gauss-Jordan elimination; every outcome is a typed result.
+
+    Each row is augmented by its right-hand side and a unit vector naming
+    it, so one row operation updates all three.  Rows past the rank with a
+    non-zero right-hand side name the violated constraints.
+    """
+    n, m = len(system.unknowns), len(system.rows)
     work = []
     for i, (vec, rhs, _label) in enumerate(system.rows):
         if len(vec) != n:
             raise ValueError("row length does not match unknown count")
-        combo = [Fraction(0)] * m
-        combo[i] = Fraction(1)
-        work.append(([Fraction(x) for x in vec], Fraction(rhs), combo))
+        unit = [Fraction(int(j == i)) for j in range(m)]
+        work.append([Fraction(x) for x in vec] + [Fraction(rhs)] + unit)
 
-    pivot_of_col: dict[int, int] = {}
-    row_idx = 0
+    pivots: list[int] = []  # the pivot column of each row, in row order
     for col in range(n):
-        pivot = next(
-            (i for i in range(row_idx, m) if work[i][0][col] != 0), None
-        )
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if work[i][col] != 0), None)
         if pivot is None:
             continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        pvec, prhs, pcombo = work[row_idx]
-        inv = Fraction(1) / pvec[col]
-        pvec[:] = [x * inv for x in pvec]
-        prhs *= inv
-        pcombo[:] = [x * inv for x in pcombo]
-        work[row_idx] = (pvec, prhs, pcombo)
-        for i in range(m):
-            if i == row_idx:
-                continue
-            factor = work[i][0][col]
-            if factor == 0:
-                continue
-            ivec, irhs, icombo = work[i]
-            ivec[:] = [a - factor * b for a, b in zip(ivec, pvec)]
-            irhs -= factor * prhs
-            icombo[:] = [a - factor * b for a, b in zip(icombo, pcombo)]
-            work[i] = (ivec, irhs, icombo)
-        pivot_of_col[col] = row_idx
-        row_idx += 1
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = Fraction(1) / work[r][col]
+        prow = work[r] = [x * inv for x in work[r]]
+        for i, row in enumerate(work):
+            factor = row[col]
+            if i != r and factor != 0:
+                work[i] = [a - factor * b for a, b in zip(row, prow)]
+        pivots.append(col)
 
     violated: list[str] = []
-    for i in range(row_idx, m):
-        vec, rhs, combo = work[i]
-        if any(x != 0 for x in vec):
-            continue  # cannot happen after full elimination; defensive
-        if rhs != 0:
-            names = [system.rows[j][2] for j, x in enumerate(combo) if x != 0]
+    for row in work[len(pivots):]:
+        if row[n] != 0:
+            names = [system.rows[j][2] for j, x in enumerate(row[n + 1:]) if x != 0]
             violated.extend(nm for nm in names if nm not in violated)
     if violated:
         return SolveResult(status="inconsistent", violated=violated)
 
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
-    solution = {}
-    for col, row in pivot_of_col.items():
-        solution[system.unknowns[col]] = work[row][1]
-    for col in free_cols:
-        solution[system.unknowns[col]] = Fraction(0)
-
+    unknowns = system.unknowns
+    free_cols = [col for col in range(n) if col not in pivots]
+    solution = {unknowns[col]: work[r][n] for r, col in enumerate(pivots)}
+    solution.update((unknowns[col], Fraction(0)) for col in free_cols)
     if not free_cols:
         return SolveResult(status="unique", solution=solution)
 
     kernel = []
     for fc in free_cols:
-        vec = {system.unknowns[fc]: Fraction(1)}
-        for col, row in pivot_of_col.items():
-            coeff = work[row][0][fc]
-            if coeff != 0:
-                vec[system.unknowns[col]] = -coeff
+        vec = {unknowns[fc]: Fraction(1)}
+        vec.update((unknowns[col], -work[r][fc])
+                   for r, col in enumerate(pivots) if work[r][fc] != 0)
         kernel.append(vec)
     return SolveResult(status="underdetermined", solution=solution, kernel=kernel)

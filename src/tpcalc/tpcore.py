@@ -219,6 +219,11 @@ def residual_a0_family(r: int, kappa: int) -> SymbolicExpr:
     raise MissingResidual(("A0",) * r, kappa)
 
 
+def residual_line(names: Iterable[str], kappa: int, R: SymbolicExpr) -> str:
+    """One store entry as text, e.g. 'types=[A0,A0,A0] kappa=1 R= 2*c1^2 + 2*c2'."""
+    return f"types=[{','.join(sorted(names))}] kappa={kappa} R= {render_expr(R)}"
+
+
 class ResidualDB:
     """Keyed store of residual polynomials, order-independent in the entries."""
 
@@ -262,19 +267,15 @@ class ResidualDB:
             return residual_a0_family(len(names), kappa)
         raise MissingResidual(names, kappa)
 
-    # - file format: one line per entry, e.g.
-    #   types=[A0,A0,A0] kappa=1 R= 2*c1^2 + 2*c2
+    # - file format: one residual_line per entry
 
     _LINE_RE = re.compile(
         r"^types=\[([A-Za-z0-9_, ]*)\]\s+kappa=(-?\d+)\s+R=\s*(.+)$"
     )
 
     def dump(self) -> str:
-        lines = []
-        for (names, kappa) in sorted(self._store, key=lambda k: (k[1], len(k[0]), k[0])):
-            R = self._store[(names, kappa)]
-            lines.append(f"types=[{','.join(names)}] kappa={kappa} R= {render_expr(R)}")
-        return "\n".join(lines) + "\n"
+        keys = sorted(self._store, key=lambda k: (k[1], len(k[0]), k[0]))
+        return "\n".join(residual_line(*key, self._store[key]) for key in keys) + "\n"
 
     @classmethod
     def loads(cls, text: str, base: "ResidualDB | None" = None) -> "ResidualDB":

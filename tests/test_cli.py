@@ -177,6 +177,25 @@ class TestInterp:
         ])
         assert code == 2
 
+    def test_zero_denominator_count_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "interp", "--type", "A0,A0,A0", "--kappa", "1",
+            "--constraint", "veronese-p3=1/0"
+        ])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            "error: constraint 'veronese-p3=1/0' has a zero denominator")
+        assert err.splitlines()[1].startswith("usage: tpcalc interp")
+
+    def test_repeated_label_is_named_once(self, capsys):
+        code, out, _ = run(capsys, [
+            "interp", "--type", "A0,A0,A0", "--kappa", "1",
+            "--constraint", "veronese-p3=1", "--constraint", "veronese-p3=2"
+        ])
+        assert code == 0
+        assert out.splitlines()[:2] == ["status: inconsistent",
+                                        "violated: ['veronese-p3']"]
+
 
 class TestOracle:
     def test_cusp(self, capsys):
@@ -208,6 +227,31 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err.startswith("error: degree ")
         assert f"is above the limit of {cli.ORACLE_MAX_DEGREE}" in err.splitlines()[0]
+
+    @pytest.mark.parametrize("curve", [
+        "{big}*t^2, t^3",                     # an integer coefficient
+        "t^2, t^3 - 1/{big}",                 # a denominator
+        "1/97*t^2 + 1/89*t + 1/83, t^3",      # small denominators, large lcm
+        "t^2, t^3 + " + "9" * 3000 + "*t",    # text of any length
+    ])
+    def test_large_coefficients_fail_before_any_work(self, capsys, monkeypatch, curve):
+        def never(*args):
+            raise AssertionError("double_point_degree must not be called")
+
+        monkeypatch.setattr(cli, "double_point_degree", never)
+        curve = curve.format(big=10 ** cli.ORACLE_MAX_DIGITS)
+        code, out, err = run(capsys, ["oracle", "--curve", curve])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            "error: a coefficient or the common denominator of a curve coordinate "
+            f"has more than {cli.ORACLE_MAX_DIGITS} digits")
+
+    def test_coefficients_at_the_limit_run(self, capsys):
+        top = 10 ** cli.ORACLE_MAX_DIGITS - 1
+        curve = f"{top}*t^2 + t, t^3 - 1/{top}*t"
+        code, out, _ = run(capsys, ["oracle", "--curve", curve])
+        assert code == 0
+        assert "delta_degree: 2" in out
 
     def test_cancelled_top_terms_do_not_count(self, capsys):
         big = cli.ORACLE_MAX_DEGREE + 1
@@ -285,6 +329,16 @@ class TestDbOverride:
         ])
         assert code == 0
         assert out.splitlines()[0] == "s_0^2 - s_1"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_db_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "absent.db" if kind == "missing" else tmp_path
+        code, out, err = run(capsys, [
+            "expand", "--type", "A0,A0", "--kappa", "1", "--db", str(path)
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read --db {path}: ")
+        assert err.splitlines()[1].startswith("usage: tpcalc expand")
 
     def test_bad_polynomial_names_its_line(self, capsys, tmp_path):
         dbfile = tmp_path / "bad.db"

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpcalc.interp import (
     LinearSystem,
+    SolveResult,
     assemble_system,
     chern_monomials_of_degree,
     solve_exact,
@@ -33,6 +36,115 @@ def reference_chern_monomials(degree):
 
     rec(1, degree, [])
     return out
+
+
+def reference_solve_exact(system: LinearSystem) -> SolveResult:
+    """The three-list elimination solve_exact replaced, kept verbatim."""
+    n = len(system.unknowns)
+    m = len(system.rows)
+    # work rows carry (coeff vector, rhs, combination of original rows)
+    work = []
+    for i, (vec, rhs, _label) in enumerate(system.rows):
+        if len(vec) != n:
+            raise ValueError("row length does not match unknown count")
+        combo = [Fraction(0)] * m
+        combo[i] = Fraction(1)
+        work.append(([Fraction(x) for x in vec], Fraction(rhs), combo))
+
+    pivot_of_col: dict[int, int] = {}
+    row_idx = 0
+    for col in range(n):
+        pivot = next(
+            (i for i in range(row_idx, m) if work[i][0][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        work[row_idx], work[pivot] = work[pivot], work[row_idx]
+        pvec, prhs, pcombo = work[row_idx]
+        inv = Fraction(1) / pvec[col]
+        pvec[:] = [x * inv for x in pvec]
+        prhs *= inv
+        pcombo[:] = [x * inv for x in pcombo]
+        work[row_idx] = (pvec, prhs, pcombo)
+        for i in range(m):
+            if i == row_idx:
+                continue
+            factor = work[i][0][col]
+            if factor == 0:
+                continue
+            ivec, irhs, icombo = work[i]
+            ivec[:] = [a - factor * b for a, b in zip(ivec, pvec)]
+            irhs -= factor * prhs
+            icombo[:] = [a - factor * b for a, b in zip(icombo, pcombo)]
+            work[i] = (ivec, irhs, icombo)
+        pivot_of_col[col] = row_idx
+        row_idx += 1
+
+    violated: list[str] = []
+    for i in range(row_idx, m):
+        vec, rhs, combo = work[i]
+        if any(x != 0 for x in vec):
+            continue  # cannot happen after full elimination; defensive
+        if rhs != 0:
+            names = [system.rows[j][2] for j, x in enumerate(combo) if x != 0]
+            violated.extend(nm for nm in names if nm not in violated)
+    if violated:
+        return SolveResult(status="inconsistent", violated=violated)
+
+    free_cols = [c for c in range(n) if c not in pivot_of_col]
+    solution = {}
+    for col, row in pivot_of_col.items():
+        solution[system.unknowns[col]] = work[row][1]
+    for col in free_cols:
+        solution[system.unknowns[col]] = Fraction(0)
+
+    if not free_cols:
+        return SolveResult(status="unique", solution=solution)
+
+    kernel = []
+    for fc in free_cols:
+        vec = {system.unknowns[fc]: Fraction(1)}
+        for col, row in pivot_of_col.items():
+            coeff = work[row][0][fc]
+            if coeff != 0:
+                vec[system.unknowns[col]] = -coeff
+        kernel.append(vec)
+    return SolveResult(status="underdetermined", solution=solution, kernel=kernel)
+
+
+ENTRIES = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def linear_systems(draw):
+    """0-6 rows over 1-5 unknowns, zero-heavy; a row may combine earlier rows,
+    consistently or off by a constant; labels repeat."""
+    n = draw(st.integers(1, 5))
+    system = LinearSystem(unknowns=[(0,) * k + (1,) for k in range(n)])
+    for _ in range(draw(st.integers(0, 6))):
+        if system.rows and draw(st.booleans()):
+            weights = [draw(ENTRIES) for _ in system.rows]
+            vec = [sum((w * row[0][j] for w, row in zip(weights, system.rows)), Fraction(0))
+                   for j in range(n)]
+            rhs = sum((w * row[1] for w, row in zip(weights, system.rows)), Fraction(0))
+            rhs += draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)]))
+        else:
+            vec, rhs = [draw(ENTRIES) for _ in range(n)], draw(ENTRIES)
+        system.rows.append((vec, rhs, draw(st.sampled_from("abcd"))))
+    return system
+
+
+def outcome_items(outcome: SolveResult):
+    solution = None if outcome.solution is None else list(outcome.solution.items())
+    return (outcome.status, solution, [list(v.items()) for v in outcome.kernel],
+            outcome.violated)
+
+
+@given(linear_systems())
+@settings(max_examples=400, deadline=None)
+def test_solve_matches_reference(system):
+    assert outcome_items(solve_exact(system)) == outcome_items(reference_solve_exact(system))
 
 
 class TestChernMonomials:
@@ -91,6 +203,11 @@ class TestAssemble:
         t = multi_type("A0,A0", 1)
         system = assemble_system(t, db.copy(), [])
         assert system.rows == []
+
+    def test_two_element_constraint_refused(self, db):
+        t = multi_type("A0,A0", 1)
+        with pytest.raises(ValueError):
+            assemble_system(t, db.copy(), [(get_model("ratcurve:4"), Fraction(3))])
 
     def test_dimension_mismatch(self, db):
         t = multi_type("A0,A0,A0", 1)  # ell = 3, but ratcurve target is P^2

@@ -31,6 +31,7 @@ from tpcalc.tpcore import (
     multi_type,
     register_sing_type,
     residual_a0_family,
+    residual_line,
     set_partitions,
     sing_ell,
     thom_porteous,
@@ -249,6 +250,14 @@ class TestResidualDB:
         assert again.keys() == db.keys()
         for names, kappa in db.keys():
             assert again.get(names, kappa) == db.get(names, kappa)
+
+    def test_dump_is_one_residual_line_per_entry(self, db):
+        lines = db.dump().splitlines()
+        assert sorted(lines) == sorted(residual_line(k, kappa, db.get(k, kappa))
+                                       for k, kappa in db.keys())
+        assert residual_line(("A1", "A0"), 1, -2 * c(1) * c(2) - 2 * c(3)) == (
+            "types=[A0,A1] kappa=1 R= -2*c1*c2 - 2*c3")
+        assert ResidualDB().dump() == "\n"
 
     def test_loads_with_base_override(self, db):
         override = "types=[A1] kappa=1 R= 5*c2\n# comment\n"
