@@ -203,7 +203,7 @@ class GradedClass:
             raise RingError("operands live in different rings")
         ring = self.ring
         (den1, left), (den2, right) = self._packed(), other._packed()
-        nums = list(_mul_packed(ring, {}, left, right).items())
+        nums = list(_mul_packed([(left, right)], ring._bias, ring._guard).items())
         den = den1 * den2
         g = gcd(den, *(n for _, n in nums))
         if g > 1:
@@ -278,10 +278,8 @@ class GradedClass:
         q: list[dict[int, int]] = [{0: 1}]
         terms = {(0,) * len(ring.gens): Fraction(den, a)}
         for d in range(1, ring.top_degree + 1):
-            acc: dict[int, int] = {}
-            for i, part in parts.items():
-                if i <= d:
-                    acc = _mul_packed(ring, acc, part, q[d - i].items())
+            acc = _mul_packed([(part, q[d - i].items()) for i, part in parts.items() if i <= d],
+                              ring._bias, ring._guard)
             q.append(acc)
             terms.update((ring._unpack(k), Fraction(den * n, a ** (d + 1)))
                          for k, n in acc.items())
@@ -310,17 +308,19 @@ class GradedClass:
         return render_class(self)
 
 
-def _mul_packed(ring: RingSpec, acc: dict[int, int], left, right) -> dict[int, int]:
-    """acc + left * right on (packed monomial, integer) terms, truncating; no zeros."""
-    bias, guard = ring._bias, ring._guard
-    acc = {k + bias: n for k, n in acc.items()}
+def _mul_packed(products, bias: int = 0, guard: int = 0) -> dict[int, int]:
+    """The sum of left * right over (left, right) pairs of (packed monomial,
+    integer) term lists, with no zeros; given a ring's bias and guard (see
+    RingSpec) it truncates.  A `right` must be re-iterable."""
+    acc: dict[int, int] = {}
     get = acc.get
-    for k1, n1 in left:
-        k1 += bias
-        for k2, n2 in right:
-            k = k1 + k2
-            if not k & guard:
-                acc[k] = get(k, 0) + n1 * n2
+    for left, right in products:
+        for k1, n1 in left:
+            k1 += bias
+            for k2, n2 in right:
+                k = k1 + k2
+                if not k & guard:
+                    acc[k] = get(k, 0) + n1 * n2
     return {k - bias: n for k, n in acc.items() if n}
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .tpcore import (
 )
 
 
-PORTEOUS_MAX_K = 8  # k = 8 takes about a second, each step beyond about six times more
+PORTEOUS_MAX_K = 8  # k = 8: about 0.2 s with rendering; each step beyond about 6x more
 ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2.5 s
 ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 2 s at degree 14
 
@@ -188,6 +189,10 @@ def _cmd_interp(args) -> Report:
             count = Fraction(value)
         except ZeroDivisionError:
             raise UsageError(f"constraint {spec!r} has a zero denominator") from None
+        except ValueError:
+            count = None
+        if count is None or count < 0 or count.denominator != 1:
+            raise UsageError(f"constraint {spec!r} needs a non-negative integer count")
         constraints.append((name.strip(), get_model(name.strip()), count))
     system = assemble_system(t, db, constraints)
     outcome = solve_exact(system)
@@ -210,12 +215,17 @@ def _cmd_interp(args) -> Report:
 
 
 def _cmd_oracle(args) -> Report:
+    too_many_digits = UsageError("a coefficient or the common denominator of a curve "
+                                 f"coordinate has more than {ORACLE_MAX_DIGITS} digits")
+    # 10000/10000*t reduces below the limit, but Python 3.11+ refuses to read
+    # a number of more than 4300 digits as an int
+    if re.search(r"\d{4301}", args.curve):
+        raise too_many_digits
     curve = CurveParam.parse(args.curve, max_degree=ORACLE_MAX_DEGREE)
     for p in (curve.x, curve.y):  # p = (integer coefficients) / den
         den = math.lcm(*(a.denominator for a in p))
         if max([den, *(abs(a * den) for a in p)]) >= 10 ** ORACLE_MAX_DIGITS:
-            raise UsageError("a coefficient or the common denominator of a curve "
-                             f"coordinate has more than {ORACLE_MAX_DIGITS} digits")
+            raise too_many_digits
     deg = double_point_degree(curve)
     d = curve.degree
     predicted = verify_suites.engine_double_point_degree(d)

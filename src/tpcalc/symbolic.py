@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
+from .algebra import _mul_packed
 from .grammar import parse_sum, render_sum
 
 Scalar = Union[int, Fraction]
@@ -127,9 +129,11 @@ class SymbolicExpr:
     def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         if isinstance(other, (int, Fraction)):
             return SymbolicExpr._trusted({m: c * other for m, c in self.terms.items()})
-        acc: dict[Monomial, Fraction] = {}
-        add_product(acc, self.terms, other.terms)
-        return SymbolicExpr._trusted(acc)
+        a, b = self.terms, other.terms
+        den1, den2 = (lcm(*(x.denominator for x in terms.values())) for terms in (a, b))
+        packing = Packing((a, b), 2)
+        return packing.unpack(_mul_packed([(packing.pack(a, den1), packing.pack(b, den2))]),
+                              den1 * den2)
 
     __rmul__ = __mul__
 
@@ -139,10 +143,10 @@ class SymbolicExpr:
     def __pow__(self, n: int) -> "SymbolicExpr":
         if n < 0:
             raise ValueError("negative powers of symbolic expressions")
-        result = SymbolicExpr.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n < 2:
+            return self if n else SymbolicExpr.constant(1)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -160,20 +164,10 @@ class SymbolicExpr:
     @property
     def side(self) -> str:
         """'target' (s symbols), 'source' (c / fs symbols), or 'scalar'."""
-        has_s = has_src = False
-        for mono in self.terms:
-            for (kind, _), _e in mono:
-                if kind == "s":
-                    has_s = True
-                else:
-                    has_src = True
-        if has_s and has_src:
+        kinds = {kind for mono in self.terms for (kind, _), _e in mono}
+        if "s" in kinds and len(kinds) > 1:
             raise ValueError("expression mixes target (s) and source (c, fs) symbols")
-        if has_s:
-            return "target"
-        if has_src:
-            return "source"
-        return "scalar"
+        return "target" if "s" in kinds else "source" if kinds else "scalar"
 
     def monomial_degree(self, mono: Monomial, kappa: int) -> int:
         return sum(symbol_degree(sym, kappa) * e for sym, e in mono)
@@ -226,17 +220,42 @@ def _canon_monomial(mono) -> Monomial:
     return tuple(sorted(acc.items(), key=lambda kv: _symbol_key(kv[0])))
 
 
-def add_product(acc: dict, terms1: Mapping[Monomial, Scalar],
-                terms2: Mapping[Monomial, Scalar], scale: Scalar = 1) -> None:
-    """acc += scale * terms1 * terms2, on term mappings of canonical monomials."""
-    for m1, c1 in terms1.items():
-        c1 = c1 * scale
-        for m2, c2 in terms2.items():
-            exps: dict[Symbol, int] = dict(m1)
-            for sym, e in m2:
-                exps[sym] = exps.get(sym, 0) + e
-            mono = tuple(sorted(exps.items(), key=lambda kv: _symbol_key(kv[0])))
-            acc[mono] = acc.get(mono, 0) + c1 * c2
+class Packing:
+    """The monomials of some term mappings as integers (Monagan and Pearce).
+
+    Symbol i in canonical order owns bit field i, wide enough for the
+    exponents of a product of `factors` terms of the mappings, so a product
+    monomial is one add in ``algebra._mul_packed`` and no field overflows
+    (nothing to truncate, so no guard bits).  Packed coefficients are
+    integers, the Fractions times a scale that clears their denominators;
+    ``unpack`` divides it back out.
+    """
+
+    def __init__(self, termsets: Iterable[Mapping[Monomial, Fraction]], factors: int):
+        powers = {power for terms in termsets for mono in terms for power in mono}
+        self.symbols = sorted({sym for sym, _e in powers}, key=_symbol_key)
+        self.width = (factors * max((e for _sym, e in powers), default=1)).bit_length()
+        self.shift = {sym: i * self.width for i, sym in enumerate(self.symbols)}
+
+    def pack(self, terms: Mapping[Monomial, Fraction], scale: int = 1) -> list[tuple[int, int]]:
+        shift = self.shift
+        return [(sum(e << shift[sym] for sym, e in mono), x.numerator * (scale // x.denominator))
+                for mono, x in terms.items()]
+
+    def unpack(self, nums: Mapping[int, int], den: int = 1) -> "SymbolicExpr":
+        """sum n / den * monomial(k) over nums; a key is read from its highest
+        field down, one step per symbol it holds, not one per field."""
+        symbols, width = self.symbols, self.width
+        terms = {}
+        for k, n in nums.items():
+            mono = []
+            while k:
+                i = (k.bit_length() - 1) // width
+                e = k >> i * width
+                k -= e << i * width
+                mono.append((symbols[i], e))
+            terms[tuple(reversed(mono))] = Fraction(n, den) if den > 1 else Fraction(n)
+        return SymbolicExpr._trusted(terms)
 
 
 # -- symbol constructors ---------------------------------------------------
@@ -268,15 +287,8 @@ def c_monomial(I: Index) -> SymbolicExpr:
 
 def c_exponents(mono: Monomial) -> Index:
     """Exponent vector of the c-part of a monomial, canonically trimmed."""
-    top = 0
-    for (kind, payload), _e in mono:
-        if kind == "c":
-            top = max(top, payload)
-    vec = [0] * top
-    for (kind, payload), e in mono:
-        if kind == "c":
-            vec[payload - 1] = e
-    return canon_index(vec)
+    exps = {j: e for (kind, j), e in mono if kind == "c"}
+    return canon_index(exps.get(j, 0) for j in range(1, max(exps, default=0) + 1))
 
 
 def split_monomial(mono: Monomial):
@@ -322,26 +334,12 @@ def _index_order(I: Index):
 
 
 def _monomial_sort_key(mono: Monomial):
-    s_count = 0
-    s_weight = 0
-    s_seq = []
-    c_deg = 0
-    for (kind, payload), e in mono:
-        if kind in ("s", "fs"):
-            s_count += e
-            s_weight += index_c_degree(payload) * e
-            s_seq.extend([_index_order(payload)] * e)
-        else:
-            c_deg += payload * e
+    pushed = [(I, e) for (kind, I), e in mono if kind != "c"]
     c_vec = c_exponents(mono)
-    return (
-        -s_count,
-        -s_weight,
-        tuple(sorted(s_seq)),
-        -c_deg,
-        (len(c_vec), tuple(-e for e in c_vec)),
-        mono,
-    )
+    return (-sum(e for _I, e in pushed), -sum(index_c_degree(I) * e for I, e in pushed),
+            tuple(sorted(_index_order(I) for I, e in pushed for _ in range(e))),
+            -sum(j * e for (kind, j), e in mono if kind == "c"),
+            (len(c_vec), tuple(-e for e in c_vec)), mono)
 
 
 def render_expr(expr: SymbolicExpr) -> str:

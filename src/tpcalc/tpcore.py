@@ -26,14 +26,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, integrate_top
+from .algebra import GradedClass, _mul_packed, integrate_top
 from .maps import MapModel
 from .symbolic import (
+    Packing,
     SymbolicExpr,
-    add_product,
     c,
     c_exponents,
     c_monomial,
@@ -107,10 +107,7 @@ def get_sing_type(name: str, kappa: int) -> SingType:
 
 
 def _aut_order(names: Sequence[str]) -> int:
-    order = 1
-    for name in set(names):
-        order *= math.factorial(list(names).count(name))
-    return order
+    return math.prod(math.factorial(list(names).count(name)) for name in set(names))
 
 
 @dataclass(frozen=True)
@@ -172,31 +169,18 @@ def set_partitions(r: int) -> list[SetPartition]:
     """
     if r < 1:
         raise ValueError("set_partitions needs r >= 1")
-    parts: list[list[list[int]]] = [[]]
-    for x in range(1, r + 1):
-        grown: list[list[list[int]]] = []
-        for p in parts:
-            for i in range(len(p)):
-                grown.append([blk + [x] if j == i else list(blk) for j, blk in enumerate(p)])
-            grown.append([list(blk) for blk in p] + [[x]])
-        parts = grown
-    canon = [
-        tuple(sorted((tuple(sorted(b)) for b in p), key=lambda blk: blk[0]))
-        for p in parts
-    ]
-    return sorted(canon)
+    parts: list[tuple[tuple[int, ...], ...]] = [()]
+    for x in range(1, r + 1):  # x joins one of the blocks, or opens a new last one
+        parts = ([p[:i] + (p[i] + (x,),) + p[i + 1:] for p in parts for i in range(len(p))]
+                 + [p + ((x,),) for p in parts])
+    return sorted(parts)
 
 
 def bell_number(r: int) -> int:
     """Bell numbers via the Bell triangle (independent of set_partitions)."""
-    if r == 0:
-        return 1
     row = [1]
     for _ in range(r - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
+        row = list(accumulate(row, initial=row[-1]))
     return row[-1]
 
 
@@ -211,11 +195,12 @@ def residual_a0_family(r: int, kappa: int) -> SymbolicExpr:
         return SymbolicExpr.constant(1)
     if r == 2:
         return -c(kappa)
-    if r == 3:
-        acc = c(kappa) ** 2
+    if r == 3:  # 2 c_k^2 + sum_i 2^(i+1) c_(k-i-1) c_(k+i+1), with c_0 = 1
+        terms = {((("c", kappa), 2),): 2}
         for i in range(kappa):
-            acc = acc + (2 ** i) * c(kappa - i - 1) * c(kappa + i + 1)
-        return 2 * acc
+            low = ((("c", kappa - i - 1), 1),) if i < kappa - 1 else ()
+            terms[low + ((("c", kappa + i + 1), 1),)] = 2 ** (i + 1)
+        return SymbolicExpr(terms)
     raise MissingResidual(("A0",) * r, kappa)
 
 
@@ -325,8 +310,11 @@ def default_db() -> ResidualDB:
 
 def _push_chern(R: SymbolicExpr, symbol) -> SymbolicExpr:
     """Formal pushforward c^I -> s_I (symbol = s), or its pullback
-    f^* f_*: c^I -> fs_I (symbol = fs), of a pure-Chern polynomial."""
-    return R.map_monomials(lambda mono: symbol(*c_exponents(mono)))
+    f^* f_*: c^I -> fs_I (symbol = fs), of a pure-Chern polynomial; the map
+    is one-to-one on monomials, so the coefficients carry over."""
+    kind = "s" if symbol is s else "fs"
+    return SymbolicExpr._trusted({(((kind, c_exponents(mono)), 1),): x
+                                  for mono, x in R.terms.items()})
 
 
 def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
@@ -341,30 +329,40 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
     with M the count vector of the entries and D the block holding a lead
     entry (entry 1 for M itself):
     F(M) = sum_D prod_n C(m_n - [n = lead], d_n - [n = lead]) value(D) F(M - D),
-    filled in bottom-up by increasing size over the prod (m_n + 1) sub-multisets.
+    filled in bottom-up by increasing size over the prod (m_n + 1) sub-multisets,
+    on packed integers (symbolic.Packing): with lam the lcm of the residuals'
+    denominators, value(D) is scaled by lam^|D|, so F(v) is lam^|v| times an
+    integer polynomial, divided by lam^r once at the end.
     """
     names = sorted(set(t.entries))
     full = tuple(t.entries.count(n) for n in names)
     subsets = sorted(product(*(range(m + 1) for m in full)), key=sum)
-    values: dict[tuple, dict] = {}  # (block, keeps its residual) -> terms
-    sums: dict[tuple, dict] = {subsets[0]: {(): 1}}  # sub-multiset -> terms of F
+    # read in the order the recurrence first needs them, so a missing entry is
+    # reported smallest first; the proper part never reads the full tuple's
+    R = {d: db.get([n for n, k in zip(names, d) for _ in range(k)], t.kappa)
+         for d in subsets[1:] if not (proper and d == full)}
+    lead = names.index(t.entries[0])
+    keep = side == "source"  # at the top, the block holding entry 1 keeps its residual
+    values = {(d, False): _push_chern(R[d], s if side == "target" else fs).terms
+              for d in R if not (keep and d == full)}
+    values.update(((d, True), R[d].terms) for d in R if keep and d[lead])
+    packing = Packing(values.values(), t.r)
+    lam = math.lcm(*(x.denominator for d in R for x in R[d].terms.values()))
+    packed = {key: packing.pack(terms, lam ** sum(key[0])) for key, terms in values.items()}
+    sums: dict[tuple, dict] = {subsets[0]: {0: 1}}  # sub-multiset -> packed F
     for v in subsets[1:]:
         top = v == full
-        lead = names.index(t.entries[0]) if top else next(n for n, k in enumerate(v) if k)
-        keep = top and side == "source"
-        acc: dict = {}
+        lead_v = lead if top else next(n for n, k in enumerate(v) if k)
+        products = []
         for d in product(*(range(k + 1) for k in v)):
-            if not d[lead] or (proper and d == full):
+            if not d[lead_v] or (proper and d == full):
                 continue
-            if (d, keep) not in values:
-                R = db.get([n for n, k in zip(names, d) for _ in range(k)], t.kappa)
-                values[d, keep] = (R if keep else
-                                   _push_chern(R, s if side == "target" else fs)).terms
-            weight = math.prod(math.comb(k - (n == lead), e - (n == lead))
+            weight = math.prod(math.comb(k - (n == lead_v), e - (n == lead_v))
                                for n, (k, e) in enumerate(zip(v, d)))
-            add_product(acc, values[d, keep], sums[tuple(k - e for k, e in zip(v, d))], weight)
-        sums[v] = {m: x for m, x in acc.items() if x}
-    return SymbolicExpr._trusted(sums[full])
+            products.append(([(key, n * weight) for key, n in packed[d, top and keep]],
+                             sums[tuple(k - e for k, e in zip(v, d))].items()))
+        sums[v] = _mul_packed(products)
+    return packing.unpack(sums[full], lam ** t.r)
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
@@ -438,17 +436,20 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
     """
     if k < 1:
         raise ValueError("thom_porteous needs k >= 1")
-    minors: dict[int, dict] = {0: {(): 1}}  # column mask -> terms of its minor
+    entries = {(i, j): c(kappa + k + j - i).terms for i in range(k) for j in range(k)}
+    packing = Packing(entries.values(), k)
+    entries = {ij: packing.pack(terms) for ij, terms in entries.items()}
+    minors: dict[int, dict] = {0: {0: 1}}  # column mask -> packed minor
     for i in range(k - 1, -1, -1):
-        layer: dict[int, dict] = {}
+        layer: dict[int, list] = {}
         for mask, minor in minors.items():
             for j in range(k):
                 if not mask >> j & 1:
                     sign = (-1) ** bin(mask & ((1 << j) - 1)).count("1")
-                    add_product(layer.setdefault(mask | 1 << j, {}),
-                                c(kappa + k + j - i).terms, minor, sign)
-        minors = {mask: {m: x for m, x in acc.items() if x} for mask, acc in layer.items()}
-    return SymbolicExpr._trusted(minors[(1 << k) - 1])
+                    layer.setdefault(mask | 1 << j, []).append(
+                        ([(key, sign * n) for key, n in entries[i, j]], minor.items()))
+        minors = {mask: _mul_packed(products) for mask, products in layer.items()}
+    return packing.unpack(minors[(1 << k) - 1])
 
 
 # -- evaluation on map models ----------------------------------------------------
@@ -465,17 +466,11 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     if actual == "scalar":
         actual = side or "source"
     ring = f.target_ring if actual == "target" else f.source.ambient
+    value = {"c": f.chern, "s": f.landweber_novikov,
+             "fs": lambda I: f.pullback(f.landweber_novikov(I))}
     total = ring.zero()
     for mono, coeff in expr.terms.items():
-        factors = []
-        for (kind, payload), e in mono:
-            if kind == "c":
-                g = f.chern(payload)
-            elif kind == "s":
-                g = f.landweber_novikov(payload)
-            else:
-                g = f.pullback(f.landweber_novikov(payload))
-            factors.append(g ** e)
+        factors = [value[kind](payload) ** e for (kind, payload), e in mono]
         total = total + coeff * (reduce(operator.mul, factors) if factors else ring.one())
     return total
 

@@ -187,6 +187,33 @@ class TestInterp:
             "error: constraint 'veronese-p3=1/0' has a zero denominator")
         assert err.splitlines()[1].startswith("usage: tpcalc interp")
 
+    def test_count_that_is_not_a_number_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "interp", "--type", "A0,A0,A0", "--kappa", "1",
+            "--constraint", "veronese-p3=abc"
+        ])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            "error: constraint 'veronese-p3=abc' needs a non-negative integer count")
+
+    @pytest.mark.parametrize("count", ["1.5", "-2", "7/2"])
+    def test_count_that_is_not_a_point_count_exits_2(self, capsys, count):
+        code, out, err = run(capsys, [
+            "interp", "--type", "A0,A0,A0", "--kappa", "1",
+            "--constraint", f"veronese-p3={count}", "--constraint", "scroll-q-p3=0"
+        ])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            f"error: constraint 'veronese-p3={count}' needs a non-negative integer count")
+
+    def test_count_written_as_a_whole_fraction_runs(self, capsys):
+        code, out, _ = run(capsys, [
+            "interp", "--type", "A0,A0,A0", "--kappa", "1",
+            "--constraint", "veronese-p3=2/2", "--constraint", "scroll-q-p3=0"
+        ])
+        assert code == 0
+        assert out.splitlines()[0] == "types=[A0,A0,A0] kappa=1 R= 2*c1^2 + 2*c2"
+
     def test_repeated_label_is_named_once(self, capsys):
         code, out, _ = run(capsys, [
             "interp", "--type", "A0,A0,A0", "--kappa", "1",
@@ -245,6 +272,25 @@ class TestOracle:
         assert err.splitlines()[0] == (
             "error: a coefficient or the common denominator of a curve coordinate "
             f"has more than {cli.ORACLE_MAX_DIGITS} digits")
+
+    @pytest.mark.parametrize("curve", [
+        "t^2, t^3 + " + "9" * 5000 + "*t",               # an integer
+        "t^2, t^3 + 1/" + "7" * 4301 + "*t",             # a denominator
+        "t^2, t^3 + " + "1" + "0" * 4400 + "/" + "1" + "0" * 4400 + "*t",  # even reduced
+    ])
+    def test_numbers_past_int_conversion_get_the_digit_message(self, capsys, curve):
+        code, out, err = run(capsys, ["oracle", "--curve", curve])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            "error: a coefficient or the common denominator of a curve coordinate "
+            f"has more than {cli.ORACLE_MAX_DIGITS} digits")
+
+    @pytest.mark.parametrize("big", [10 ** cli.ORACLE_MAX_DIGITS, 10 ** 4299])
+    def test_numbers_that_reduce_below_the_limit_run(self, capsys, big):
+        code, out, _ = run(capsys, ["oracle", "--curve", f"{big}/{big}*t^2, t^3"])
+        assert code == 0
+        assert out.splitlines()[0] == "x: t^2"
+        assert "delta_degree: 2" in out
 
     def test_coefficients_at_the_limit_run(self, capsys):
         top = 10 ** cli.ORACLE_MAX_DIGITS - 1

@@ -1,11 +1,16 @@
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcalc.symbolic import (
+    Monomial,
+    Scalar,
+    Symbol,
     SymbolicExpr,
+    _symbol_key,
     c,
     c_exponents,
     c_monomial,
@@ -161,3 +166,90 @@ def test_round_trip_bit_exact(expr):
     again = parse_expr(text)
     assert again == expr
     assert render_expr(again) == text
+
+
+# -- the packed product against the retired pairwise loop ---------------------
+
+
+def add_product(acc: dict, terms1: Mapping[Monomial, Scalar],
+                terms2: Mapping[Monomial, Scalar], scale: Scalar = 1) -> None:
+    """acc += scale * terms1 * terms2, on term mappings of canonical monomials."""
+    for m1, c1 in terms1.items():
+        c1 = c1 * scale
+        for m2, c2 in terms2.items():
+            exps: dict[Symbol, int] = dict(m1)
+            for sym, e in m2:
+                exps[sym] = exps.get(sym, 0) + e
+            mono = tuple(sorted(exps.items(), key=lambda kv: _symbol_key(kv[0])))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+
+
+def reference_product(a, b):
+    acc = {}
+    add_product(acc, a.terms, b.terms)
+    return SymbolicExpr._trusted(acc)
+
+
+def assert_same_product(got, want):
+    assert render_expr(got) == render_expr(want)
+    assert got.terms == want.terms
+    assert all(type(x) is Fraction for x in got.terms.values())
+    assert SymbolicExpr(got.terms).terms == got.terms  # canonical monomials
+
+
+@st.composite
+def _operands(draw):
+    """c, s and fs symbols mixed in one expression, denominators up to 6;
+    empty monomials give constant terms and no terms the zero expression."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        coeff = Fraction(draw(st.integers(min_value=-9, max_value=9)),
+                         draw(st.integers(min_value=1, max_value=6)))
+        for m, v in SymbolicExpr({tuple(draw(_monomials)): coeff}).terms.items():
+            terms[m] = terms.get(m, 0) + v
+    return SymbolicExpr(terms)
+
+
+@given(_operands(), _operands())
+@settings(max_examples=150)
+def test_product_matches_pairwise_loop(a, b):
+    assert_same_product(a * b, reference_product(a, b))
+
+
+@given(_operands(), st.sampled_from([Fraction(0), Fraction(1), Fraction(-5, 6), Fraction(7)]))
+@settings(max_examples=40)
+def test_product_with_zero_and_constants(a, value):
+    k = SymbolicExpr.constant(value)
+    assert_same_product(a * k, reference_product(a, k))
+    assert_same_product(k * a, reference_product(k, a))
+    assert_same_product(a * SymbolicExpr.zero(), SymbolicExpr.zero())
+
+
+@given(_operands(), st.integers(min_value=0, max_value=9))
+@settings(max_examples=40, deadline=None)
+def test_power_matches_repeated_products(a, n):
+    want = SymbolicExpr.constant(1)
+    for _ in range(n):
+        want = reference_product(want, a)
+    assert_same_product(a ** n, want)
+
+
+def test_exponents_fill_their_bit_fields():
+    # 7 and 15 are the largest exponents 3- and 4-bit fields hold, 8 the first
+    # that needs a wider one
+    for n in (7, 8, 15, 16):
+        x = c(1) + s(2) / 3 - fs(0, 1)
+        want = SymbolicExpr.constant(1)
+        for _ in range(n):
+            want = reference_product(want, x)
+        assert_same_product(x ** n, want)
+
+
+def test_product_over_many_symbols():
+    # a few hundred symbols pack into keys of about a thousand bits; each
+    # monomial decodes from its own few fields
+    a = sum((Fraction(j, 6) * c(j) for j in range(1, 301)), SymbolicExpr.zero())
+    b = s() - fs(0, 0, 1) / 5 + 3 * fs(2)
+    assert_same_product(a * b, reference_product(a, b))
+    square = (c(300) - fs(2) / 4) ** 2
+    assert_same_product(a * b * square, reference_product(reference_product(a, b), square))

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -329,6 +330,81 @@ class TestAgainstPartitionOracle:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_porteous(self, k, kappa):
         assert render_expr(thom_porteous(kappa, k)) == render_expr(oracle_porteous(kappa, k))
+
+
+def fraction_db(names, kappa, seed):
+    """seeded_db with every coefficient divided by a seeded denominator from
+    1 to 6, so the entries' denominators differ and their lcm is not 1."""
+    rng = random.Random(f"denominators:{seed}")
+    base = seeded_db(names, kappa, seed)
+    db = ResidualDB()
+    for key, k in base.keys():
+        R = base.get(key, k)
+        db.insert(key, k, SymbolicExpr({m: x / rng.randint(1, 6) for m, x in R.terms.items()}))
+    return db
+
+
+class ReadLog(ResidualDB):
+    """A store that records every key it is asked for."""
+
+    def __init__(self, base):
+        super().__init__()
+        self._store = dict(base._store)
+        self.reads = []
+
+    def get(self, names, kappa):
+        self.reads.append((tuple(sorted(names)), kappa))
+        return super().get(names, kappa)
+
+
+_MIXED = (st.tuples(st.integers(0, 2), st.integers(0, 5))
+          .filter(lambda counts: 1 <= sum(counts) <= 5)
+          .flatmap(lambda counts: st.permutations(["A1"] * counts[0] + ["A0"] * counts[1])))
+
+
+class TestFractionResiduals:
+    """The packed kernel scales block values by powers of the lcm of the
+    residuals' denominators; the partition oracle multiplies Fractions."""
+
+    def check(self, t, db):
+        assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
+        assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
+        for side in ("target", "source"):
+            want = render_expr(oracle_proper_part(t, db, side))
+            log = ReadLog(db)
+            assert render_expr(_proper_part(t, log, side)) == want
+            assert (t.key, t.kappa) not in log.reads  # extraction removes that entry
+            log.remove(t.key, t.kappa)
+            assert render_expr(_proper_part(t, log, side)) == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(_MIXED, st.integers(0, 2 ** 16))
+    def test_mixed_tuples(self, entries, seed):
+        t = MultiSingType(tuple(entries), 1)
+        self.check(t, fraction_db(entries, 1, seed))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2 ** 16))
+    def test_fold_family_kappa_minus_one(self, r, seed):
+        # s_0 has degree -1 here
+        t = MultiSingType(("A1",) * r, -1)
+        self.check(t, fraction_db(t.entries, -1, seed))
+
+    def test_denominators_reach_the_output(self):
+        t = MultiSingType(("A0", "A0"), 1)
+        db = ResidualDB()
+        db.insert(("A0",), 1, SymbolicExpr.constant(Fraction(1, 2)))
+        db.insert(("A0", "A0"), 1, -c(1) / 3)
+        assert render_expr(expand_target(t, db)) == "1/4*s_0^2 - 1/3*s_1"
+        assert render_expr(expand_source(t, db)) == "1/4*fs_0 - 1/3*c1"
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 7, 40])
+def test_a0_family_matches_the_termwise_sum(kappa):
+    acc = c(kappa) ** 2
+    for i in range(kappa):
+        acc = acc + (2 ** i) * c(kappa - i - 1) * c(kappa + i + 1)
+    assert render_expr(residual_a0_family(3, kappa)) == render_expr(2 * acc)
 
 
 class TestExpandSource:
