@@ -164,10 +164,20 @@ class SymbolicExpr:
     @property
     def side(self) -> str:
         """'target' (s symbols), 'source' (c / fs symbols), or 'scalar'."""
-        kinds = {kind for mono in self.terms for (kind, _), _e in mono}
-        if "s" in kinds and len(kinds) > 1:
+        has_s = has_src = False
+        for mono in self.terms:
+            for (kind, _), _e in mono:
+                if kind == "s":
+                    has_s = True
+                else:
+                    has_src = True
+        if has_s and has_src:
             raise ValueError("expression mixes target (s) and source (c, fs) symbols")
-        return "target" if "s" in kinds else "source" if kinds else "scalar"
+        if has_s:
+            return "target"
+        if has_src:
+            return "source"
+        return "scalar"
 
     def monomial_degree(self, mono: Monomial, kappa: int) -> int:
         return sum(symbol_degree(sym, kappa) * e for sym, e in mono)
@@ -287,8 +297,15 @@ def c_monomial(I: Index) -> SymbolicExpr:
 
 def c_exponents(mono: Monomial) -> Index:
     """Exponent vector of the c-part of a monomial, canonically trimmed."""
-    exps = {j: e for (kind, j), e in mono if kind == "c"}
-    return canon_index(exps.get(j, 0) for j in range(1, max(exps, default=0) + 1))
+    top = 0
+    for (kind, payload), _e in mono:
+        if kind == "c":
+            top = max(top, payload)
+    vec = [0] * top
+    for (kind, payload), e in mono:
+        if kind == "c":
+            vec[payload - 1] = e
+    return canon_index(vec)
 
 
 def split_monomial(mono: Monomial):
@@ -334,12 +351,26 @@ def _index_order(I: Index):
 
 
 def _monomial_sort_key(mono: Monomial):
-    pushed = [(I, e) for (kind, I), e in mono if kind != "c"]
+    s_count = 0
+    s_weight = 0
+    s_seq = []
+    c_deg = 0
+    for (kind, payload), e in mono:
+        if kind in ("s", "fs"):
+            s_count += e
+            s_weight += index_c_degree(payload) * e
+            s_seq.extend([_index_order(payload)] * e)
+        else:
+            c_deg += payload * e
     c_vec = c_exponents(mono)
-    return (-sum(e for _I, e in pushed), -sum(index_c_degree(I) * e for I, e in pushed),
-            tuple(sorted(_index_order(I) for I, e in pushed for _ in range(e))),
-            -sum(j * e for (kind, j), e in mono if kind == "c"),
-            (len(c_vec), tuple(-e for e in c_vec)), mono)
+    return (
+        -s_count,
+        -s_weight,
+        tuple(sorted(s_seq)),
+        -c_deg,
+        (len(c_vec), tuple(-e for e in c_vec)),
+        mono,
+    )
 
 
 def render_expr(expr: SymbolicExpr) -> str:

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _mul_packed, integrate_top
@@ -107,7 +107,10 @@ def get_sing_type(name: str, kappa: int) -> SingType:
 
 
 def _aut_order(names: Sequence[str]) -> int:
-    return math.prod(math.factorial(list(names).count(name)) for name in set(names))
+    order = 1
+    for name in set(names):
+        order *= math.factorial(list(names).count(name))
+    return order
 
 
 @dataclass(frozen=True)
@@ -169,18 +172,31 @@ def set_partitions(r: int) -> list[SetPartition]:
     """
     if r < 1:
         raise ValueError("set_partitions needs r >= 1")
-    parts: list[tuple[tuple[int, ...], ...]] = [()]
-    for x in range(1, r + 1):  # x joins one of the blocks, or opens a new last one
-        parts = ([p[:i] + (p[i] + (x,),) + p[i + 1:] for p in parts for i in range(len(p))]
-                 + [p + ((x,),) for p in parts])
-    return sorted(parts)
+    parts: list[list[list[int]]] = [[]]
+    for x in range(1, r + 1):
+        grown: list[list[list[int]]] = []
+        for p in parts:
+            for i in range(len(p)):
+                grown.append([blk + [x] if j == i else list(blk) for j, blk in enumerate(p)])
+            grown.append([list(blk) for blk in p] + [[x]])
+        parts = grown
+    canon = [
+        tuple(sorted((tuple(sorted(b)) for b in p), key=lambda blk: blk[0]))
+        for p in parts
+    ]
+    return sorted(canon)
 
 
 def bell_number(r: int) -> int:
     """Bell numbers via the Bell triangle (independent of set_partitions)."""
+    if r == 0:
+        return 1
     row = [1]
     for _ in range(r - 1):
-        row = list(accumulate(row, initial=row[-1]))
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
     return row[-1]
 
 
@@ -312,8 +328,9 @@ def _push_chern(R: SymbolicExpr, symbol) -> SymbolicExpr:
     """Formal pushforward c^I -> s_I (symbol = s), or its pullback
     f^* f_*: c^I -> fs_I (symbol = fs), of a pure-Chern polynomial; the map
     is one-to-one on monomials, so the coefficients carry over."""
-    kind = "s" if symbol is s else "fs"
-    return SymbolicExpr._trusted({(((kind, c_exponents(mono)), 1),): x
+    if symbol not in (s, fs):
+        raise ValueError("_push_chern maps to the symbols s or fs")
+    return SymbolicExpr._trusted({(((symbol.__name__, c_exponents(mono)), 1),): x
                                   for mono, x in R.terms.items()})
 
 
@@ -466,11 +483,17 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     if actual == "scalar":
         actual = side or "source"
     ring = f.target_ring if actual == "target" else f.source.ambient
-    value = {"c": f.chern, "s": f.landweber_novikov,
-             "fs": lambda I: f.pullback(f.landweber_novikov(I))}
     total = ring.zero()
     for mono, coeff in expr.terms.items():
-        factors = [value[kind](payload) ** e for (kind, payload), e in mono]
+        factors = []
+        for (kind, payload), e in mono:
+            if kind == "c":
+                g = f.chern(payload)
+            elif kind == "s":
+                g = f.landweber_novikov(payload)
+            else:
+                g = f.pullback(f.landweber_novikov(payload))
+            factors.append(g ** e)
         total = total + coeff * (reduce(operator.mul, factors) if factors else ring.one())
     return total
 

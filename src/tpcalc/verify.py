@@ -191,13 +191,21 @@ def suite_properties() -> list[dict]:
         ok = projection_formula_holds(get_model(name))
         checks.append(_check(f"projection formula on {name} (100 pairs)", True, ok))
 
-    types = [MultiSingType(names, kappa) for names, kappa in db.keys()]
-    homogeneous = all(expand_target(t, db).is_homogeneous(t.ell_total, t.kappa)
-                      and expand_source(t, db).is_homogeneous(t.ell_total - t.kappa, t.kappa)
-                      for t in types)
+    homogeneous = True
+    for (names, kappa) in db.keys():
+        t = MultiSingType(names, kappa)
+        if not expand_target(t, db).is_homogeneous(t.ell_total, kappa):
+            homogeneous = False
+        if not expand_source(t, db).is_homogeneous(t.ell_total - kappa, kappa):
+            homogeneous = False
     checks.append(_check("expansions homogeneous of ell / ell-kappa",
                          True, homogeneous))
-    pushed_ok = all(sify(expand_source(t, db)) == expand_target(t, db) for t in types)
+
+    pushed_ok = True
+    for (names, kappa) in db.keys():
+        t = MultiSingType(names, kappa)
+        if sify(expand_source(t, db)) != expand_target(t, db):
+            pushed_ok = False
     checks.append(_check("formal pushforward of source = target", True, pushed_ok))
 
     # order independence of extraction, seeded permutations of a mixed triple
@@ -236,9 +244,13 @@ def suite_properties() -> list[dict]:
     checks.append(_check("porteous (kappa=-1, k=2)", "c1^2 - c2",
                          render_expr(thom_porteous(-1, 2))))
 
+    two_route_ok = True
     m3 = multi_type("A0,A0,A0", 1)
-    two_route_ok = all(evaluate(expand_source(m3, db), model) == nested_triple_point_class(model)
-                       for model in map(get_model, ["veronese-p3", "scroll-q-p3", "ratcurve:4"]))
+    for name in ["veronese-p3", "scroll-q-p3", "ratcurve:4"]:
+        model = get_model(name)
+        via_expansion = evaluate(expand_source(m3, db), model)
+        if via_expansion != nested_triple_point_class(model):
+            two_route_ok = False
     checks.append(_check("triple-point class: expansion = nested route",
                          True, two_route_ok))
 

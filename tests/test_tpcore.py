@@ -407,6 +407,14 @@ def test_a0_family_matches_the_termwise_sum(kappa):
     assert render_expr(residual_a0_family(3, kappa)) == render_expr(2 * acc)
 
 
+def test_push_chern_maps_to_s_or_fs_only():
+    R = parse_expr("2*c1^2 - 1/3*c2")
+    assert render_expr(_push_chern(R, s)) == "2*s_2 - 1/3*s_01"
+    assert render_expr(_push_chern(R, fs)) == "2*fs_2 - 1/3*fs_01"
+    with pytest.raises(ValueError):
+        _push_chern(R, c)
+
+
 class TestExpandSource:
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_double_point_any_kappa(self, kappa, db):
