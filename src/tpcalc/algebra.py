@@ -4,7 +4,8 @@ A ring is Q[g_1,...,g_k] modulo the relations g_i^(n_i+1) = 0, with each
 generator carrying a positive degree.  This is exactly the intersection ring
 of a product of projective spaces, which is all the substrate the rest of the
 package needs.  Coefficients are `fractions.Fraction`; nothing here ever
-touches floating point.
+touches floating point.  `GradedClass` and `symbolic.SymbolicExpr` share
+the sum arithmetic of `_SparseSum` and each multiply on packed monomials.
 """
 
 from __future__ import annotations
@@ -130,7 +131,61 @@ def make_ring(spec: Iterable[tuple[str, int, int]]) -> RingSpec:
     return RingSpec(spec)
 
 
-class GradedClass:
+class _SparseSum:
+    """A finite sum of monomials, `terms`: monomial -> nonzero Fraction.
+
+    A subclass wraps a terms dict (`_like`), lifts a scalar or checks an
+    operand (`_coerce`), and gives `__mul__` (a scalar goes to `_scale`) and
+    `invert`, which a negative power calls.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, x in self._coerce(other).terms.items():
+            if x := x + terms.get(mono, 0):
+                terms[mono] = x
+            else:
+                del terms[mono]
+        return self._like(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({m: -x for m, x in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other: Scalar):
+        return self._coerce(other) - self
+
+    def _scale(self, value: Scalar):
+        return self._like({m: x * value for m, x in self.terms.items()} if value else {})
+
+    def __rmul__(self, other: Scalar):
+        return self * other
+
+    def __truediv__(self, other: Scalar):
+        return self * (Fraction(1) / Fraction(other))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.invert() ** -n
+        if n < 2:
+            return self if n else self._coerce(1)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self) -> str:
+        return f"<{self}>"
+
+
+class GradedClass(_SparseSum):
     """An element of a RingSpec: a finite sum of monomials with Fraction coefficients.
 
     Immutable after construction.  Monomials that violate a nilpotency bound
@@ -162,6 +217,16 @@ class GradedClass:
         self.ring, self.terms, self._hash, self._ints = ring, terms, None, ints
         return self
 
+    def _like(self, terms: dict) -> "GradedClass":
+        return GradedClass._trusted(self.ring, terms)
+
+    def _coerce(self, value: Union["GradedClass", Scalar]) -> "GradedClass":
+        if isinstance(value, GradedClass):
+            if self.ring != value.ring:
+                raise RingError("operands live in different rings")
+            return value
+        return self.ring.one()._scale(Fraction(value))
+
     def _packed(self) -> tuple[int, list[tuple[int, int]]]:
         """(D, [(packed monomial, D * coefficient)]) with D the lcm of the denominators."""
         if self._ints is None:
@@ -171,37 +236,10 @@ class GradedClass:
                                 for m, c in self.terms.items()])
         return self._ints
 
-    # -- ring arithmetic -------------------------------------------------
-
-    def __add__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
-        other = self._coerce(other)
-        if self.ring != other.ring:
-            raise RingError("operands live in different rings")
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            if c := c + terms.pop(mono, 0):
-                terms[mono] = c
-        return GradedClass._trusted(self.ring, terms)
-
-    def __radd__(self, other: Scalar) -> "GradedClass":
-        return self.__add__(other)
-
-    def __neg__(self) -> "GradedClass":
-        return GradedClass._trusted(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
-        return self.__add__(-self._coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "GradedClass":
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
         if isinstance(other, (int, Fraction)):
-            return GradedClass._trusted(
-                self.ring, {m: c * other for m, c in self.terms.items()} if other else {})
-        if self.ring != other.ring:
-            raise RingError("operands live in different rings")
-        ring = self.ring
+            return self._scale(other)
+        ring = self._coerce(other).ring  # RingError across rings
         (den1, left), (den2, right) = self._packed(), other._packed()
         nums = list(_mul_packed([(left, right)], ring._bias, ring._guard).items())
         den = den1 * den2
@@ -212,26 +250,6 @@ class GradedClass:
         return GradedClass._trusted(ring, {
             unpack(k): Fraction(n, den) if den > 1 else Fraction(n) for k, n in nums
         }, (den, nums))
-
-    def __rmul__(self, other: Scalar) -> "GradedClass":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: Scalar) -> "GradedClass":
-        return self.__mul__(Fraction(1, 1) / Fraction(other))
-
-    def __pow__(self, n: int) -> "GradedClass":
-        if n < 0:
-            return self.invert() ** (-n)
-        if n < 2:
-            return self if n else self.ring.one()
-        half = self ** (n >> 1)
-        return half * half * self if n & 1 else half * half
-
-    def _coerce(self, value: Union["GradedClass", Scalar]) -> "GradedClass":
-        if isinstance(value, GradedClass):
-            return value
-        value, unit = Fraction(value), (0,) * len(self.ring.gens)
-        return GradedClass._trusted(self.ring, {unit: value} if value else {})
 
     # -- structure -------------------------------------------------------
 
@@ -254,9 +272,6 @@ class GradedClass:
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(m) == d for m in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def invert(self) -> "GradedClass":
         """Multiplicative inverse of a unit, by degreewise recursion.
@@ -300,9 +315,6 @@ class GradedClass:
         if self._hash is None:
             self._hash = hash((self.ring, tuple(sorted(self.terms.items()))))
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"<{render_class(self)}>"
 
     def __str__(self) -> str:
         return render_class(self)

@@ -34,8 +34,9 @@ class OracleError(ValueError):
 # Fractions out.
 
 
-def _trim(out: list) -> Poly:
-    while out and out[-1] == 0:
+def _trim(out: list) -> tuple:
+    """Drop trailing zeros: 0, Fraction(0) or the zero polynomial ()."""
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
@@ -150,13 +151,6 @@ def parse_poly(text: str, var: str = "t", max_degree: int | None = None) -> Poly
 # -- resultants ----------------------------------------------------------------
 
 
-def _trim_upoly(p: Sequence[Poly]) -> UPoly:
-    out = list(p)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 def _bareiss_det(M: list[list[Poly]]) -> Poly:
     """Fraction-free determinant of a matrix of polynomials over Z[t]."""
     n = len(M)
@@ -192,8 +186,7 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
     The rows are made integral by Res(c*p, q) = c^deg(q) * Res(p, q), so the
     elimination runs over Z[t].
     """
-    p = _trim_upoly(p)
-    q = _trim_upoly(q)
+    p, q = _trim(list(p)), _trim(list(q))
     if not p and not q:
         raise OracleError("resultant of two zero polynomials")
     if not p or not q:
@@ -249,7 +242,7 @@ def divided_difference(p: Poly) -> UPoly:
     cols = []
     for j in range(max(n, 0)):
         cols.append(poly([p[k] if k < len(p) else 0 for k in range(j + 1, n + 1)]))
-    return _trim_upoly(cols)
+    return _trim(cols)
 
 
 def double_point_resultant(curve: CurveParam) -> Poly:

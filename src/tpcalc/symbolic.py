@@ -12,6 +12,10 @@ trailing zeros are trimmed and the empty index prints as ``0`` (so ``s_0``
 is the pushforward of 1).  An index prints one digit per slot (``s_01``),
 or delimited (``s_(10,0,1)``) when an entry exceeds 9.  Target-side expressions use ``s`` symbols only,
 source-side ones use ``c`` and ``fs``; the two kinds never mix.
+
+`SymbolicExpr` has the sum arithmetic of `algebra._SparseSum` and multiplies
+on packed monomials (`Packing`).  One push map, `_push`, sends c^K * prod
+fs_I^e to k_K * prod k_I^e, for k = s (f_*, `sify`) or k = fs (f^* f_*).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .algebra import _mul_packed
+from .algebra import _mul_packed, _SparseSum
 from .grammar import parse_sum, render_sum
 
 Scalar = Union[int, Fraction]
@@ -75,7 +79,7 @@ def symbol_degree(sym: Symbol, kappa: int) -> int:
     return kappa + index_c_degree(payload)
 
 
-class SymbolicExpr:
+class SymbolicExpr(_SparseSum):
     """Immutable polynomial with Fraction coefficients in the free symbols."""
 
     __slots__ = ("terms",)
@@ -106,47 +110,24 @@ class SymbolicExpr:
     def constant(value: Scalar) -> "SymbolicExpr":
         return SymbolicExpr({(): Fraction(value)})
 
+    _like = _trusted
+
+    def _coerce(self, value: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
+        return value if isinstance(value, SymbolicExpr) else SymbolicExpr.constant(value)
+
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
-        other = _coerce(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return SymbolicExpr._trusted(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr._trusted({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "SymbolicExpr":
-        return _coerce(other) - self
 
     def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         if isinstance(other, (int, Fraction)):
-            return SymbolicExpr._trusted({m: c * other for m, c in self.terms.items()})
+            return self._scale(other)
         a, b = self.terms, other.terms
         den1, den2 = (lcm(*(x.denominator for x in terms.values())) for terms in (a, b))
         packing = Packing((a, b), 2)
         return packing.unpack(_mul_packed([(packing.pack(a, den1), packing.pack(b, den2))]),
                               den1 * den2)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "SymbolicExpr":
-        return self * (Fraction(1) / Fraction(other))
-
-    def __pow__(self, n: int) -> "SymbolicExpr":
-        if n < 0:
-            raise ValueError("negative powers of symbolic expressions")
-        if n < 2:
-            return self if n else SymbolicExpr.constant(1)
-        half = self ** (n >> 1)
-        return half * half * self if n & 1 else half * half
+    def invert(self):
+        raise ValueError("negative powers of symbolic expressions")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -157,9 +138,6 @@ class SymbolicExpr:
         return hash(tuple(sorted(self.terms.items())))
 
     # -- structure -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def side(self) -> str:
@@ -188,25 +166,8 @@ class SymbolicExpr:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(_canon_monomial(mono), Fraction(0))
 
-    def map_monomials(self, fn) -> "SymbolicExpr":
-        """Linear extension of a map monomial -> SymbolicExpr."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for m, c in fn(mono).terms.items():
-                acc[m] = acc.get(m, 0) + c * coeff
-        return SymbolicExpr._trusted(acc)
-
-    def __repr__(self) -> str:
-        return f"<{render_expr(self)}>"
-
     def __str__(self) -> str:
         return render_expr(self)
-
-
-def _coerce(value: Union[SymbolicExpr, Scalar]) -> SymbolicExpr:
-    if isinstance(value, SymbolicExpr):
-        return value
-    return SymbolicExpr.constant(value)
 
 
 def _canon_monomial(mono) -> Monomial:
@@ -296,46 +257,36 @@ def c_monomial(I: Index) -> SymbolicExpr:
 
 
 def c_exponents(mono: Monomial) -> Index:
-    """Exponent vector of the c-part of a monomial, canonically trimmed."""
-    top = 0
-    for (kind, payload), _e in mono:
+    """Exponent vector of the c-part of a canonical monomial (c_j by increasing j)."""
+    vec = []
+    for (kind, j), e in mono:
         if kind == "c":
-            top = max(top, payload)
-    vec = [0] * top
-    for (kind, payload), e in mono:
-        if kind == "c":
-            vec[payload - 1] = e
-    return canon_index(vec)
+            vec += [0] * (j - 1 - len(vec)) + [e]
+    return tuple(vec)
 
 
-def split_monomial(mono: Monomial):
-    """(c exponent vector, ((index, exp) for fs), ((index, exp) for s))."""
-    fs_part = tuple((payload, e) for (kind, payload), e in mono if kind == "fs")
-    s_part = tuple((payload, e) for (kind, payload), e in mono if kind == "s")
-    return c_exponents(mono), fs_part, s_part
+def _push(expr: SymbolicExpr, kind: str) -> SymbolicExpr:
+    """The formal push map c^K * prod fs_I^e -> k_K * prod k_I^e, for k = s
+    (f_*: the c-part goes to its Landweber-Novikov symbol and every pullback
+    factor leaves by the projection formula) or k = fs (f^* f_*).  The empty
+    c-part goes to k_0, the push of 1; monomials that meet add up."""
+    terms: dict[Monomial, Fraction] = {}
+    for mono, x in expr.terms.items():
+        powers = {(kind, c_exponents(mono)): 1}
+        for (sym_kind, I), e in mono:
+            if sym_kind == "fs":
+                powers[kind, I] = powers.get((kind, I), 0) + e
+        mono = tuple(sorted(powers.items()))  # one kind: canonical order is index order
+        terms[mono] = terms[mono] + x if mono in terms else x
+    return SymbolicExpr._trusted(terms)
 
 
 def sify(expr: SymbolicExpr) -> SymbolicExpr:
-    """Formal pushforward of a source-side expression.
-
-    Each monomial c^K * prod fs_I^e maps to s_K * prod s_I^e: the c-part is
-    pushed to its Landweber-Novikov symbol (the empty c-part becomes s_0, the
-    pushforward of 1) and every pullback factor loses its pullback by the
-    projection formula.
-    """
+    """Formal pushforward of a source-side expression: c^K * prod fs_I^e
+    maps to s_K * prod s_I^e (see `_push`)."""
     if expr.side == "target":
         raise ValueError("expression is already on the target side")
-
-    def push(mono: Monomial) -> SymbolicExpr:
-        K, fs_part, s_part = split_monomial(mono)
-        if s_part:
-            raise ValueError("source expression contains target symbols")
-        out = s(*K)
-        for I, e in fs_part:
-            out = out * s(*I) ** e
-        return out
-
-    return expr.map_monomials(push)
+    return _push(expr, "s")
 
 
 # -- rendering --------------------------------------------------------------
@@ -355,6 +306,7 @@ def _monomial_sort_key(mono: Monomial):
     s_weight = 0
     s_seq = []
     c_deg = 0
+    c_part = []  # (j, -e) by increasing j: the c-exponent vector, sparse
     for (kind, payload), e in mono:
         if kind in ("s", "fs"):
             s_count += e
@@ -362,13 +314,13 @@ def _monomial_sort_key(mono: Monomial):
             s_seq.extend([_index_order(payload)] * e)
         else:
             c_deg += payload * e
-    c_vec = c_exponents(mono)
+            c_part.append((payload, -e))
     return (
         -s_count,
         -s_weight,
         tuple(sorted(s_seq)),
         -c_deg,
-        (len(c_vec), tuple(-e for e in c_vec)),
+        (c_part[-1][0] if c_part else 0, c_part),
         mono,
     )
 

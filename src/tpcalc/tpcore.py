@@ -31,18 +31,7 @@ from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _mul_packed, integrate_top
 from .maps import MapModel
-from .symbolic import (
-    Packing,
-    SymbolicExpr,
-    c,
-    c_exponents,
-    c_monomial,
-    fs,
-    parse_expr,
-    render_expr,
-    s,
-    split_monomial,
-)
+from .symbolic import Packing, SymbolicExpr, _push, c, fs, parse_expr, render_expr, s
 
 
 class SingTypeError(ValueError):
@@ -55,7 +44,10 @@ class MissingResidual(KeyError):
     def __init__(self, names: tuple[str, ...], kappa: int):
         self.names = names
         self.kappa = kappa
-        super().__init__(f"no residual polynomial for types={list(names)} kappa={kappa}")
+        super().__init__(f"no residual polynomial for types=[{','.join(names)}] kappa={kappa}")
+
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return self.args[0]
 
 
 class InconsistentExtraction(ValueError):
@@ -325,13 +317,11 @@ def default_db() -> ResidualDB:
 
 
 def _push_chern(R: SymbolicExpr, symbol) -> SymbolicExpr:
-    """Formal pushforward c^I -> s_I (symbol = s), or its pullback
-    f^* f_*: c^I -> fs_I (symbol = fs), of a pure-Chern polynomial; the map
-    is one-to-one on monomials, so the coefficients carry over."""
+    """The push map of a residual R: c^I -> s_I (symbol = s, f_*) or
+    c^I -> fs_I (symbol = fs, f^* f_*)."""
     if symbol not in (s, fs):
         raise ValueError("_push_chern maps to the symbols s or fs")
-    return SymbolicExpr._trusted({(((symbol.__name__, c_exponents(mono)), 1),): x
-                                  for mono, x in R.terms.items()})
+    return _push(R, symbol.__name__)
 
 
 def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
@@ -416,27 +406,23 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
             f"known expansion is not homogeneous of degree {want}"
         )
     delta = known - _proper_part(t, db, side)
-    if side == "source":
-        for mono in delta.terms:
-            _K, fs_part, s_part = split_monomial(mono)
-            if fs_part or s_part:
-                raise InconsistentExtraction(
-                    "no residual reproduces the given source expansion: "
-                    f"leftover non-Chern term {render_expr(SymbolicExpr({mono: 1}))!r}"
-                )
-        R = delta
-    else:
-        def unpush(mono):
-            K, fs_part, s_part = split_monomial(mono)
-            if K or fs_part or len(s_part) != 1 or s_part[0][1] != 1:
+    terms = {}
+    for mono, x in delta.terms.items():
+        if side == "source" and any(kind != "c" for (kind, _), _e in mono):
+            raise InconsistentExtraction(
+                "no residual reproduces the given source expansion: "
+                f"leftover non-Chern term {render_expr(SymbolicExpr({mono: 1}))!r}"
+            )
+        if side == "target":  # invert the push map: the one s_K goes back to c^K
+            if [(kind, e) for (kind, _), e in mono] != [("s", 1)]:
                 raise InconsistentExtraction(
                     "no residual reproduces the given target expansion: "
                     f"leftover term {render_expr(SymbolicExpr({mono: 1}))!r} "
                     "is not a single s-symbol"
                 )
-            return c_monomial(s_part[0][0])
-
-        R = delta.map_monomials(unpush)
+            mono = tuple((("c", j), e) for j, e in enumerate(mono[0][0][1], start=1) if e)
+        terms[mono] = x
+    R = SymbolicExpr._trusted(terms)
     db.insert(t.key, t.kappa, R)
     return R
 

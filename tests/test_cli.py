@@ -37,6 +37,14 @@ class TestExpand:
         assert code == 2
         assert "E8" in err
 
+    def test_missing_residual_exits_2_unquoted(self, capsys):
+        code, out, err = run(capsys, ["expand", "--type", "A0,A0,A0,A0", "--kappa", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "error: no residual polynomial for types=[A0,A0,A0,A0] kappa=2"
+        )
+
 
 class TestEval:
     def test_expr_on_model(self, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpcalc.symbolic import (
@@ -10,12 +10,15 @@ from tpcalc.symbolic import (
     Scalar,
     Symbol,
     SymbolicExpr,
+    _index_order,
+    _monomial_sort_key,
     _symbol_key,
     c,
     c_exponents,
     c_monomial,
     canon_index,
     fs,
+    index_c_degree,
     parse_expr,
     render_expr,
     s,
@@ -253,3 +256,125 @@ def test_product_over_many_symbols():
     assert_same_product(a * b, reference_product(a, b))
     square = (c(300) - fs(2) / 4) ** 2
     assert_same_product(a * b * square, reference_product(reference_product(a, b), square))
+
+
+# -- sify against the retired product-based push --------------------------------
+
+
+def split_monomial(mono: Monomial):
+    """(c exponent vector, ((index, exp) for fs), ((index, exp) for s))."""
+    fs_part = tuple((payload, e) for (kind, payload), e in mono if kind == "fs")
+    s_part = tuple((payload, e) for (kind, payload), e in mono if kind == "s")
+    return c_exponents(mono), fs_part, s_part
+
+
+def map_monomials(expr, fn) -> SymbolicExpr:
+    """Linear extension of a map monomial -> SymbolicExpr (the retired method)."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in expr.terms.items():
+        for m, c in fn(mono).terms.items():
+            acc[m] = acc.get(m, 0) + c * coeff
+    return SymbolicExpr._trusted(acc)
+
+
+def reference_sify(expr: SymbolicExpr) -> SymbolicExpr:
+    """Formal pushforward of a source-side expression.
+
+    Each monomial c^K * prod fs_I^e maps to s_K * prod s_I^e: the c-part is
+    pushed to its Landweber-Novikov symbol (the empty c-part becomes s_0, the
+    pushforward of 1) and every pullback factor loses its pullback by the
+    projection formula.
+    """
+    if expr.side == "target":
+        raise ValueError("expression is already on the target side")
+
+    def push(mono: Monomial) -> SymbolicExpr:
+        K, fs_part, s_part = split_monomial(mono)
+        if s_part:
+            raise ValueError("source expression contains target symbols")
+        out = s(*K)
+        for I, e in fs_part:
+            out = out * s(*I) ** e
+        return out
+
+    return map_monomials(expr, push)
+
+
+# small indices, so that monomials meet under the push: c1*fs_0 and fs_1
+# both go to s_0*s_1, c2*fs_1 and c1*fs_01 to s_1*s_01
+_source_symbols = st.one_of(
+    st.integers(min_value=1, max_value=3).map(lambda j: ("c", j)),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2).map(
+        lambda I: ("fs", canon_index(I))
+    ),
+)
+
+
+@st.composite
+def _source_expressions(draw):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        mono = draw(st.lists(st.tuples(_source_symbols, st.integers(1, 3)), max_size=3))
+        coeff = Fraction(draw(st.integers(min_value=-4, max_value=4)),
+                         draw(st.integers(min_value=1, max_value=3)))
+        for m, v in SymbolicExpr({tuple(mono): coeff}).terms.items():
+            terms[m] = terms.get(m, 0) + v
+    return SymbolicExpr._trusted(terms)
+
+
+@given(_source_expressions())
+@example(c(1) * fs() + fs(1))
+@example(c(1) * fs() - fs(1))  # the two terms cancel
+@example(c(2) * fs(1) + 2 * c(1) * fs(0, 1) - fs(1) * fs(0, 1) / 3)
+@example(SymbolicExpr.constant(Fraction(-2, 3)))
+@settings(max_examples=200)
+def test_sify_matches_the_product_based_push(expr):
+    got, want = sify(expr), reference_sify(expr)
+    assert render_expr(got) == render_expr(want)
+    assert list(got.terms.items()) == list(want.terms.items())  # same term order too
+
+
+def test_sify_collisions_add_up():
+    assert sify(c(1) * fs() + fs(1)) == 2 * s() * s(1)
+    assert sify(c(1) * fs() - fs(1)).is_zero()
+
+
+# -- the render order against the retired dense key ------------------------------
+
+
+def dense_sort_key(mono: Monomial):
+    s_count = 0
+    s_weight = 0
+    s_seq = []
+    c_deg = 0
+    for (kind, payload), e in mono:
+        if kind in ("s", "fs"):
+            s_count += e
+            s_weight += index_c_degree(payload) * e
+            s_seq.extend([_index_order(payload)] * e)
+        else:
+            c_deg += payload * e
+    c_vec = c_exponents(mono)
+    return (
+        -s_count,
+        -s_weight,
+        tuple(sorted(s_seq)),
+        -c_deg,
+        (len(c_vec), tuple(-e for e in c_vec)),
+        mono,
+    )
+
+
+# many c-parts of one degree and top index, with a few s and fs factors beside
+_chern_heavy_monomials = st.tuples(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=5).map(lambda j: ("c", j)),
+                       st.integers(min_value=1, max_value=4)), max_size=4),
+    st.sampled_from([[], [(("s", ()), 1)], [(("fs", (1,)), 2)], [(("fs", ()), 1)]]),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@given(st.lists(_chern_heavy_monomials, max_size=40))
+@settings(max_examples=300)
+def test_sparse_render_key_orders_like_the_dense_one(monos):
+    monos = list({next(iter(SymbolicExpr({tuple(m): 1}).terms)) for m in monos})
+    assert sorted(monos, key=_monomial_sort_key) == sorted(monos, key=dense_sort_key)
