@@ -5,7 +5,10 @@ generator carrying a positive degree.  This is exactly the intersection ring
 of a product of projective spaces, which is all the substrate the rest of the
 package needs.  Coefficients are `fractions.Fraction`; nothing here ever
 touches floating point.  `GradedClass` and `symbolic.SymbolicExpr` share
-the sum arithmetic of `_SparseSum` and each multiply on packed monomials.
+the sum arithmetic of `_SparseSum`, and both multiply in one product loop,
+`_mul_packed`, on monomials in one packed-integer layout, `Packing`: a ring
+bounds its fields (so the loop truncates), the symbolic kernel sizes them
+per call (so nothing overflows).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .grammar import parse_sum, render_sum
 
@@ -26,21 +29,56 @@ class RingError(ValueError):
     """Raised for malformed ring specs or cross-ring operations."""
 
 
+class Packing:
+    """Monomials as integers, one bit field per variable, so a product of two
+    monomials is one integer add (Monagan and Pearce, *Sparse polynomial
+    multiplication*).  Field i starts at bit i * stride and has `width` bits.
+    With bounds n_i < 2^width a guard bit tops each field, and `_mul_packed`
+    adds 2^width - 1 - n_i to field i (`bias`), so a guard bit is set exactly
+    when an exponent passes n_i: truncation is one ``& guard`` test.  Callers
+    map their monomials to (field, exponent) pairs and back."""
+
+    __slots__ = ("stride", "bias", "guard")
+
+    def __init__(self, width: int, bounds: tuple[int, ...] = ()):
+        self.stride = stride = width + 1 if bounds else width
+        self.bias = sum(((1 << width) - 1 - b) << i * stride for i, b in enumerate(bounds))
+        self.guard = sum(1 << i * stride + width for i in range(len(bounds)))
+
+    def key(self, pairs: Iterable[tuple[int, int]]) -> int:
+        return sum(e << i * self.stride for i, e in pairs)
+
+    def fields(self, key: int, names: Sequence) -> list[tuple[object, int]]:
+        """(names[i], exponent) per nonzero field i, lowest first, read from the top down."""
+        stride, pairs = self.stride, []
+        while key:
+            i = (key.bit_length() - 1) // stride
+            e = key >> i * stride
+            key -= e << i * stride
+            pairs.append((names[i], e))
+        return pairs[::-1]
+
+    def pack(self, terms: Mapping, scale: int, fields_of) -> list[tuple[int, int]]:
+        """[(key, scale * x)] over Fraction terms x; `scale` clears every denominator."""
+        return [(self.key(fields_of(m)), x.numerator * (scale // x.denominator))
+                for m, x in terms.items()]
+
+    def unpack(self, nums: Iterable[tuple[int, int]], den: int, monomial_of) -> dict:
+        """{monomial_of(key): n / den} over (key, integer numerator) pairs."""
+        return {monomial_of(k): Fraction(n, den) if den != 1 else Fraction(n) for k, n in nums}
+
+
 class RingSpec:
     """An ordered list of (name, degree, nilpotency bound) generators.
 
     A monomial is a tuple of exponents in generator order; it is in normal
     form iff every exponent e_i <= n_i.  The top class is the monomial
-    (n_1, ..., n_k) of degree ``top_degree``.
-
-    Packed form: exponent i sits in a bit field of k value bits (2^k > every
-    n_i) and a guard bit, so a product's packed monomial is one integer add.
-    With 2^k - 1 - n_i added to field i, a guard bit is set exactly when an
-    exponent sum passes n_i: truncation is one ``& guard`` test.
+    (n_1, ..., n_k) of degree ``top_degree``.  `_packing` gives generator i
+    field i, bounded by n_i; `_exponents` reads a key back, memoised per ring.
     """
 
     __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index",
-                 "_shifts", "_mask", "_bias", "_guard", "_decode")
+                 "_packing", "_decode")
 
     def __init__(self, gens: Iterable[tuple[str, int, int]]):
         gens = tuple((str(n), int(d), int(b)) for (n, d, b) in gens)
@@ -60,22 +98,14 @@ class RingSpec:
         self.bounds = tuple(g[2] for g in gens)
         self.top_degree = sum(d * b for (_, d, b) in gens)
         self._index = {name: i for i, name in enumerate(names)}
-        k = max(self.bounds, default=0).bit_length()
-        self._shifts = tuple(range(0, (k + 1) * len(gens), k + 1))
-        self._mask = (1 << k) - 1
-        self._bias = sum((self._mask - b) << s for s, b in zip(self._shifts, self.bounds))
-        self._guard = sum(1 << (s + k) for s in self._shifts)
-        self._decode: dict[int, tuple[int, ...]] = {}  # packed -> exponents
+        self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds)
+        self._decode: dict[int, tuple[int, ...]] = {}  # packed key -> exponents
 
-    def _pack(self, mono: tuple[int, ...]) -> int:
-        key = sum(e << s for e, s in zip(mono, self._shifts))
-        self._decode.setdefault(key, mono)
-        return key
-
-    def _unpack(self, key: int) -> tuple[int, ...]:
+    def _exponents(self, key: int) -> tuple[int, ...]:
         mono = self._decode.get(key)
         if mono is None:
-            mono = self._decode[key] = tuple(key >> s & self._mask for s in self._shifts)
+            fields = dict(self._packing.fields(key, range(len(self.gens))))
+            mono = self._decode[key] = tuple(fields.get(i, 0) for i in range(len(self.gens)))
         return mono
 
     def index(self, name: str) -> int:
@@ -190,7 +220,7 @@ class GradedClass(_SparseSum):
 
     Immutable after construction.  Monomials that violate a nilpotency bound
     are dropped (that is the ring's truncation), zero coefficients are never
-    stored.  Products and inverses run on packed monomials (see RingSpec) and
+    stored.  Products and inverses run on packed monomials (see Packing) and
     integer numerators over a common denominator (``_ints``, kept once built).
     """
 
@@ -231,9 +261,7 @@ class GradedClass(_SparseSum):
         """(D, [(packed monomial, D * coefficient)]) with D the lcm of the denominators."""
         if self._ints is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
-            pack = self.ring._pack
-            self._ints = (den, [(pack(m), c.numerator * (den // c.denominator))
-                                for m, c in self.terms.items()])
+            self._ints = (den, self.ring._packing.pack(self.terms, den, enumerate))
         return self._ints
 
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
@@ -241,15 +269,13 @@ class GradedClass(_SparseSum):
             return self._scale(other)
         ring = self._coerce(other).ring  # RingError across rings
         (den1, left), (den2, right) = self._packed(), other._packed()
-        nums = list(_mul_packed([(left, right)], ring._bias, ring._guard).items())
+        nums = list(_mul_packed([(left, right)], ring._packing).items())
         den = den1 * den2
         g = gcd(den, *(n for _, n in nums))
         if g > 1:
             den, nums = den // g, [(k, n // g) for k, n in nums]
-        unpack = ring._unpack
-        return GradedClass._trusted(ring, {
-            unpack(k): Fraction(n, den) if den > 1 else Fraction(n) for k, n in nums
-        }, (den, nums))
+        return GradedClass._trusted(ring, ring._packing.unpack(nums, den, ring._exponents),
+                                    (den, nums))
 
     # -- structure -------------------------------------------------------
 
@@ -267,8 +293,10 @@ class GradedClass(_SparseSum):
 
     def components(self) -> dict[int, "GradedClass"]:
         """Decomposition into homogeneous pieces, keyed by degree."""
-        degrees = sorted({self.ring.monomial_degree(m) for m in self.terms})
-        return {d: self.graded_component(d) for d in degrees}
+        deg, parts = self.ring.monomial_degree, {}
+        for m, c in self.terms.items():
+            parts.setdefault(deg(m), {})[m] = c
+        return {d: GradedClass._trusted(self.ring, parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(m) == d for m in self.terms)
@@ -288,16 +316,16 @@ class GradedClass(_SparseSum):
         parts: dict[int, list[tuple[int, int]]] = {}  # i -> -a^(i-1) P_i
         for k, n in nums:
             if k:
-                i = ring.monomial_degree(ring._unpack(k))
+                i = ring.monomial_degree(ring._exponents(k))
                 parts.setdefault(i, []).append((k, -n * a ** (i - 1)))
         q: list[dict[int, int]] = [{0: 1}]
         terms = {(0,) * len(ring.gens): Fraction(den, a)}
         for d in range(1, ring.top_degree + 1):
             acc = _mul_packed([(part, q[d - i].items()) for i, part in parts.items() if i <= d],
-                              ring._bias, ring._guard)
+                              ring._packing)
             q.append(acc)
-            terms.update((ring._unpack(k), Fraction(den * n, a ** (d + 1)))
-                         for k, n in acc.items())
+            terms.update(ring._packing.unpack(((k, den * n) for k, n in acc.items()),
+                                              a ** (d + 1), ring._exponents))
         return GradedClass._trusted(ring, terms)
 
     # -- equality / rendering ---------------------------------------------
@@ -320,10 +348,11 @@ class GradedClass(_SparseSum):
         return render_class(self)
 
 
-def _mul_packed(products, bias: int = 0, guard: int = 0) -> dict[int, int]:
-    """The sum of left * right over (left, right) pairs of (packed monomial,
-    integer) term lists, with no zeros; given a ring's bias and guard (see
-    RingSpec) it truncates.  A `right` must be re-iterable."""
+def _mul_packed(products, packing: Packing) -> dict[int, int]:
+    """The sum of left * right over (left, right) pairs of (key, integer) term
+    lists of a packing, with no zeros; a bounded packing truncates.  A `right`
+    must be re-iterable."""
+    bias, guard = packing.bias, packing.guard
     acc: dict[int, int] = {}
     get = acc.get
     for left, right in products:
@@ -361,7 +390,7 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
     if p.ring != ring or q.ring != ring:
         raise RingError("class does not live in the given ring")
     (den1, left), (den2, right) = p._packed(), q._packed()
-    right, top = dict(right), ring._pack(ring.bounds)
+    right, top = dict(right), ring._packing.key(enumerate(ring.bounds))
     return Fraction(sum(n * right.get(top - k, 0) for k, n in left), den1 * den2)
 
 

@@ -42,6 +42,7 @@ from .tpcore import (
 
 
 PORTEOUS_MAX_K = 8  # k = 8: about 0.2 s with rendering; each step beyond about 6x more
+KAPPA_MAX = 1000  # |--kappa|; s-indices are dense: A0^3 at 1000 takes about 0.8 s
 ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2.5 s
 ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 2 s at degree 14
 
@@ -103,10 +104,6 @@ def _load_db(args):
     return db
 
 
-def _get_type(args) -> MultiSingType:
-    return multi_type(args.type, args.kappa)
-
-
 def _expand(t: MultiSingType, side: str, normalized: bool, db):
     """The expansion on one side, divided by #Aut (of the tail) if normalized."""
     if side == "target":
@@ -118,7 +115,7 @@ def _expand(t: MultiSingType, side: str, normalized: bool, db):
 
 def _cmd_expand(args) -> Report:
     db = _load_db(args)
-    t = _get_type(args)
+    t = multi_type(args.type, args.kappa)
     rep = Report("expand", {"type": args.type, "kappa": args.kappa,
                             "side": args.side, "normalized": args.normalized})
     rep.result = render_expr(_expand(t, args.side, args.normalized, db))
@@ -168,7 +165,7 @@ def _cmd_porteous(args) -> Report:
 
 def _cmd_extract(args) -> Report:
     db = _load_db(args)
-    t = _get_type(args)
+    t = multi_type(args.type, args.kappa)
     known = parse_expr(args.known)
     R = extract_residual(t, known, args.side, db)
     rep = Report("extract", {"type": args.type, "kappa": args.kappa,
@@ -179,7 +176,7 @@ def _cmd_extract(args) -> Report:
 
 def _cmd_interp(args) -> Report:
     db = _load_db(args)
-    t = _get_type(args)
+    t = multi_type(args.type, args.kappa)
     constraints = []
     for spec in args.constraint:
         name, _, value = spec.partition("=")
@@ -330,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if abs(getattr(args, "kappa", 0)) > KAPPA_MAX:
+            raise UsageError(f"--kappa {args.kappa} is beyond the limit of {KAPPA_MAX} "
+                             "in absolute value; expansions grow with |kappa|")
         report: Report = args.fn(args)
     except (ValueError, MissingResidual, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

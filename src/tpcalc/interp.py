@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .algebra import RingSpec, integrate_top
 from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr
-from .tpcore import MultiSingType, ResidualDB, _proper_part, evaluate
+from .tpcore import MultiSingType, ResidualDB, _partition_sum, evaluate
 
 
 def chern_monomials_of_degree(degree: int) -> list[Index]:
@@ -63,7 +63,7 @@ def assemble_system(t: MultiSingType, db: ResidualDB,
     """
     degree = t.ell_total - t.kappa
     system = LinearSystem(unknowns=chern_monomials_of_degree(degree))
-    proper = _proper_part(t, db, "target")
+    proper = _partition_sum(t, db, "target", proper=True)
     for label, model, count in constraints:
         if t.ell_total != model.target_ring.top_degree:
             raise ValueError(

@@ -14,8 +14,9 @@ or delimited (``s_(10,0,1)``) when an entry exceeds 9.  Target-side expressions 
 source-side ones use ``c`` and ``fs``; the two kinds never mix.
 
 `SymbolicExpr` has the sum arithmetic of `algebra._SparseSum` and multiplies
-on packed monomials (`Packing`).  One push map, `_push`, sends c^K * prod
-fs_I^e to k_K * prod k_I^e, for k = s (f_*, `sify`) or k = fs (f^* f_*).
+on the ring classes' packed monomials (`algebra.Packing`); `packing_of` only
+maps the symbols of a call to bit fields.  One push map, `_push`, sends c^K *
+prod fs_I^e to k_K * prod k_I^e, for k = s (f_*, `sify`) or k = fs (f^* f_*).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .algebra import _mul_packed, _SparseSum
+from .algebra import Packing, _mul_packed, _SparseSum
 from .grammar import parse_sum, render_sum
 
 Scalar = Union[int, Fraction]
@@ -122,9 +123,10 @@ class SymbolicExpr(_SparseSum):
             return self._scale(other)
         a, b = self.terms, other.terms
         den1, den2 = (lcm(*(x.denominator for x in terms.values())) for terms in (a, b))
-        packing = Packing((a, b), 2)
-        return packing.unpack(_mul_packed([(packing.pack(a, den1), packing.pack(b, den2))]),
-                              den1 * den2)
+        packing, fields_of, monomial_of = packing_of((a, b), 2)
+        nums = _mul_packed([(packing.pack(a, den1, fields_of), packing.pack(b, den2, fields_of))],
+                           packing)
+        return SymbolicExpr._trusted(packing.unpack(nums.items(), den1 * den2, monomial_of))
 
     def invert(self):
         raise ValueError("negative powers of symbolic expressions")
@@ -191,42 +193,16 @@ def _canon_monomial(mono) -> Monomial:
     return tuple(sorted(acc.items(), key=lambda kv: _symbol_key(kv[0])))
 
 
-class Packing:
-    """The monomials of some term mappings as integers (Monagan and Pearce).
-
-    Symbol i in canonical order owns bit field i, wide enough for the
-    exponents of a product of `factors` terms of the mappings, so a product
-    monomial is one add in ``algebra._mul_packed`` and no field overflows
-    (nothing to truncate, so no guard bits).  Packed coefficients are
-    integers, the Fractions times a scale that clears their denominators;
-    ``unpack`` divides it back out.
-    """
-
-    def __init__(self, termsets: Iterable[Mapping[Monomial, Fraction]], factors: int):
-        powers = {power for terms in termsets for mono in terms for power in mono}
-        self.symbols = sorted({sym for sym, _e in powers}, key=_symbol_key)
-        self.width = (factors * max((e for _sym, e in powers), default=1)).bit_length()
-        self.shift = {sym: i * self.width for i, sym in enumerate(self.symbols)}
-
-    def pack(self, terms: Mapping[Monomial, Fraction], scale: int = 1) -> list[tuple[int, int]]:
-        shift = self.shift
-        return [(sum(e << shift[sym] for sym, e in mono), x.numerator * (scale // x.denominator))
-                for mono, x in terms.items()]
-
-    def unpack(self, nums: Mapping[int, int], den: int = 1) -> "SymbolicExpr":
-        """sum n / den * monomial(k) over nums; a key is read from its highest
-        field down, one step per symbol it holds, not one per field."""
-        symbols, width = self.symbols, self.width
-        terms = {}
-        for k, n in nums.items():
-            mono = []
-            while k:
-                i = (k.bit_length() - 1) // width
-                e = k >> i * width
-                k -= e << i * width
-                mono.append((symbols[i], e))
-            terms[tuple(reversed(mono))] = Fraction(n, den) if den > 1 else Fraction(n)
-        return SymbolicExpr._trusted(terms)
+def packing_of(termsets: Iterable[Mapping[Monomial, Fraction]], factors: int):
+    """(packing, fields_of, monomial_of): symbol i of the term mappings in canonical
+    order owns field i, wide enough for a product of `factors` of their terms;
+    the maps take a monomial to (field, exponent) pairs and a key back."""
+    powers = {power for terms in termsets for mono in terms for power in mono}
+    symbols = sorted({sym for sym, _e in powers}, key=_symbol_key)
+    field = {sym: i for i, sym in enumerate(symbols)}
+    packing = Packing((factors * max((e for _sym, e in powers), default=1)).bit_length())
+    return (packing, lambda mono: [(field[sym], e) for sym, e in mono],
+            lambda key: tuple(packing.fields(key, symbols)))
 
 
 # -- symbol constructors ---------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _mul_packed, integrate_top
 from .maps import MapModel
-from .symbolic import Packing, SymbolicExpr, _push, c, fs, parse_expr, render_expr, s
+from .symbolic import SymbolicExpr, _push, c, packing_of, parse_expr, render_expr
 
 
 class SingTypeError(ValueError):
@@ -316,14 +316,6 @@ def default_db() -> ResidualDB:
 # -- the two partition expansions ---------------------------------------------
 
 
-def _push_chern(R: SymbolicExpr, symbol) -> SymbolicExpr:
-    """The push map of a residual R: c^I -> s_I (symbol = s, f_*) or
-    c^I -> fs_I (symbol = fs, f^* f_*)."""
-    if symbol not in (s, fs):
-        raise ValueError("_push_chern maps to the symbols s or fs")
-    return _push(R, symbol.__name__)
-
-
 def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
                    proper: bool = False) -> SymbolicExpr:
     """Sum over the set partitions of t's entries of the product of block values.
@@ -337,7 +329,7 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
     entry (entry 1 for M itself):
     F(M) = sum_D prod_n C(m_n - [n = lead], d_n - [n = lead]) value(D) F(M - D),
     filled in bottom-up by increasing size over the prod (m_n + 1) sub-multisets,
-    on packed integers (symbolic.Packing): with lam the lcm of the residuals'
+    on packed integers (symbolic.packing_of): with lam the lcm of the residuals'
     denominators, value(D) is scaled by lam^|D|, so F(v) is lam^|v| times an
     integer polynomial, divided by lam^r once at the end.
     """
@@ -350,12 +342,12 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
          for d in subsets[1:] if not (proper and d == full)}
     lead = names.index(t.entries[0])
     keep = side == "source"  # at the top, the block holding entry 1 keeps its residual
-    values = {(d, False): _push_chern(R[d], s if side == "target" else fs).terms
+    values = {(d, False): _push(R[d], "s" if side == "target" else "fs").terms
               for d in R if not (keep and d == full)}
     values.update(((d, True), R[d].terms) for d in R if keep and d[lead])
-    packing = Packing(values.values(), t.r)
+    packing, fields_of, monomial_of = packing_of(values.values(), t.r)
     lam = math.lcm(*(x.denominator for d in R for x in R[d].terms.values()))
-    packed = {key: packing.pack(terms, lam ** sum(key[0])) for key, terms in values.items()}
+    packed = {key: packing.pack(x, lam ** sum(key[0]), fields_of) for key, x in values.items()}
     sums: dict[tuple, dict] = {subsets[0]: {0: 1}}  # sub-multiset -> packed F
     for v in subsets[1:]:
         top = v == full
@@ -368,8 +360,8 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
                                for n, (k, e) in enumerate(zip(v, d)))
             products.append(([(key, n * weight) for key, n in packed[d, top and keep]],
                              sums[tuple(k - e for k, e in zip(v, d))].items()))
-        sums[v] = _mul_packed(products)
-    return packing.unpack(sums[full], lam ** t.r)
+        sums[v] = _mul_packed(products, packing)
+    return SymbolicExpr._trusted(packing.unpack(sums[full].items(), lam ** t.r, monomial_of))
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
@@ -383,11 +375,6 @@ def expand_source(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
     containing entry 1 stays in Chern symbols while the other blocks
     contribute pulled-back pushforwards; homogeneous of degree ell(t) - kappa."""
     return _partition_sum(t, db, "source")
-
-
-def _proper_part(t: MultiSingType, db: ResidualDB, side: str) -> SymbolicExpr:
-    """The expansion restricted to partitions with at least two blocks."""
-    return _partition_sum(t, db, side, proper=True)
 
 
 def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
@@ -405,7 +392,7 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
         raise InconsistentExtraction(
             f"known expansion is not homogeneous of degree {want}"
         )
-    delta = known - _proper_part(t, db, side)
+    delta = known - _partition_sum(t, db, side, proper=True)
     terms = {}
     for mono, x in delta.terms.items():
         if side == "source" and any(kind != "c" for (kind, _), _e in mono):
@@ -440,8 +427,8 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
     if k < 1:
         raise ValueError("thom_porteous needs k >= 1")
     entries = {(i, j): c(kappa + k + j - i).terms for i in range(k) for j in range(k)}
-    packing = Packing(entries.values(), k)
-    entries = {ij: packing.pack(terms) for ij, terms in entries.items()}
+    packing, fields_of, monomial_of = packing_of(entries.values(), k)
+    entries = {ij: packing.pack(terms, 1, fields_of) for ij, terms in entries.items()}
     minors: dict[int, dict] = {0: {0: 1}}  # column mask -> packed minor
     for i in range(k - 1, -1, -1):
         layer: dict[int, list] = {}
@@ -451,8 +438,8 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
                     sign = (-1) ** bin(mask & ((1 << j) - 1)).count("1")
                     layer.setdefault(mask | 1 << j, []).append(
                         ([(key, sign * n) for key, n in entries[i, j]], minor.items()))
-        minors = {mask: _mul_packed(products) for mask, products in layer.items()}
-    return packing.unpack(minors[(1 << k) - 1])
+        minors = {mask: _mul_packed(products, packing) for mask, products in layer.items()}
+    return SymbolicExpr._trusted(packing.unpack(minors[(1 << k) - 1].items(), 1, monomial_of))
 
 
 # -- evaluation on map models ----------------------------------------------------
@@ -463,11 +450,14 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
 
     c_j -> degree-j part of the quotient Chern class, s_I -> the LN class,
     fs_I -> its pullback.  Target-side expressions land in the target ring,
-    source-side ones in the source's ambient representative ring.
+    source-side ones in the source's ambient representative ring, a scalar in
+    the ring `side` names (the source's by default); a contradicting `side` raises.
     """
     actual = expr.side
     if actual == "scalar":
         actual = side or "source"
+    elif side not in (None, actual):
+        raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
     ring = f.target_ring if actual == "target" else f.source.ambient
     total = ring.zero()
     for mono, coeff in expr.terms.items():
@@ -525,7 +515,7 @@ def verify_generating_series(types: Sequence[SingType], max_r: int,
     # by size, so every E_(m-k) precedes E_m; a missing entry is reported smallest first
     vectors = sorted((m for m in product(range(max_r + 1), repeat=len(names))
                       if 0 < sum(m) <= max_r), key=lambda m: (sum(m), [-k for k in m]))
-    S = {m: _push_chern(db.get(entries(m), kappa), s) / _aut_order(entries(m))
+    S = {m: _push(db.get(entries(m), kappa), "s") / _aut_order(entries(m))
          for m in vectors}  # raises MissingResidual if absent
     E = {(0,) * len(names): SymbolicExpr.constant(1)}
     for m in vectors:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tpcalc.algebra import (
     GradedClass,
+    Packing,
     RingError,
     graded_component,
     integrate_top,
@@ -164,6 +165,8 @@ def test_component_decomposition(p):
     for d in range(P2xP3.top_degree + 1):
         total = total + graded_component(p, d)
     assert total == p
+    pieces = {d: graded_component(p, d) for d in range(P2xP3.top_degree + 1)}
+    assert p.components() == {d: x for d, x in pieces.items() if not x.is_zero()}
 
 
 @given(classes_of(P2xP3))
@@ -233,9 +236,15 @@ def same(got, want):
 @st.composite
 def ring_with_classes(draw, count=3):
     """A ring of 1-4 factors, some of degree 2, and `count` sparse classes in it
-    with mixed-denominator coefficients (the first with a nonzero constant)."""
+    with mixed-denominator coefficients (the first with a nonzero constant).
+    At most one bound is 7, which fills a 3-bit field with no bias, or 8, the
+    first bound that needs 4 bits."""
     gens = draw(st.lists(st.tuples(st.sampled_from([1, 1, 2]), st.integers(1, 4)),
                          min_size=1, max_size=4))
+    large = draw(st.sampled_from([None, 7, 8]))
+    if large:
+        i = draw(st.integers(0, len(gens) - 1))
+        gens[i] = (gens[i][0], large)
     ring = make_ring([(f"g{i}", d, b) for i, (d, b) in enumerate(gens)])
     monos = [m for d in range(ring.top_degree + 1) for m in ring.monomials_of_degree(d)]
     coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
@@ -289,6 +298,38 @@ def test_dense_square_and_inverse_match_reference():
     same(p * p, ref_mul(p, p))
     same(p.invert(), ref_invert(p))
     same(p * p.invert(), ring.one())
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.data())
+@settings(max_examples=100)
+def test_bounded_keys_decode_to_their_exponents(bounds, data):
+    ring = make_ring([(f"g{i}", 1, b) for i, b in enumerate(bounds)])
+    mono = tuple(data.draw(st.integers(0, b)) for b in bounds)
+    key = ring._packing.key(enumerate(mono))
+    assert ring._packing.fields(key, range(len(mono))) == [(i, e) for i, e in enumerate(mono) if e]
+    assert ring._exponents(key) == mono
+
+
+@given(st.integers(1, 12), st.dictionaries(st.integers(0, 300), st.integers(1, 4095)))
+@settings(max_examples=100)
+def test_unbounded_keys_decode_to_their_fields(width, exponents):
+    # fields far apart, as the symbols of one expansion are
+    packing = Packing(width)
+    pairs = sorted((i, e % (1 << width) or 1) for i, e in exponents.items())
+    assert packing.fields(packing.key(pairs), range(301)) == pairs
+    assert packing.bias == packing.guard == 0
+
+
+@pytest.mark.parametrize("bounds", [(7,), (8,), (7, 3, 1), (3, 8, 7), (1, 15, 16)])
+def test_truncation_keeps_each_bound_and_drops_one_more(bounds):
+    ring = make_ring([(f"g{i}", 1, b) for i, b in enumerate(bounds)])
+    for i, n in enumerate(bounds):
+        def mono(e, rest):  # g_i^e times every other generator at `rest` or 0
+            return GradedClass(ring, {tuple(e if j == i else rest * b
+                                            for j, b in enumerate(bounds)): 1})
+        for a in range(n + 1):  # the other fields full, so a carry would show
+            assert mono(a, 1) * mono(n - a, 0) == mono(n, 1)
+            assert (mono(a, 1) * mono(n + 1 - a, 0)).is_zero()
 
 
 def test_equal_rings_share_the_layout():

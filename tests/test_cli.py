@@ -61,6 +61,15 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0] == "27*H"
 
+    @pytest.mark.parametrize("expr,side", [("c2", "target"), ("s_0", "source")])
+    def test_side_that_contradicts_the_expression_exits_2(self, capsys, expr, side):
+        code, out, err = run(capsys, [
+            "eval", "--model", "veronese-p3", "--expr", expr, "--side", side
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"on the {side} side" in err
+
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, ["eval", "--model", "veronese-p3"])
         assert code == 2
@@ -142,6 +151,33 @@ class TestPorteous:
         assert err.splitlines()[0] == (
             "error: --k 9 is above the limit of 8; "
             "the determinant's cost grows about 2^k * k")
+
+
+class TestKappaLimit:
+    @pytest.mark.parametrize("kappa", [cli.KAPPA_MAX + 1, -cli.KAPPA_MAX - 1])
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--type", "A0,A0,A0"],
+        ["extract", "--type", "A0,A0", "--side", "target", "--known", "s_0^2"],
+        ["interp", "--type", "A0,A0", "--constraint", "veronese-p3=3"],
+        ["porteous", "--k", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_past_the_limit_fails_before_any_work(self, capsys, monkeypatch, argv, kappa):
+        def never(*args):
+            raise AssertionError("no work past the kappa limit")
+
+        for name in ("_load_db", "thom_porteous"):
+            monkeypatch.setattr(cli, name, never)
+        code, out, err = run(capsys, argv + ["--kappa", str(kappa)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            f"error: --kappa {kappa} is beyond the limit of {cli.KAPPA_MAX} "
+            "in absolute value; expansions grow with |kappa|")
+
+    def test_at_the_limit_runs(self, capsys):
+        code, out, _ = run(capsys, ["expand", "--type", "A0", "--kappa", str(cli.KAPPA_MAX)])
+        assert code == 0
+        assert out.splitlines()[0] == "s_0"
 
 
 class TestExtract:

@@ -12,6 +12,7 @@ from tpcalc.symbolic import (
     SymbolicExpr,
     _index_order,
     _monomial_sort_key,
+    _push,
     _symbol_key,
     c,
     c_exponents,
@@ -94,6 +95,12 @@ class TestSify:
     def test_rejects_target_side(self):
         with pytest.raises(ValueError):
             sify(s(1))
+
+
+def test_push_renders_residuals_in_s_or_fs():
+    R = parse_expr("2*c1^2 - 1/3*c2")
+    assert render_expr(_push(R, "s")) == "2*s_2 - 1/3*s_01"
+    assert render_expr(_push(R, "fs")) == "2*fs_2 - 1/3*fs_01"
 
 
 class TestRendering:

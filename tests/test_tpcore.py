@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from tpcalc import tpcore
 from tpcalc.algebra import render_class
 from tpcalc.maps import get_model
-from tpcalc.symbolic import SymbolicExpr, c, c_monomial, fs, parse_expr, render_expr, s, sify
+from tpcalc.symbolic import (SymbolicExpr, _push, c, c_monomial, fs, parse_expr, render_expr,
+                             s, sify)
 from tpcalc.tpcore import (
-    _proper_part,
-    _push_chern,
+    _partition_sum,
     InconsistentExtraction,
     MissingResidual,
     MultiSingType,
@@ -57,7 +57,7 @@ def oracle_expand_target(t, db):
     for partition in set_partitions(t.r):
         term = SymbolicExpr.constant(1)
         for block in partition:
-            term = term * _push_chern(db.get(_block_names(t, block), t.kappa), s)
+            term = term * _push(db.get(_block_names(t, block), t.kappa), "s")
         total = total + term
     return total
 
@@ -70,7 +70,7 @@ def oracle_expand_source(t, db):
         for block in partition:
             if block is first:
                 continue
-            term = term * _push_chern(db.get(_block_names(t, block), t.kappa), fs)
+            term = term * _push(db.get(_block_names(t, block), t.kappa), "fs")
         total = total + term
     return total
 
@@ -83,14 +83,14 @@ def oracle_proper_part(t, db, side):
         if side == "target":
             term = SymbolicExpr.constant(1)
             for block in partition:
-                term = term * _push_chern(db.get(_block_names(t, block), t.kappa), s)
+                term = term * _push(db.get(_block_names(t, block), t.kappa), "s")
         else:
             first = next(block for block in partition if 1 in block)
             term = db.get(_block_names(t, first), t.kappa)
             for block in partition:
                 if block is first:
                     continue
-                term = term * _push_chern(db.get(_block_names(t, block), t.kappa), fs)
+                term = term * _push(db.get(_block_names(t, block), t.kappa), "fs")
         total = total + term
     return total
 
@@ -307,7 +307,7 @@ class TestAgainstPartitionOracle:
         assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
         assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
         for side in ("target", "source"):
-            assert (render_expr(_proper_part(t, db, side))
+            assert (render_expr(_partition_sum(t, db, side, proper=True))
                     == render_expr(oracle_proper_part(t, db, side)))
 
     @settings(max_examples=8, deadline=None)
@@ -318,7 +318,7 @@ class TestAgainstPartitionOracle:
         assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
         assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
         for side in ("target", "source"):
-            assert (render_expr(_proper_part(t, db, side))
+            assert (render_expr(_partition_sum(t, db, side, proper=True))
                     == render_expr(oracle_proper_part(t, db, side)))
 
     def test_eight_immersion_points_push_forward(self):
@@ -372,10 +372,10 @@ class TestFractionResiduals:
         for side in ("target", "source"):
             want = render_expr(oracle_proper_part(t, db, side))
             log = ReadLog(db)
-            assert render_expr(_proper_part(t, log, side)) == want
+            assert render_expr(_partition_sum(t, log, side, proper=True)) == want
             assert (t.key, t.kappa) not in log.reads  # extraction removes that entry
             log.remove(t.key, t.kappa)
-            assert render_expr(_proper_part(t, log, side)) == want
+            assert render_expr(_partition_sum(t, log, side, proper=True)) == want
 
     @settings(max_examples=15, deadline=None)
     @given(_MIXED, st.integers(0, 2 ** 16))
@@ -405,14 +405,6 @@ def test_a0_family_matches_the_termwise_sum(kappa):
     for i in range(kappa):
         acc = acc + (2 ** i) * c(kappa - i - 1) * c(kappa + i + 1)
     assert render_expr(residual_a0_family(3, kappa)) == render_expr(2 * acc)
-
-
-def test_push_chern_maps_to_s_or_fs_only():
-    R = parse_expr("2*c1^2 - 1/3*c2")
-    assert render_expr(_push_chern(R, s)) == "2*s_2 - 1/3*s_01"
-    assert render_expr(_push_chern(R, fs)) == "2*fs_2 - 1/3*fs_01"
-    with pytest.raises(ValueError):
-        _push_chern(R, c)
 
 
 class TestExpandSource:
@@ -526,6 +518,15 @@ class TestEvaluate:
         f = get_model("pencil:4")
         got = evaluate(s(2) - s(0, 1), f)
         assert got == 27 * f.target_ring.gen("H")
+
+    def test_side_must_match_a_non_scalar_expression(self):
+        f = get_model("veronese-p3")  # both rings name their generator h
+        with pytest.raises(ValueError, match="source-side expression"):
+            evaluate(c(2), f, side="target")
+        with pytest.raises(ValueError, match="target-side expression"):
+            evaluate(s(), f, side="source")
+        assert evaluate(c(2), f, side="source") == evaluate(c(2), f)
+        assert evaluate(SymbolicExpr.constant(2), f, side="target").ring == f.target_ring
 
     def test_target_expression_lands_in_target_ring(self, db):
         f = get_model("veronese-p3")
