@@ -4,6 +4,9 @@
    impose known counts on model maps, solve the exact linear system.
 2. Extraction: subtract the proper-partition part from a known expansion and
    read the residual off the remainder.
+
+Types beyond A0 and A1 are declared in the store that uses them; the last
+part declares one and recovers its residual by interpolation.
 """
 
 from fractions import Fraction
@@ -55,3 +58,17 @@ print("   residual:", render_expr(R))
 
 print("\nThe whole store serializes to a line-oriented text format:")
 print(db.dump())
+
+print("\nA type declared in a store: the crosscap A1 under the new name B1")
+store = db.copy()
+store.declare("B1", 1, 3)  # at kappa = 1, with A1's target codimension ell = 3
+t1 = multi_type("B1", 1, store)
+system = assemble_system(t1, store, [
+    ("veronese-p3", get_model("veronese-p3"), Fraction(6)),  # Steiner's pinch points
+    ("scroll-q-p3", get_model("scroll-q-p3"), Fraction(4)),
+])
+store.insert(t1.key, 1, solve_exact(system).residual())
+print("   the store's lines for B1:")
+for line in store.dump().splitlines():
+    if "B1" in line:
+        print("  ", line)

@@ -47,7 +47,6 @@ from .tpcore import (
     extract_residual,
     get_sing_type,
     multi_type,
-    register_sing_type,
     set_partitions,
     thom_porteous,
     verify_generating_series,

@@ -2,7 +2,8 @@
 
 Subcommands: expand, eval, count, porteous, extract, interp, oracle, verify.
 Exit codes: 0 success, 1 a mathematical check failed (a `count` that is
-not a non-negative integer included), 2 usage errors (unknown subcommand,
+not a non-negative integer included) or stdout was closed before the report
+was written, 2 usage errors (unknown subcommand,
 model or type, an unreadable --db, an input above a size limit).  `--json`
 emits a structured report carrying the same payload as the text output;
 timing lives outside the checked payload so reports are deterministic for
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -43,6 +45,7 @@ from .tpcore import (
 
 PORTEOUS_MAX_K = 8  # k = 8: about 0.2 s with rendering; each step beyond about 6x more
 KAPPA_MAX = 1000  # |--kappa|; s-indices are dense: A0^3 at 1000 takes about 0.8 s
+INTERP_MAX_DEGREE = 30  # ell(t) - kappa; 30 takes about a second, each step of 2 about 1.5x more
 ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2.5 s
 ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 2 s at degree 14
 
@@ -115,7 +118,7 @@ def _expand(t: MultiSingType, side: str, normalized: bool, db):
 
 def _cmd_expand(args) -> Report:
     db = _load_db(args)
-    t = multi_type(args.type, args.kappa)
+    t = multi_type(args.type, args.kappa, db)
     rep = Report("expand", {"type": args.type, "kappa": args.kappa,
                             "side": args.side, "normalized": args.normalized})
     rep.result = render_expr(_expand(t, args.side, args.normalized, db))
@@ -131,11 +134,13 @@ def _cmd_eval(args) -> Report:
     if (args.expr is None) == (args.type is None):
         raise UsageError("eval needs exactly one of --expr or --type")
     if args.expr is not None:
+        if args.normalized:
+            raise UsageError("--normalized applies only to --type")
         expr = parse_expr(args.expr)
         side = args.side or (expr.side if expr.side != "scalar" else "source")
     else:
         side = args.side or "target"
-        expr = _expand(multi_type(args.type, model.kappa), side, args.normalized, db)
+        expr = _expand(multi_type(args.type, model.kappa, db), side, args.normalized, db)
     value = evaluate(expr, model, side=side)
     rep.result = render_class(value)
     return rep
@@ -144,7 +149,7 @@ def _cmd_eval(args) -> Report:
 def _cmd_count(args) -> Report:
     db = _load_db(args)
     model = get_model(args.model)
-    t = multi_type(args.type, model.kappa)
+    t = multi_type(args.type, model.kappa, db)
     rep = Report("count", {"model": args.model, "type": args.type})
     n = count_points(model, t, db)
     rep.result = str(n)
@@ -165,7 +170,7 @@ def _cmd_porteous(args) -> Report:
 
 def _cmd_extract(args) -> Report:
     db = _load_db(args)
-    t = multi_type(args.type, args.kappa)
+    t = multi_type(args.type, args.kappa, db)
     known = parse_expr(args.known)
     R = extract_residual(t, known, args.side, db)
     rep = Report("extract", {"type": args.type, "kappa": args.kappa,
@@ -176,7 +181,11 @@ def _cmd_extract(args) -> Report:
 
 def _cmd_interp(args) -> Report:
     db = _load_db(args)
-    t = multi_type(args.type, args.kappa)
+    t = multi_type(args.type, args.kappa, db)
+    if t.ell_total - t.kappa > INTERP_MAX_DEGREE:
+        raise UsageError(f"the residual degree ell - kappa = {t.ell_total - t.kappa} is above "
+                         f"the limit of {INTERP_MAX_DEGREE}; the unknowns are the Chern "
+                         "monomials of that degree")
     constraints = []
     for spec in args.constraint:
         name, _, value = spec.partition("=")
@@ -336,7 +345,14 @@ def main(argv: list[str] | None = None) -> int:
         args.subparser.print_usage(sys.stderr)
         return 2
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so that the flush
+        # at exit cannot fail again (the note on SIGPIPE in the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if report.all_pass else 1
 
 

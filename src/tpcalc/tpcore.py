@@ -2,9 +2,9 @@
 
 The key objects:
 
-* a registry of mono-singularity types (name, kappa) -> target codimension;
-* a keyed store of residual polynomials R in the Chern symbols, one per
-  (multiset of type names, kappa);
+* a store of residual polynomials R in the Chern symbols, one per (multiset
+  of type names, kappa), which also declares the target codimension ell of
+  each mono-singularity type (name, kappa) beyond the built-in A0 and A1;
 * the two set-partition expansions built from the store: the target class
   as a polynomial in the s_I, and the source class as a polynomial in c_j
   and fs_I;
@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _mul_packed, integrate_top
@@ -54,7 +55,7 @@ class InconsistentExtraction(ValueError):
     """The given expansion is not reproducible by any residual polynomial."""
 
 
-# -- singularity-type registry ------------------------------------------------
+# -- singularity types ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -66,36 +67,26 @@ class SingType:
     ell: int
 
 
-_REGISTRY: dict[tuple[str, int], int] = {
-    ("A1", 1): 3,
-    ("A1", -1): 1,
-}
+_A1_ELL = MappingProxyType({("A1", 1): 3, ("A1", -1): 1})  # beside A0's ell = kappa
 
 
-def register_sing_type(name: str, kappa: int, ell: int) -> None:
-    """Extend the registry (ell must be supplied for non-built-in types)."""
-    if ell < 0:
-        raise SingTypeError("ell must be non-negative")
-    _REGISTRY[(name, kappa)] = ell
-
-
-def sing_ell(name: str, kappa: int) -> int:
-    """Target codimension of a mono-singularity type."""
+def sing_ell(name: str, kappa: int, db: ResidualDB | None = None) -> int:
+    """Target codimension of a mono-singularity type, built in or declared in db."""
     if name == "A0":
         if kappa < 0:
             raise SingTypeError("A0 is not an isolated-singularity type for kappa < 0")
         return kappa
-    try:
-        return _REGISTRY[(name, kappa)]
-    except KeyError:
+    ell = _A1_ELL.get((name, kappa), db._types.get((name, kappa)) if db else None)
+    if ell is None:
         raise SingTypeError(
-            f"unknown singularity type {name!r} at kappa={kappa}; "
-            "register it with register_sing_type(name, kappa, ell)"
-        ) from None
+            f"unknown singularity type {name!r} at kappa={kappa}; declare it in the "
+            f"store with a 'type={name} kappa={kappa} ell=<ell>' line or ResidualDB.declare"
+        )
+    return ell
 
 
-def get_sing_type(name: str, kappa: int) -> SingType:
-    return SingType(name, kappa, sing_ell(name, kappa))
+def get_sing_type(name: str, kappa: int, db: ResidualDB | None = None) -> SingType:
+    return SingType(name, kappa, sing_ell(name, kappa, db))
 
 
 def _aut_order(names: Sequence[str]) -> int:
@@ -107,16 +98,18 @@ def _aut_order(names: Sequence[str]) -> int:
 
 @dataclass(frozen=True)
 class MultiSingType:
-    """An ordered tuple of mono-singularity type names at a fixed kappa."""
+    """An ordered tuple of mono-singularity type names at a fixed kappa, resolved
+    against the types declared in the store `db` (the built-in ones only if None)."""
 
     entries: tuple[str, ...]
     kappa: int
+    db: ResidualDB | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.entries:
             raise SingTypeError("multi-singularity type needs at least one entry")
         for name in self.entries:
-            sing_ell(name, self.kappa)  # validates
+            sing_ell(name, self.kappa, self.db)  # validates
 
     @property
     def r(self) -> int:
@@ -124,7 +117,7 @@ class MultiSingType:
 
     @property
     def ell_total(self) -> int:
-        return sum(sing_ell(n, self.kappa) for n in self.entries)
+        return sum(sing_ell(n, self.kappa, self.db) for n in self.entries)
 
     @property
     def aut_order(self) -> int:
@@ -142,13 +135,14 @@ class MultiSingType:
         return ",".join(self.entries)
 
 
-def multi_type(spec: str | Iterable[str], kappa: int) -> MultiSingType:
+def multi_type(spec: str | Iterable[str], kappa: int,
+               db: ResidualDB | None = None) -> MultiSingType:
     """Build a MultiSingType from 'A0,A0,A1' or an iterable of names."""
     if isinstance(spec, str):
         names = tuple(n.strip() for n in spec.split(",") if n.strip())
     else:
         names = tuple(spec)
-    return MultiSingType(names, kappa)
+    return MultiSingType(names, kappa, db)
 
 
 # -- set partitions -----------------------------------------------------------
@@ -218,14 +212,17 @@ def residual_line(names: Iterable[str], kappa: int, R: SymbolicExpr) -> str:
 
 
 class ResidualDB:
-    """Keyed store of residual polynomials, order-independent in the entries."""
+    """Keyed store of residual polynomials and declared types, order-independent
+    in the entries."""
 
     def __init__(self):
         self._store: dict[tuple[tuple[str, ...], int], SymbolicExpr] = {}
+        self._types: dict[tuple[str, int], int] = {}  # declared (name, kappa) -> ell
 
     def copy(self) -> "ResidualDB":
         db = ResidualDB()
         db._store = dict(self._store)
+        db._types = dict(self._types)
         return db
 
     def keys(self):
@@ -234,13 +231,26 @@ class ResidualDB:
     def contains(self, names: Iterable[str], kappa: int) -> bool:
         return (tuple(sorted(names)), kappa) in self._store
 
+    def declare(self, name: str, kappa: int, ell: int) -> None:
+        """Declare the target codimension ell of the type `name` at kappa in
+        this store; declaring a known type with its own ell again does nothing."""
+        if name == "A0" or not re.fullmatch(r"[A-Za-z0-9_]+", name):
+            raise SingTypeError(f"cannot declare a type named {name!r}")
+        if ell < max(kappa, 0):  # a residual has degree ell - kappa >= 0
+            raise SingTypeError(f"ell={ell} for {name} at kappa={kappa} is below max(kappa, 0)")
+        known = _A1_ELL.get((name, kappa), self._types.get((name, kappa)))
+        if known is None:
+            self._types[name, kappa] = ell
+        elif known != ell:
+            raise SingTypeError(f"{name} at kappa={kappa} already has ell={known}, not {ell}")
+
     def insert(self, names: Iterable[str], kappa: int, R: SymbolicExpr) -> None:
         names = tuple(sorted(names))
         for mono in R.terms:
             for (kind, _), _e in mono:
                 if kind != "c":
                     raise SingTypeError("residual polynomials are polynomials in the c_j only")
-        t = MultiSingType(names, kappa)
+        t = MultiSingType(names, kappa, self)
         want = t.ell_total - kappa
         if not R.is_homogeneous(want, kappa):
             raise SingTypeError(
@@ -260,15 +270,17 @@ class ResidualDB:
             return residual_a0_family(len(names), kappa)
         raise MissingResidual(names, kappa)
 
-    # - file format: one residual_line per entry
+    # - file format: the declared types, one per line, then one residual_line per entry
 
+    _TYPE_RE = re.compile(r"^type=(\S+)\s+kappa=(-?\d+)\s+ell=(-?\d+)$")
     _LINE_RE = re.compile(
         r"^types=\[([A-Za-z0-9_, ]*)\]\s+kappa=(-?\d+)\s+R=\s*(.+)$"
     )
 
     def dump(self) -> str:
+        types = [f"type={n} kappa={k} ell={ell}" for (n, k), ell in sorted(self._types.items())]
         keys = sorted(self._store, key=lambda k: (k[1], len(k[0]), k[0]))
-        return "\n".join(residual_line(*key, self._store[key]) for key in keys) + "\n"
+        return "\n".join(types + [residual_line(*key, self._store[key]) for key in keys]) + "\n"
 
     @classmethod
     def loads(cls, text: str, base: "ResidualDB | None" = None) -> "ResidualDB":
@@ -277,12 +289,15 @@ class ResidualDB:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            m = cls._LINE_RE.match(line)
-            if not m:
+            typ, m = cls._TYPE_RE.match(line), cls._LINE_RE.match(line)
+            if not (typ or m):
                 raise ValueError(f"bad residual-db line {lineno}: {raw!r}")
-            names = tuple(n.strip() for n in m.group(1).split(",") if n.strip())
             try:
-                db.insert(names, int(m.group(2)), parse_expr(m.group(3)))
+                if typ:
+                    db.declare(typ[1], int(typ[2]), int(typ[3]))
+                else:
+                    names = tuple(n.strip() for n in m[1].split(",") if n.strip())
+                    db.insert(names, int(m[2]), parse_expr(m[3]))
             except ValueError as exc:  # same class, with the line number
                 raise type(exc)(f"bad residual-db line {lineno}: {exc}") from None
         return db
@@ -525,7 +540,7 @@ def verify_generating_series(types: Sequence[SingType], max_r: int,
             if k[n]:
                 acc = acc + k[n] * S[k] * E[tuple(a - b for a, b in zip(m, k))]
         E[m] = acc / m[n]
-        t = MultiSingType(entries(m), kappa)
+        t = MultiSingType(entries(m), kappa, db)
         if expand_target(t, db) / t.aut_order != E[m]:
             return False
     return True

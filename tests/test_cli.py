@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,6 +72,13 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and f"on the {side} side" in err
+
+    def test_normalized_with_expr_exits_2(self, capsys):
+        code, out, err = run(capsys, [
+            "eval", "--model", "veronese-p3", "--expr", "c2", "--normalized"
+        ])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: --normalized applies only to --type"
 
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, ["eval", "--model", "veronese-p3"])
@@ -268,6 +278,34 @@ class TestInterp:
                                         "violated: ['veronese-p3']"]
 
 
+class TestInterpDegreeLimit:
+    def test_at_the_limit_runs(self, capsys):
+        code, out, _ = run(capsys, [
+            "interp", "--type", "A0,A0", "--kappa", str(cli.INTERP_MAX_DEGREE)])
+        assert code == 0
+        assert out.splitlines()[0] == "status: underdetermined"
+
+    @pytest.mark.parametrize("argv, degree", [
+        (["--type", "A0,A0", "--kappa", str(cli.INTERP_MAX_DEGREE + 1)],
+         cli.INTERP_MAX_DEGREE + 1),
+        (["--type", "A0,A0,A0", "--kappa", "1000"], 2000),
+        (["--type", "B2", "--kappa", "1", "--db", "{db}"], 40),
+    ], ids=["one-past", "kappa-1000", "declared-ell"])
+    def test_past_the_limit_fails_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                 argv, degree):
+        def never(*args):
+            raise AssertionError("no work past the interp degree limit")
+
+        monkeypatch.setattr(cli, "assemble_system", never)
+        dbfile = tmp_path / "b2.db"
+        dbfile.write_text("type=B2 kappa=1 ell=41\n")
+        code, out, err = run(capsys, ["interp"] + [a.format(db=dbfile) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            f"error: the residual degree ell - kappa = {degree} is above the limit of "
+            f"{cli.INTERP_MAX_DEGREE}; the unknowns are the Chern monomials of that degree")
+
+
 class TestOracle:
     def test_cusp(self, capsys):
         code, out, _ = run(capsys, ["oracle", "--curve", "t^2, t^3"])
@@ -438,6 +476,77 @@ class TestDbOverride:
         ])
         assert code == 2
         assert err.startswith("error: bad residual-db line 3: zero denominator")
+
+
+class TestDeclaredTypes:
+    """A --db file that declares B1 as a renamed copy of A1 at kappa = 1."""
+
+    RENAMED = ("type=B1 kappa=1 ell=3\n"
+               "types=[B1] kappa=1 R= c2\n"
+               "types=[A0,B1] kappa=1 R= -2*c1*c2 - 2*c3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--type", "A0,X", "--kappa", "1"],
+        ["expand", "--type", "X,A0", "--kappa", "1", "--normalized"],
+        ["expand", "--type", "X,A0", "--kappa", "1", "--side", "source"],
+        ["expand", "--type", "A0,X", "--kappa", "1", "--side", "source", "--normalized"],
+        ["eval", "--model", "scroll-q-p3", "--type", "X"],
+        ["eval", "--model", "veronese-p3", "--type", "X", "--side", "source"],
+        ["count", "--model", "veronese-p3", "--type", "X"],
+        ["extract", "--type", "X,A0", "--kappa", "1", "--side", "source",
+         "--known", "fs_0*c2 - 2*c1*c2 - 2*c3"],
+        ["interp", "--type", "X", "--kappa", "1",
+         "--constraint", "veronese-p3=6", "--constraint", "scroll-q-p3=4"],
+    ], ids=" ".join)
+    def test_renamed_copy_prints_what_a1_prints(self, capsys, tmp_path, argv):
+        dbfile = tmp_path / "b1.db"
+        dbfile.write_text(self.RENAMED)
+
+        def shown(argv):
+            code, out, err = run(capsys, argv)
+            return code, [l for l in out.splitlines() if not l.startswith("# elapsed:")], err
+
+        code, out, err = shown([a.replace("X", "A1") for a in argv])
+        assert (code, err) == (0, "")
+        assert shown([a.replace("X", "B1") for a in argv] + ["--db", str(dbfile)]) == (
+            0, [line.replace("A1", "B1") for line in out], "")
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("type=A0 kappa=1 ell=1\n", 1, "cannot declare a type named 'A0'"),
+        ("# header\ntype=A-2 kappa=1 ell=3\n", 2, "cannot declare a type named 'A-2'"),
+        ("type=B1 kappa=1 ell=0\n", 1, "ell=0 for B1 at kappa=1 is below max(kappa, 0)"),
+        ("type=A1 kappa=1 ell=4\n", 1, "A1 at kappa=1 already has ell=3, not 4"),
+        ("type=B1 kappa=1 ell=3\n\ntype=B1 kappa=1 ell=4\n", 3,
+         "B1 at kappa=1 already has ell=3, not 4"),
+        ("types=[B1] kappa=1 R= c2\ntype=B1 kappa=1 ell=3\n", 1,
+         "unknown singularity type 'B1' at kappa=1"),
+    ], ids=["A0", "bad-name", "ell-below-kappa", "contradicts-built-in",
+            "contradicts-earlier", "declared-further-down"])
+    def test_a_refused_line_exits_2_with_its_number(self, capsys, tmp_path, text, lineno,
+                                                    message):
+        dbfile = tmp_path / "bad.db"
+        dbfile.write_text(text)
+        code, out, err = run(capsys, [
+            "expand", "--type", "A0", "--kappa", "1", "--db", str(dbfile)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad residual-db line {lineno}: {message}")
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_1_without_traceback(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        # about 128 KB of output, more than a pipe buffer holds, so the write
+        # is still under way when the reader closes its end
+        argv = [sys.executable, "-m", "tpcalc.cli", "porteous", "--kappa", "1", "--k", "8"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert os.read(proc.stdout.fileno(), 10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (1, b"")
 
 
 class TestRingSizeLimit:

@@ -30,7 +30,6 @@ from tpcalc.tpcore import (
     extract_residual,
     get_sing_type,
     multi_type,
-    register_sing_type,
     residual_a0_family,
     residual_line,
     set_partitions,
@@ -157,15 +156,84 @@ class TestRegistry:
         assert sing_ell("A1", -1) == 1
 
     def test_unknown_requires_registration(self):
+        db = ResidualDB()
+        with pytest.raises(SingTypeError):
+            sing_ell("A2", 1, db)
+        db.declare("A2", 1, 4)
+        assert sing_ell("A2", 1, db) == 4
         with pytest.raises(SingTypeError):
             sing_ell("A2", 1)
-        register_sing_type("A2", 1, 4)
-        try:
-            assert sing_ell("A2", 1) == 4
-        finally:
-            from tpcalc import tpcore
 
-            del tpcore._REGISTRY[("A2", 1)]
+
+class TestDeclaredTypes:
+    def test_a_declaration_stays_in_its_store(self):
+        before = default_db().dump()
+        db, other = default_db(), default_db()
+        db.declare("A2", 1, 4)
+        assert multi_type("A2,A0", 1, db).ell_total == 5
+        for store in (default_db(), other, None):
+            with pytest.raises(SingTypeError, match="unknown singularity type 'A2'"):
+                multi_type("A2", 1, store)
+        assert default_db().dump() == other.dump() == before
+
+    def test_copy_and_loads_carry_declarations(self):
+        db = ResidualDB()
+        db.declare("A2", -1, 2)
+        for carried in (db.copy(), ResidualDB.loads("", base=db)):
+            assert sing_ell("A2", -1, carried) == 2
+        merged = ResidualDB.loads("types=[A2] kappa=-1 R= c1^3 - c3\n", base=db)
+        assert merged.get(("A2",), -1) == c(1) ** 3 - c(3)
+        db.copy().declare("B1", 1, 3)
+        with pytest.raises(SingTypeError):
+            sing_ell("B1", 1, db)
+
+    def test_dump_loads_round_trip_with_types(self):
+        db = default_db()
+        db.declare("B1", 1, 3)
+        db.declare("A2", -1, 2)
+        db.insert(("B1", "A0"), 1, -c(1) ** 3 + c(3))
+        text = db.dump()
+        assert text.splitlines()[:2] == ["type=A2 kappa=-1 ell=2", "type=B1 kappa=1 ell=3"]
+        assert "types=[A0,B1] kappa=1 R= -c1^3 + c3" in text.splitlines()
+        assert ResidualDB.loads(text).dump() == text
+        assert ResidualDB.loads(text, base=db).dump() == text  # a dump merges over its base
+
+    def test_redeclaring_a_known_type_with_its_ell_is_a_no_op(self):
+        db = ResidualDB()
+        db.declare("A1", 1, 3)
+        db.declare("A2", 1, 4)
+        db.declare("A2", 1, 4)
+        assert db.dump() == "type=A2 kappa=1 ell=4\n"
+
+    @pytest.mark.parametrize("name, kappa, ell, match", [
+        ("A0", 1, 1, "named 'A0'"),
+        ("A-2", 1, 3, "named 'A-2'"),
+        ("", 1, 3, "named ''"),
+        ("A2", 2, 1, "below max"),  # a residual of degree ell - kappa < 0
+        ("A2", -2, -1, "below max"),
+        ("A1", 1, 4, "already has ell=3"),
+        ("A1", -1, 2, "already has ell=1"),
+        ("A2", 1, 5, "already has ell=4"),
+    ])
+    def test_declare_refuses(self, name, kappa, ell, match):
+        db = ResidualDB()
+        db.declare("A2", 1, 4)
+        with pytest.raises(SingTypeError, match=match):
+            db.declare(name, kappa, ell)
+        assert db.dump() == "type=A2 kappa=1 ell=4\n"
+
+    def test_the_type_table_is_not_part_of_a_type(self):
+        db = ResidualDB()
+        db.declare("A2", 1, 4)
+        assert multi_type("A1,A0", 1, db) == multi_type("A1,A0", 1)
+        assert hash(multi_type("A1,A0", 1, db)) == hash(multi_type("A1,A0", 1))
+
+    def test_generating_series_resolves_through_the_store(self, db):
+        text = "type=B1 kappa=-1 ell=1\n" + "".join(
+            residual_line(("B1",) * len(k), -1, db.get(k, -1)) + "\n"
+            for k, kappa in db.keys() if kappa == -1)
+        renamed = ResidualDB.loads(text)
+        assert verify_generating_series([get_sing_type("B1", -1, renamed)], 3, renamed)
 
 
 class TestMultiSingType:
