@@ -2,10 +2,10 @@
 
 A model consists of an ambient truncated ring (the intersection ring of
 P^{n_1} x ... x P^{n_k}), the degree-1 divisor classes cutting the variety
-out, and the total tangent class as an ambient-ring representative obtained
-by adjunction.  Classes on the variety are always ambient representatives;
-every downstream operation factors through multiplication by the fundamental
-class, so representative ambiguity never leaks.
+out, and the inverse tangent class c(TX)^{-1}, an ambient representative found
+by adjunction with no inversion.  Classes on the variety are always ambient
+representatives; every downstream operation factors through multiplication
+by the fundamental class, so representative ambiguity never leaks.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -40,22 +41,31 @@ def _factor_names(count: int, names: Sequence[str] | None) -> tuple[str, ...]:
 
 
 class VarietyModel:
-    """A complete intersection inside a product of projective spaces."""
+    """A complete intersection inside a product of projective spaces.  Given only
+    c(TX), it inverts it; given only c(TX)^{-1}, it derives c(TX) on first read."""
 
-    __slots__ = ("ambient", "factor_dims", "divisors", "dimension",
-                 "tangent_total", "fundamental")
+    __slots__ = ("ambient", "factor_dims", "divisors", "dimension", "fundamental",
+                 "tangent_inverse", "_tangent")
 
     def __init__(self, ambient: RingSpec, factor_dims: tuple[int, ...],
                  divisors: tuple[GradedClass, ...], dimension: int,
-                 tangent_total: GradedClass, fundamental: GradedClass):
-        if tangent_total.constant_term() != 1:
+                 tangent_total: GradedClass | None, fundamental: GradedClass,
+                 tangent_inverse: GradedClass | None = None):
+        if (tangent_inverse or tangent_total).constant_term() != 1:
             raise ModelError("tangent class must have constant term 1")
         self.ambient = ambient
         self.factor_dims = factor_dims
         self.divisors = divisors
         self.dimension = dimension
-        self.tangent_total = tangent_total
         self.fundamental = fundamental
+        self._tangent = tangent_total
+        self.tangent_inverse = tangent_inverse or tangent_total.invert()
+
+    @property
+    def tangent_total(self) -> GradedClass:
+        if self._tangent is None:
+            self._tangent = self.tangent_inverse.invert()
+        return self._tangent
 
     def __repr__(self) -> str:
         factors = "x".join(f"P{d}" for d in self.factor_dims)
@@ -66,7 +76,9 @@ class VarietyModel:
 
 def product_projective(dims: Iterable[int],
                        names: Sequence[str] | None = None) -> VarietyModel:
-    """The product P^{d_1} x ... x P^{d_k} with its Euler-sequence tangent class."""
+    """The product P^{d_1} x ... x P^{d_k}: at prod h_i^(e_i) its Euler-sequence
+    tangent class has the coefficient prod C(d_i + 1, e_i), and its inverse
+    prod (-1)^(e_i) C(d_i + e_i, e_i)."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ModelError("need at least one projective factor")
@@ -74,11 +86,14 @@ def product_projective(dims: Iterable[int],
         raise ModelError("projective factors need dimension >= 1")
     if (size := math.prod(d + 1 for d in dims)) > MAX_RING_SIZE:
         raise ModelError(f"ring of {size} monomials exceeds MAX_RING_SIZE = {MAX_RING_SIZE}")
-    gen_names = _factor_names(len(dims), names)
-    ring = make_ring([(n, 1, d) for n, d in zip(gen_names, dims)])
-    tangent = reduce(mul, [(ring.one() + ring.gen(name)) ** (d + 1)
-                           for name, d in zip(gen_names, dims)])
-    return VarietyModel(ring, dims, (), sum(dims), tangent, ring.one())
+    ring = make_ring([(n, 1, d) for n, d in zip(_factor_names(len(dims), names), dims)])
+
+    def closed_form(coeff) -> GradedClass:  # coefficient prod coeff(d_i, e_i)
+        return GradedClass._trusted(ring, {m: Fraction(math.prod(map(coeff, dims, m)))
+                                           for m in product(*(range(d + 1) for d in dims))})
+
+    return VarietyModel(ring, dims, (), sum(dims), closed_form(lambda d, e: math.comb(d + 1, e)),
+                        ring.one(), closed_form(lambda d, e: (-1) ** e * math.comb(d + e, e)))
 
 
 def complete_intersection(ambient: VarietyModel,
@@ -88,8 +103,9 @@ def complete_intersection(ambient: VarietyModel,
 
     Each multidegree is either a degree-1 ambient class or an integer vector
     (d_1, ..., d_k) standing for sum d_i * g_i, with no negative entry or
-    coefficient (such a class cuts out no hypersurface).  The tangent class
-    follows by adjunction: c(TX) = c(T_ambient) / prod (1 + L_j).
+    coefficient (such a class cuts out no hypersurface).  With
+    E = prod (1 + L_j), [X] is the degree-m part of E (m divisors) and
+    adjunction gives c(TX)^{-1} = c(T_ambient)^{-1} * E.
     """
     if ambient.divisors:
         raise ModelError("ambient model must be a bare product of projective spaces")
@@ -116,10 +132,10 @@ def complete_intersection(ambient: VarietyModel,
         raise ModelError("too many divisors: dimension would drop to zero or below")
     if not classes:
         return ambient
-    fundamental = reduce(mul, classes)
-    tangent = ambient.tangent_total * reduce(mul, [ring.one() + L for L in classes]).invert()
+    E = reduce(mul, [ring.one() + L for L in classes])
     return VarietyModel(ring, ambient.factor_dims, tuple(classes),
-                        ambient.dimension - len(classes), tangent, fundamental)
+                        ambient.dimension - len(classes), None,
+                        E.graded_component(len(classes)), ambient.tangent_inverse * E)
 
 
 def integrate_on(variety: VarietyModel, p: GradedClass) -> Fraction:

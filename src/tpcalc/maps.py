@@ -7,6 +7,7 @@ pullbacks f^*(h_i) of the target's hyperplane classes (degree-1 classes on
 X).  They fix the rest: f^* is the ring map sending h_i to f^*(h_i), and
 since the monomials m of Y and their duals m^v = top/m are dual bases,
 f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
+c(f) = f^*c(TY) * c(TX)^{-1} takes no inverse, and each c^I is built once.
 The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
@@ -22,13 +23,11 @@ The test suite checks the projection formula on random classes.
 from __future__ import annotations
 
 import re
-from functools import reduce
-from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _integrate_product
 from .chow import ModelError, VarietyModel, parse_variety, product_projective
-from .symbolic import canon_index, index_c_degree, index_str
+from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
 class LNIndex(tuple):
@@ -54,7 +53,7 @@ class LNIndex(tuple):
 
 
 class MapModel:
-    """A proper map f: X -> Y: quotient Chern class, LN classes, caching.
+    """A proper map f: X -> Y: quotient Chern class, c^I and LN classes, cached.
 
     Subclasses give ``pullback`` and ``pushforward``; the target is a
     VarietyModel whose ambient ring holds the target classes.
@@ -69,6 +68,7 @@ class MapModel:
         self.kappa = self.target_ring.top_degree - source.dimension
         self._chern_total: GradedClass | None = None
         self._chern: dict[int, GradedClass] | None = None
+        self._c_monomials = {(): source.ambient.one()}  # I -> c^I
         self._ln_cache: dict[tuple[int, ...], GradedClass] = {}
 
     def pullback(self, beta: GradedClass) -> GradedClass:
@@ -81,7 +81,7 @@ class MapModel:
         """Total class of f^*TY - TX in the source's ambient ring."""
         if self._chern_total is None:
             pulled = self.pullback(self.target.tangent_total)
-            self._chern_total = pulled * self.source.tangent_total.invert()
+            self._chern_total = pulled * self.source.tangent_inverse
         return self._chern_total
 
     def chern(self, j: int) -> GradedClass:
@@ -90,13 +90,19 @@ class MapModel:
             self._chern = self.quotient_chern().components()
         return self._chern.get(j, self.source.ambient.zero())
 
+    def chern_monomial(self, I: Index) -> GradedClass:
+        """c^I for a canonical index I, cached, as c^(I - e_j) * c_j with j = len(I)."""
+        cI = self._c_monomials.get(I)
+        if cI is None:
+            lower = canon_index(I[:-1] + (I[-1] - 1,))
+            cI = self._c_monomials[I] = self.chern_monomial(lower) * self.chern(len(I))
+        return cI
+
     def landweber_novikov(self, I: Iterable[int]) -> GradedClass:
-        """s_I(f) = f_*(c_1^{i_1} c_2^{i_2} ...) in the target ring."""
+        """s_I(f) = f_*(c^I) in the target ring."""
         I = canon_index(I)
         if I not in self._ln_cache:
-            factors = [self.chern(j) ** e for j, e in enumerate(I, start=1) if e]
-            prod = reduce(mul, factors) if factors else self.source.ambient.one()
-            self._ln_cache[I] = self.pushforward(prod)
+            self._ln_cache[I] = self.pushforward(self.chern_monomial(I))
         return self._ln_cache[I]
 
     def __repr__(self) -> str:

@@ -302,8 +302,9 @@ def _monomial_sort_key(mono: Monomial):
 
 
 def render_expr(expr: SymbolicExpr) -> str:
+    names = {sym: _symbol_str(sym) for sym in {sym for mono in expr.terms for sym, _e in mono}}
     return render_sum(
-        (expr.terms[mono], [(_symbol_str(sym), e) for sym, e in mono])
+        (expr.terms[mono], [(names[sym], e) for sym, e in mono])
         for mono in sorted(expr.terms, key=_monomial_sort_key)
     )
 

@@ -30,9 +30,9 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, _mul_packed, integrate_top
+from .algebra import GradedClass, _integrate_product, _mul_packed
 from .maps import MapModel
-from .symbolic import SymbolicExpr, _push, c, packing_of, parse_expr, render_expr
+from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
 
 
 class SingTypeError(ValueError):
@@ -253,10 +253,8 @@ class ResidualDB:
         t = MultiSingType(names, kappa, self)
         want = t.ell_total - kappa
         if not R.is_homogeneous(want, kappa):
-            raise SingTypeError(
-                f"residual for {names} at kappa={kappa} must be homogeneous "
-                f"of degree {want}"
-            )
+            raise SingTypeError(f"types=[{','.join(names)}] kappa={kappa}: R must be "
+                                f"homogeneous of degree {want}")
         self._store[(names, kappa)] = R
 
     def remove(self, names: Iterable[str], kappa: int) -> None:
@@ -476,16 +474,30 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     ring = f.target_ring if actual == "target" else f.source.ambient
     total = ring.zero()
     for mono, coeff in expr.terms.items():
-        factors = []
+        K = c_exponents(mono)  # the c-part is the model's cached c^K
+        factors = [f.chern_monomial(K)] if K else []
         for (kind, payload), e in mono:
-            if kind == "c":
-                g = f.chern(payload)
-            elif kind == "s":
-                g = f.landweber_novikov(payload)
-            else:
-                g = f.pullback(f.landweber_novikov(payload))
-            factors.append(g ** e)
+            if kind == "s":
+                factors.append(f.landweber_novikov(payload) ** e)
+            elif kind == "fs":
+                factors.append(f.pullback(f.landweber_novikov(payload)) ** e)
         total = total + coeff * (reduce(operator.mul, factors) if factors else ring.one())
+    return total
+
+
+def _integrate(expr: SymbolicExpr, f: MapModel) -> Fraction:
+    """int_Y of a target-side expression on f, integrate_top(evaluate(expr, f)): of each
+    monomial, all factors but one copy of the last are multiplied, and the product is
+    paired with that copy by `_integrate_product`, which never forms the whole."""
+    if expr.side == "source":
+        raise ValueError("only a target-side expression integrates over Y")
+    ring, total = f.target_ring, Fraction(0)
+    for mono, coeff in expr.terms.items():
+        powers = [(f.landweber_novikov(I), e) for (_s, I), e in mono] or [(ring.one(), 1)]
+        last, e = powers.pop()
+        factors = [g ** k for g, k in powers + [(last, e - 1)] if k]
+        rest = reduce(operator.mul, factors) if factors else ring.one()
+        total += coeff * _integrate_product(ring, rest, last)
     return total
 
 
@@ -497,8 +509,7 @@ def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:
             "locus not zero-dimensional: ell(t) = "
             f"{t.ell_total} but dim Y = {f.target_ring.top_degree}"
         )
-    n_class = evaluate(expand_target(t, db), f, side="target")
-    return integrate_top(f.target_ring, n_class) / t.aut_order
+    return _integrate(expand_target(t, db), f) / t.aut_order
 
 
 # -- exponential generating identity ----------------------------------------------

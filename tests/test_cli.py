@@ -520,8 +520,10 @@ class TestDeclaredTypes:
          "B1 at kappa=1 already has ell=3, not 4"),
         ("types=[B1] kappa=1 R= c2\ntype=B1 kappa=1 ell=3\n", 1,
          "unknown singularity type 'B1' at kappa=1"),
+        ("type=B kappa=1 ell=3\ntypes=[B,B] kappa=1 R= c1^4\n", 2,
+         "types=[B,B] kappa=1: R must be homogeneous of degree 5"),
     ], ids=["A0", "bad-name", "ell-below-kappa", "contradicts-built-in",
-            "contradicts-earlier", "declared-further-down"])
+            "contradicts-earlier", "declared-further-down", "not-homogeneous"])
     def test_a_refused_line_exits_2_with_its_number(self, capsys, tmp_path, text, lineno,
                                                     message):
         dbfile = tmp_path / "bad.db"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcalc.algebra import GradedClass, integrate_top, parse_class, render_class
-from tpcalc.chow import ModelError, integrate_on, product_projective
+from tpcalc.chow import ModelError, VarietyModel, integrate_on, product_projective
+from tpcalc.interp import chern_monomials_of_degree
 from tpcalc.maps import (
     LNIndex,
     get_model,
@@ -15,6 +16,8 @@ from tpcalc.maps import (
     projection_from_product,
     rational_curve_model,
 )
+from tpcalc.symbolic import SymbolicExpr, c, fs
+from tpcalc.tpcore import _integrate, count_points, default_db, evaluate, expand_target, multi_type
 from tpcalc.verify import PROPERTY_MODELS, projection_formula_holds
 
 
@@ -276,12 +279,37 @@ def reference_pushforward(f, alpha):
     return out
 
 
-def reference_quotient_chern(f):
-    ring = f.target_ring
+# The variety builders before they dropped `invert`: c(TX) as c(T_ambient)
+# times the inverse of prod (1 + L_j), and [X] as the separate product of the L_j.
+
+
+def reference_tangent(X):
+    ring = X.ambient
     tangent = ring.one()
-    for name, dim in zip(ring.names, ring.bounds):
+    for name, dim in zip(ring.names, X.factor_dims):
         tangent = tangent * (ring.one() + ring.gen(name)) ** (dim + 1)
-    return reference_pullback(f, tangent) * f.source.tangent_total.invert()
+    for L in X.divisors:
+        tangent = tangent * (ring.one() + L).invert()
+    return tangent
+
+
+def reference_fundamental(X):
+    fundamental = X.ambient.one()
+    for L in X.divisors:
+        fundamental = fundamental * L
+    return fundamental
+
+
+def reference_quotient_chern(f):
+    return reference_pullback(f, reference_tangent(f.target)) * reference_tangent(f.source).invert()
+
+
+def reference_c_monomial(f, I):
+    """c^I as a product of powers of the c_j."""
+    prod = f.source.ambient.one()
+    for j, e in enumerate(I, start=1):
+        prod = prod * f.chern(j) ** e
+    return prod
 
 
 def reference_landweber_novikov(f, I):
@@ -311,10 +339,10 @@ def seeded_descriptions(seed, count, target_size):
     return out
 
 
-MODEL_NAMES = (["veronese-p3", "scroll-q-p3"]
-               + [f"{m}:{d}" for m in ("ratcurve", "pencil", "web3", "dual-surface")
-                  for d in (1, 2, 4)]
-               + seeded_descriptions(7, 8, 1) + seeded_descriptions(8, 8, 2))
+SHIPPED_NAMES = (["veronese-p3", "scroll-q-p3"]
+                 + [f"{m}:{d}" for m in ("ratcurve", "pencil", "web3", "dual-surface")
+                    for d in (1, 2, 4)])
+MODEL_NAMES = SHIPPED_NAMES + seeded_descriptions(7, 8, 1) + seeded_descriptions(8, 8, 2)
 LN_INDICES = [(), (1,), (2,), (0, 1), (3,), (1, 1), (0, 0, 1), (4,), (2, 1),
               (0, 2), (1, 0, 1), (0, 0, 0, 1)]
 
@@ -359,9 +387,112 @@ def test_chern_and_ln_classes_match_references(name, I):
     assert f.quotient_chern() == reference_quotient_chern(f)
 
 
+@st.composite
+def projection_descriptions(draw):
+    """A random 'product [...] ci [...] -> [...]' factor projection."""
+    k = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    vector = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+    vectors = draw(st.lists(vector, max_size=min(3, sum(dims) - 1)))
+    target = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1, unique=True))
+    desc = f"product {dims}"
+    if vectors:
+        desc += " ci [" + ",".join(str(tuple(v)) for v in vectors) + "]"
+    return f"{desc} -> {sorted(target)}"
+
+
+def assert_model_matches_retired_routes(f, I):
+    for X in (f.source, f.target):
+        assert X.tangent_total == reference_tangent(X)
+        assert X.fundamental == reference_fundamental(X)
+        assert X.tangent_inverse * X.tangent_total == X.ambient.one()
+    assert f.quotient_chern() == reference_quotient_chern(f)
+    assert f.chern_monomial(LNIndex(I)) == reference_c_monomial(f, I)
+
+
+@given(st.sampled_from(MODEL_NAMES), st.sampled_from(LN_INDICES))
+@settings(max_examples=100, deadline=None)
+def test_shipped_models_match_the_retired_routes(name, I):
+    assert_model_matches_retired_routes(get_model(name), I)
+
+
+@given(projection_descriptions(), st.sampled_from(LN_INDICES))
+@settings(max_examples=100, deadline=None)
+def test_random_projections_match_the_retired_routes(desc, I):
+    assert_model_matches_retired_routes(get_model(desc), I)
+
+
+def test_a_variety_given_one_tangent_class_derives_the_other():
+    X = product_projective([2, 1])
+    shape = (X.ambient, X.factor_dims, (), X.dimension)
+    given_total = VarietyModel(*shape, X.tangent_total, X.fundamental)
+    given_inverse = VarietyModel(*shape, None, X.fundamental, X.tangent_inverse)
+    assert given_total.tangent_inverse == X.tangent_inverse
+    assert given_inverse.tangent_total == X.tangent_total
+    with pytest.raises(ModelError):
+        VarietyModel(*shape, None, X.fundamental, 2 * X.tangent_inverse)
+
+
 @given(model_with_classes())
 @settings(max_examples=100, deadline=None)
 def test_integrate_on_pairs_without_the_product(case):
     f, alpha, _ = case
     X = f.source
     assert integrate_on(X, alpha) == integrate_top(X.ambient, alpha * X.fundamental)
+
+
+# -- point counts by pairing ----------------------------------------------------
+#
+# The retired route evaluates the whole target class and reads its top
+# coefficient: integrate_top(evaluate(expr, f)).
+
+
+def reference_integrate(expr, f):
+    return integrate_top(f.target_ring, evaluate(expr, f, side="target"))
+
+
+@st.composite
+def model_with_target_expression(draw):
+    """A model and a sum of s-monomials, most of them completed to degree dim Y
+    by one more factor (else nearly every integral would be 0)."""
+    f = _model(draw(st.sampled_from(MODEL_NAMES)))
+    live = [I for I in LN_INDICES if LNIndex(I).c_degree <= f.source.dimension]  # c^I != 0
+    power = st.tuples(st.sampled_from(live), st.integers(1, 3))
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        powers = draw(st.lists(power, max_size=2))
+        rest = (f.target_ring.top_degree - f.kappa
+                - sum((f.kappa + LNIndex(I).c_degree) * e for I, e in powers))
+        if rest >= 0 and draw(st.booleans()):
+            powers.append((draw(st.sampled_from(chern_monomials_of_degree(rest))), 1))
+        terms[tuple((("s", I), e) for I, e in powers)] = draw(coeff)
+    return f, SymbolicExpr(terms)
+
+
+@given(model_with_target_expression())
+@settings(max_examples=200, deadline=None)
+def test_integrate_matches_the_evaluated_class(case):
+    f, expr = case
+    assert _integrate(expr, f) == reference_integrate(expr, f)
+
+
+@pytest.mark.parametrize("name", SHIPPED_NAMES)
+def test_counts_match_the_evaluated_class(name):
+    f, db = _model(name), default_db()
+    counted = 0
+    for spec in ("A0,A0", "A0,A0,A0", "A0,A0,A0,A0", "A1", "A0,A1", "A1,A1", "A1,A1,A1"):
+        t = multi_type(spec, f.kappa) if f.kappa > 0 or "A0" not in spec else None
+        if t is None or t.ell_total != f.target_ring.top_degree:
+            continue
+        want = reference_integrate(expand_target(t, db), f) / t.aut_order
+        assert count_points(f, t, db) == want
+        counted += 1
+    assert counted
+
+
+def test_integrate_refuses_source_symbols():
+    f = _model("veronese-p3")
+    for expr in (c(1), fs() + 1):
+        with pytest.raises(ValueError):
+            _integrate(expr, f)
