@@ -42,7 +42,8 @@ def _factor_names(count: int, names: Sequence[str] | None) -> tuple[str, ...]:
 
 class VarietyModel:
     """A complete intersection inside a product of projective spaces.  Given only
-    c(TX), it inverts it; given only c(TX)^{-1}, it derives c(TX) on first read."""
+    c(TX), it inverts it; given only c(TX)^{-1}, it derives c(TX) on first read;
+    given neither, it raises ModelError."""
 
     __slots__ = ("ambient", "factor_dims", "divisors", "dimension", "fundamental",
                  "tangent_inverse", "_tangent")
@@ -51,7 +52,10 @@ class VarietyModel:
                  divisors: tuple[GradedClass, ...], dimension: int,
                  tangent_total: GradedClass | None, fundamental: GradedClass,
                  tangent_inverse: GradedClass | None = None):
-        if (tangent_inverse or tangent_total).constant_term() != 1:
+        given = tangent_inverse or tangent_total
+        if given is None:
+            raise ModelError("a variety model needs tangent_total or tangent_inverse")
+        if given.constant_term() != 1:
             raise ModelError("tangent class must have constant term 1")
         self.ambient = ambient
         self.factor_dims = factor_dims

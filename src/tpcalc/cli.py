@@ -4,10 +4,15 @@ Subcommands: expand, eval, count, porteous, extract, interp, oracle, verify.
 Exit codes: 0 success, 1 a mathematical check failed (a `count` that is
 not a non-negative integer included) or stdout was closed before the report
 was written, 2 usage errors (unknown subcommand,
-model or type, an unreadable --db, an input above a size limit).  `--json`
-emits a structured report carrying the same payload as the text output;
-timing lives outside the checked payload so reports are deterministic for
-fixed inputs.
+model or type, an unreadable --db, an input above a size limit).
+
+`main` makes every report: its `inputs` are the parsed options less `--db`
+and `--json`, keyed by dest (`constraints` for `--constraint`).  It loads the
+store once for a subcommand that takes `--db` and hands it to the handler,
+which only fills in `result` or `checks`.  `--json` emits the report as
+{command, inputs, result, checks, elapsed_ms}, the same payload as the text
+output; timing lives outside the checked payload so reports are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import verify as verify_suites
@@ -50,7 +55,7 @@ ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2
 ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 2 s at degree 14
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -67,14 +72,7 @@ class Report:
         return all(c["pass"] for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "checks": self.checks,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        return json.dumps(payload, indent=2, default=str)
+        return json.dumps(asdict(self), indent=2, default=str)
 
     def to_text(self) -> str:
         lines = []
@@ -94,9 +92,8 @@ class Report:
         return "\n".join(lines)
 
 
-def _load_db(args):
+def _load_db(path: str | None):
     db = default_db()
-    path = getattr(args, "db", None)
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -116,21 +113,13 @@ def _expand(t: MultiSingType, side: str, normalized: bool, db):
     return expr / t.aut_order_rest if normalized else expr
 
 
-def _cmd_expand(args) -> Report:
-    db = _load_db(args)
+def _cmd_expand(args, rep: Report, db) -> None:
     t = multi_type(args.type, args.kappa, db)
-    rep = Report("expand", {"type": args.type, "kappa": args.kappa,
-                            "side": args.side, "normalized": args.normalized})
     rep.result = render_expr(_expand(t, args.side, args.normalized, db))
-    return rep
 
 
-def _cmd_eval(args) -> Report:
-    db = _load_db(args)
+def _cmd_eval(args, rep: Report, db) -> None:
     model = get_model(args.model)
-    rep = Report("eval", {"model": args.model, "expr": args.expr,
-                          "type": args.type, "side": args.side,
-                          "normalized": args.normalized})
     if (args.expr is None) == (args.type is None):
         raise UsageError("eval needs exactly one of --expr or --type")
     if args.expr is not None:
@@ -141,53 +130,39 @@ def _cmd_eval(args) -> Report:
     else:
         side = args.side or "target"
         expr = _expand(multi_type(args.type, model.kappa, db), side, args.normalized, db)
-    value = evaluate(expr, model, side=side)
-    rep.result = render_class(value)
-    return rep
+    rep.result = render_class(evaluate(expr, model, side=side))
 
 
-def _cmd_count(args) -> Report:
-    db = _load_db(args)
+def _cmd_count(args, rep: Report, db) -> None:
     model = get_model(args.model)
-    t = multi_type(args.type, model.kappa, db)
-    rep = Report("count", {"model": args.model, "type": args.type})
-    n = count_points(model, t, db)
+    n = count_points(model, multi_type(args.type, model.kappa, db), db)
     rep.result = str(n)
     if n < 0 or n.denominator != 1:  # a wrong db entry or a non-generic map
         rep.checks.append({"name": "count", "expected": "a non-negative integer",
                            "got": str(n), "pass": False})
-    return rep
 
 
-def _cmd_porteous(args) -> Report:
+def _cmd_porteous(args, rep: Report) -> None:
     if args.k > PORTEOUS_MAX_K:
-        raise ValueError(f"--k {args.k} is above the limit of {PORTEOUS_MAX_K}; "
+        raise UsageError(f"--k {args.k} is above the limit of {PORTEOUS_MAX_K}; "
                          "the determinant's cost grows about 2^k * k")
-    rep = Report("porteous", {"kappa": args.kappa, "k": args.k})
     rep.result = render_expr(thom_porteous(args.kappa, args.k))
-    return rep
 
 
-def _cmd_extract(args) -> Report:
-    db = _load_db(args)
+def _cmd_extract(args, rep: Report, db) -> None:
     t = multi_type(args.type, args.kappa, db)
-    known = parse_expr(args.known)
-    R = extract_residual(t, known, args.side, db)
-    rep = Report("extract", {"type": args.type, "kappa": args.kappa,
-                             "side": args.side, "known": args.known})
+    R = extract_residual(t, parse_expr(args.known), args.side, db)
     rep.result = residual_line(t.key, t.kappa, R)
-    return rep
 
 
-def _cmd_interp(args) -> Report:
-    db = _load_db(args)
+def _cmd_interp(args, rep: Report, db) -> None:
     t = multi_type(args.type, args.kappa, db)
     if t.ell_total - t.kappa > INTERP_MAX_DEGREE:
         raise UsageError(f"the residual degree ell - kappa = {t.ell_total - t.kappa} is above "
                          f"the limit of {INTERP_MAX_DEGREE}; the unknowns are the Chern "
                          "monomials of that degree")
     constraints = []
-    for spec in args.constraint:
+    for spec in args.constraints:
         name, _, value = spec.partition("=")
         if not value:
             raise UsageError(f"constraint {spec!r} must look like model=count")
@@ -202,8 +177,6 @@ def _cmd_interp(args) -> Report:
         constraints.append((name.strip(), get_model(name.strip()), count))
     system = assemble_system(t, db, constraints)
     outcome = solve_exact(system)
-    rep = Report("interp", {"type": args.type, "kappa": args.kappa,
-                            "constraints": list(args.constraint)})
     if outcome.status == "unique":
         rep.result = residual_line(t.key, t.kappa, outcome.residual())
     elif outcome.status == "underdetermined":
@@ -217,10 +190,9 @@ def _cmd_interp(args) -> Report:
         }
     else:
         rep.result = {"status": "inconsistent", "violated": outcome.violated}
-    return rep
 
 
-def _cmd_oracle(args) -> Report:
+def _cmd_oracle(args, rep: Report) -> None:
     too_many_digits = UsageError("a coefficient or the common denominator of a curve "
                                  f"coordinate has more than {ORACLE_MAX_DIGITS} digits")
     # 10000/10000*t reduces below the limit, but Python 3.11+ refuses to read
@@ -233,25 +205,18 @@ def _cmd_oracle(args) -> Report:
         if max([den, *(abs(a * den) for a in p)]) >= 10 ** ORACLE_MAX_DIGITS:
             raise too_many_digits
     deg = double_point_degree(curve)
-    d = curve.degree
-    predicted = verify_suites.engine_double_point_degree(d)
-    rep = Report("oracle", {"curve": args.curve})
     rep.result = {
         "x": poly_str(curve.x),
         "y": poly_str(curve.y),
-        "degree": d,
+        "degree": curve.degree,
         "immersive": curve.is_immersive(),
         "delta_degree": deg,
-        "engine_class_degree": str(predicted),
+        "engine_class_degree": str(verify_suites.engine_double_point_degree(curve.degree)),
     }
-    return rep
 
 
-def _cmd_verify(args) -> Report:
-    rep = Report("verify", {"suite": args.suite})
-    checks = verify_suites.run_suite(args.suite)
-    rep.checks = checks
-    return rep
+def _cmd_verify(args, rep: Report) -> None:
+    rep.checks = verify_suites.run_suite(args.suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,16 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_db(p):
         p.add_argument("--db", help="residual-db file merged over the built-in store")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="structured output")
-
     p = sub.add_parser("expand", help="print a multi-singularity expansion")
     p.add_argument("--type", required=True, help="comma-separated names, e.g. A0,A0,A1")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--side", choices=["source", "target"], default="target")
     p.add_argument("--normalized", action="store_true",
                    help="divide by #Aut (target) or #Aut of the tail (source)")
-    add_db(p); add_json(p)
+    add_db(p)
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("eval", help="evaluate an expression on a named model")
@@ -284,19 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", help="expand this multi-type instead of --expr")
     p.add_argument("--side", choices=["source", "target"])
     p.add_argument("--normalized", action="store_true")
-    add_db(p); add_json(p)
+    add_db(p)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("count", help="count points of a zero-dimensional locus")
     p.add_argument("--model", required=True)
     p.add_argument("--type", required=True)
-    add_db(p); add_json(p)
+    add_db(p)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("porteous", help="corank-1 determinantal polynomial")
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_json(p)
     p.set_defaults(fn=_cmd_porteous)
 
     p = sub.add_parser("extract", help="invert an expansion to its residual")
@@ -304,29 +265,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--side", choices=["source", "target"], required=True)
     p.add_argument("--known", required=True, help="the known expansion")
-    add_db(p); add_json(p)
+    add_db(p)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("interp", help="solve for a residual from model counts")
     p.add_argument("--type", required=True)
     p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--constraint", action="append", default=[],
+    p.add_argument("--constraint", action="append", default=[], dest="constraints",
                    metavar="MODEL=COUNT", help="may be repeated")
-    add_db(p); add_json(p)
+    add_db(p)
     p.set_defaults(fn=_cmd_interp)
 
     p = sub.add_parser("oracle", help="resultant double-point count for a curve")
     p.add_argument("--curve", required=True, help="e.g. 't^2, t^3'")
-    add_json(p)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
-                   choices=["table1", "classical", "series", "properties"])
-    add_json(p)
+                   choices=list(verify_suites.SUITES))
     p.set_defaults(fn=_cmd_verify)
 
     for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="structured output")
         p.set_defaults(subparser=p)  # main prints the failing subcommand's usage
     return parser
 
@@ -339,8 +299,14 @@ def main(argv: list[str] | None = None) -> int:
         if abs(getattr(args, "kappa", 0)) > KAPPA_MAX:
             raise UsageError(f"--kappa {args.kappa} is beyond the limit of {KAPPA_MAX} "
                              "in absolute value; expansions grow with |kappa|")
-        report: Report = args.fn(args)
-    except (ValueError, MissingResidual, UsageError) as exc:
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("cmd", "fn", "subparser", "db", "json")}
+        report = Report(args.cmd, inputs)
+        if hasattr(args, "db"):
+            args.fn(args, report, _load_db(args.db))
+        else:
+            args.fn(args, report)
+    except (ValueError, MissingResidual) as exc:
         print(f"error: {exc}", file=sys.stderr)
         args.subparser.print_usage(sys.stderr)
         return 2

@@ -30,6 +30,19 @@ from .chow import ModelError, VarietyModel, parse_variety, product_projective
 from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
+def _memo(table: dict, key, step) -> GradedClass:
+    """table[key] = table[lower] * factor for (lower, factor) = step(key), filled up
+    from the nearest cached entry in a loop, so no recursion depth grows with key."""
+    chain, k = [], key
+    while k not in table:
+        lower, factor = step(k)
+        chain.append((k, lower, factor))
+        k = lower
+    for k, lower, factor in reversed(chain):
+        table[k] = table[lower] * factor
+    return table[key]
+
+
 class LNIndex(tuple):
     """A Landweber-Novikov index: exponents (i_1, ..., i_k), trailing zeros
     trimmed; the empty index prints as "0" and stands for the pushforward
@@ -92,17 +105,17 @@ class MapModel:
 
     def chern_monomial(self, I: Index) -> GradedClass:
         """c^I for a canonical index I, cached, as c^(I - e_j) * c_j with j = len(I)."""
-        cI = self._c_monomials.get(I)
-        if cI is None:
-            lower = canon_index(I[:-1] + (I[-1] - 1,))
-            cI = self._c_monomials[I] = self.chern_monomial(lower) * self.chern(len(I))
-        return cI
+        return _memo(self._c_monomials, I,
+                     lambda I: (canon_index(I[:-1] + (I[-1] - 1,)), self.chern(len(I))))
 
     def landweber_novikov(self, I: Iterable[int]) -> GradedClass:
-        """s_I(f) = f_*(c^I) in the target ring."""
+        """s_I(f) = f_*(c^I) in the target ring; zero above its top degree, where
+        c^I is not built."""
         I = canon_index(I)
         if I not in self._ln_cache:
-            self._ln_cache[I] = self.pushforward(self.chern_monomial(I))
+            above = self.kappa + index_c_degree(I) > self.target_ring.top_degree
+            self._ln_cache[I] = (self.target_ring.zero() if above
+                                 else self.pushforward(self.chern_monomial(I)))
         return self._ln_cache[I]
 
     def __repr__(self) -> str:
@@ -131,12 +144,10 @@ class ProductTargetMap(MapModel):
 
     def _image(self, table: dict, m: tuple[int, ...]) -> GradedClass:
         """The unit entry of table times f^*(m), cached in table."""
-        img = table.get(m)
-        if img is None:
+        def step(m):
             i = next(i for i, e in enumerate(m) if e)
-            lower = m[:i] + (m[i] - 1,) + m[i + 1:]
-            img = table[m] = self._image(table, lower) * self.hyperplanes[i]
-        return img
+            return m[:i] + (m[i] - 1,) + m[i + 1:], self.hyperplanes[i]
+        return _memo(table, m, step)
 
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:

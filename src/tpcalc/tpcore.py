@@ -474,6 +474,8 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     ring = f.target_ring if actual == "target" else f.source.ambient
     total = ring.zero()
     for mono, coeff in expr.terms.items():
+        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+            continue  # zero in the ring, so no index is built
         K = c_exponents(mono)  # the c-part is the model's cached c^K
         factors = [f.chern_monomial(K)] if K else []
         for (kind, payload), e in mono:

@@ -84,6 +84,11 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "--model", "veronese-p3"])
         assert code == 2
 
+    @pytest.mark.parametrize("expr", ["c1^1500", "fs_(1500)", "s_(1500)", "c99999999"])
+    def test_monomial_above_the_top_degree_prints_0(self, capsys, expr):
+        code, out, err = run(capsys, ["eval", "--model", "veronese-p3", "--expr", expr])
+        assert (code, out.splitlines()[0], err) == (0, "0", "")
+
     def test_unknown_model_exits_2(self, capsys):
         code, _, err = run(capsys, [
             "eval", "--model", "k3-surface", "--expr", "c2"

@@ -431,6 +431,20 @@ def test_a_variety_given_one_tangent_class_derives_the_other():
     assert given_inverse.tangent_total == X.tangent_total
     with pytest.raises(ModelError):
         VarietyModel(*shape, None, X.fundamental, 2 * X.tangent_inverse)
+    with pytest.raises(ModelError, match="needs tangent_total or tangent_inverse"):
+        VarietyModel(*shape, None, X.fundamental)
+
+
+def test_a_long_chain_of_chern_monomials_needs_no_deep_recursion():
+    X = product_projective([1200])  # 1201 monomials; c_1^1100 is not zero
+    f = linear_projection_model(X, X.ambient.gen("h"), 1)
+    cI = f.chern_monomial((1100,))
+    assert not cI.is_zero() and cI == f.chern(1) ** 1100
+
+
+def test_a_long_chain_of_pulled_back_monomials_needs_no_deep_recursion():
+    f = get_model("product [1500,1] -> [0]")  # 3002 monomials
+    assert f.pullback(f.target_ring.gen("h") ** 1400) == f.source.ambient.gen("h") ** 1400
 
 
 @given(model_with_classes())

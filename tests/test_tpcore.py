@@ -596,6 +596,14 @@ class TestEvaluate:
         assert evaluate(c(2), f, side="source") == evaluate(c(2), f)
         assert evaluate(SymbolicExpr.constant(2), f, side="target").ring == f.target_ring
 
+    @pytest.mark.parametrize("text", ["c1^3", "c3", "fs_1*c1", "s_0^4", "s_2*s_0",
+                                      "c1^1500", "fs_(1500)", "s_(1500)", "c99999999"])
+    def test_a_monomial_above_the_top_degree_is_zero(self, text):
+        f = get_model("veronese-p3")  # dim X = 2, dim Y = 3
+        expr = parse_expr(text)
+        assert evaluate(expr, f).is_zero()
+        assert evaluate(expr + 1, f) == evaluate(SymbolicExpr.constant(1), f, side=expr.side)
+
     def test_target_expression_lands_in_target_ring(self, db):
         f = get_model("veronese-p3")
         got = evaluate(expand_target(multi_type("A0,A0", 1), db), f)
