@@ -44,6 +44,7 @@ from .tpcore import (
     extract_residual,
     multi_type,
     residual_line,
+    sing_ell,
     thom_porteous,
 )
 
@@ -104,6 +105,17 @@ def _load_db(path: str | None):
     return db
 
 
+def _multi_type(spec: str, kappa: int, db) -> MultiSingType:
+    """multi_type, refusing an entry whose ell is above KAPPA_MAX: A0's ell is kappa,
+    and an s-index of degree ell is dense, so a declared ell lies on the same axis."""
+    t = multi_type(spec, kappa, db)
+    for name in dict.fromkeys(t.entries):
+        if (ell := sing_ell(name, kappa, db)) > KAPPA_MAX:
+            raise UsageError(f"{name} at kappa={kappa} has ell={ell}, beyond the limit of "
+                             f"{KAPPA_MAX}; expansions grow with ell")
+    return t
+
+
 def _expand(t: MultiSingType, side: str, normalized: bool, db):
     """The expansion on one side, divided by #Aut (of the tail) if normalized."""
     if side == "target":
@@ -114,7 +126,7 @@ def _expand(t: MultiSingType, side: str, normalized: bool, db):
 
 
 def _cmd_expand(args, rep: Report, db) -> None:
-    t = multi_type(args.type, args.kappa, db)
+    t = _multi_type(args.type, args.kappa, db)
     rep.result = render_expr(_expand(t, args.side, args.normalized, db))
 
 
@@ -126,16 +138,15 @@ def _cmd_eval(args, rep: Report, db) -> None:
         if args.normalized:
             raise UsageError("--normalized applies only to --type")
         expr = parse_expr(args.expr)
-        side = args.side or (expr.side if expr.side != "scalar" else "source")
     else:
-        side = args.side or "target"
-        expr = _expand(multi_type(args.type, model.kappa, db), side, args.normalized, db)
-    rep.result = render_class(evaluate(expr, model, side=side))
+        t = _multi_type(args.type, model.kappa, db)
+        expr = _expand(t, args.side or "target", args.normalized, db)
+    rep.result = render_class(evaluate(expr, model, side=args.side))
 
 
 def _cmd_count(args, rep: Report, db) -> None:
     model = get_model(args.model)
-    n = count_points(model, multi_type(args.type, model.kappa, db), db)
+    n = count_points(model, _multi_type(args.type, model.kappa, db), db)
     rep.result = str(n)
     if n < 0 or n.denominator != 1:  # a wrong db entry or a non-generic map
         rep.checks.append({"name": "count", "expected": "a non-negative integer",
@@ -150,13 +161,13 @@ def _cmd_porteous(args, rep: Report) -> None:
 
 
 def _cmd_extract(args, rep: Report, db) -> None:
-    t = multi_type(args.type, args.kappa, db)
+    t = _multi_type(args.type, args.kappa, db)
     R = extract_residual(t, parse_expr(args.known), args.side, db)
     rep.result = residual_line(t.key, t.kappa, R)
 
 
 def _cmd_interp(args, rep: Report, db) -> None:
-    t = multi_type(args.type, args.kappa, db)
+    t = _multi_type(args.type, args.kappa, db)
     if t.ell_total - t.kappa > INTERP_MAX_DEGREE:
         raise UsageError(f"the residual degree ell - kappa = {t.ell_total - t.kappa} is above "
                          f"the limit of {INTERP_MAX_DEGREE}; the unknowns are the Chern "

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import RingSpec
+from .algebra import RingSpec, integrate_top
 from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr, s
-from .tpcore import MultiSingType, ResidualDB, _integrate, _partition_sum
+from .tpcore import MultiSingType, ResidualDB, _partition_sum, evaluate
 
 
 def chern_monomials_of_degree(degree: int) -> list[Index]:
@@ -70,8 +70,9 @@ def assemble_system(t: MultiSingType, db: ResidualDB,
                 f"constraint {label!r}: ell(t) = {t.ell_total} but the model's "
                 f"target has dimension {model.target_ring.top_degree}"
             )
-        base = _integrate(proper, model)
-        coeffs = [_integrate(s(*I), model) for I in system.unknowns]
+        ring = model.target_ring
+        base = integrate_top(ring, evaluate(proper, model, "target"))
+        coeffs = [integrate_top(ring, evaluate(s(*I), model, "target")) for I in system.unknowns]
         system.rows.append((coeffs, t.aut_order * Fraction(count) - base, label))
     return system
 

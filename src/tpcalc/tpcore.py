@@ -30,7 +30,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, _integrate_product, _mul_packed
+from .algebra import GradedClass, _mul_packed, integrate_top
 from .maps import MapModel
 from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
 
@@ -472,7 +472,7 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     elif side not in (None, actual):
         raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
     ring = f.target_ring if actual == "target" else f.source.ambient
-    total = ring.zero()
+    terms: dict = {}  # every monomial's class is added in here, copying no running sum
     for mono, coeff in expr.terms.items():
         if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
             continue  # zero in the ring, so no index is built
@@ -483,24 +483,10 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
                 factors.append(f.landweber_novikov(payload) ** e)
             elif kind == "fs":
                 factors.append(f.pullback(f.landweber_novikov(payload)) ** e)
-        total = total + coeff * (reduce(operator.mul, factors) if factors else ring.one())
-    return total
-
-
-def _integrate(expr: SymbolicExpr, f: MapModel) -> Fraction:
-    """int_Y of a target-side expression on f, integrate_top(evaluate(expr, f)): of each
-    monomial, all factors but one copy of the last are multiplied, and the product is
-    paired with that copy by `_integrate_product`, which never forms the whole."""
-    if expr.side == "source":
-        raise ValueError("only a target-side expression integrates over Y")
-    ring, total = f.target_ring, Fraction(0)
-    for mono, coeff in expr.terms.items():
-        powers = [(f.landweber_novikov(I), e) for (_s, I), e in mono] or [(ring.one(), 1)]
-        last, e = powers.pop()
-        factors = [g ** k for g, k in powers + [(last, e - 1)] if k]
-        rest = reduce(operator.mul, factors) if factors else ring.one()
-        total += coeff * _integrate_product(ring, rest, last)
-    return total
+        value = reduce(operator.mul, factors) if factors else ring.one()
+        for m, x in value.terms.items():
+            terms[m] = terms.get(m, 0) + coeff * x
+    return GradedClass._trusted(ring, {m: x for m, x in terms.items() if x})
 
 
 def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:
@@ -511,7 +497,7 @@ def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:
             "locus not zero-dimensional: ell(t) = "
             f"{t.ell_total} but dim Y = {f.target_ring.top_degree}"
         )
-    return _integrate(expand_target(t, db), f) / t.aut_order
+    return integrate_top(f.target_ring, evaluate(expand_target(t, db), f, "target")) / t.aut_order
 
 
 # -- exponential generating identity ----------------------------------------------

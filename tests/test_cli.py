@@ -195,6 +195,41 @@ class TestKappaLimit:
         assert out.splitlines()[0] == "s_0"
 
 
+class TestDeclaredEllLimit:
+    """A type declared in --db with ell above KAPPA_MAX: A0's ell is kappa, and an
+    s-index of degree ell is as dense as one at that kappa."""
+
+    @staticmethod
+    def declare_b(tmp_path, ell):
+        dbfile = tmp_path / "b.db"
+        dbfile.write_text(f"type=B kappa=1 ell={ell}\ntypes=[B] kappa=1 R= c{ell - 1}\n")
+        return str(dbfile)
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--type", "B", "--kappa", "1"],
+        ["eval", "--model", "veronese-p3", "--type", "B"],
+    ], ids=lambda argv: argv[0])
+    def test_past_the_limit_fails_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        def never(*args):
+            raise AssertionError("no expansion past the ell limit")
+
+        monkeypatch.setattr(cli, "_expand", never)
+        ell = cli.KAPPA_MAX + 1
+        code, out, err = run(capsys, argv + ["--db", self.declare_b(tmp_path, ell)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            f"error: B at kappa=1 has ell={ell}, beyond the limit of {cli.KAPPA_MAX}; "
+            "expansions grow with ell")
+
+    def test_at_the_limit_runs(self, capsys, tmp_path):
+        db = self.declare_b(tmp_path, cli.KAPPA_MAX)
+        code, out, _ = run(capsys, ["expand", "--type", "B", "--kappa", "1", "--db", db])
+        assert code == 0
+        assert out.splitlines()[0] == "s_" + "0" * (cli.KAPPA_MAX - 2) + "1"
+        code, out, _ = run(capsys, ["eval", "--model", "veronese-p3", "--type", "B", "--db", db])
+        assert (code, out.splitlines()[0]) == (0, "0")
+
+
 class TestExtract:
     def test_table_row(self, capsys):
         code, out, _ = run(capsys, [

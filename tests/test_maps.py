@@ -1,12 +1,15 @@
 import functools
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcalc.algebra import GradedClass, integrate_top, parse_class, render_class
+from tpcalc.algebra import (GradedClass, _integrate_product, integrate_top, parse_class,
+                            render_class)
 from tpcalc.chow import ModelError, VarietyModel, integrate_on, product_projective
 from tpcalc.interp import chern_monomials_of_degree
 from tpcalc.maps import (
@@ -16,8 +19,8 @@ from tpcalc.maps import (
     projection_from_product,
     rational_curve_model,
 )
-from tpcalc.symbolic import SymbolicExpr, c, fs
-from tpcalc.tpcore import _integrate, count_points, default_db, evaluate, expand_target, multi_type
+from tpcalc.symbolic import SymbolicExpr, c_exponents
+from tpcalc.tpcore import count_points, default_db, evaluate, expand_target, multi_type
 from tpcalc.verify import PROPERTY_MODELS, projection_formula_holds
 
 
@@ -455,14 +458,48 @@ def test_integrate_on_pairs_without_the_product(case):
     assert integrate_on(X, alpha) == integrate_top(X.ambient, alpha * X.fundamental)
 
 
-# -- point counts by pairing ----------------------------------------------------
+# -- the retired evaluation routes, kept as references --------------------------
 #
-# The retired route evaluates the whole target class and reads its top
-# coefficient: integrate_top(evaluate(expr, f)).
+# Counts and interpolation equations read the top coefficient of `evaluate`'s
+# class, and `evaluate` sums its monomials' classes in one terms dict.  The
+# retired routes: pairing all factors but one copy of the last with that copy
+# (never forming the whole class), and summing the monomials' classes one
+# GradedClass addition at a time.
 
 
 def reference_integrate(expr, f):
-    return integrate_top(f.target_ring, evaluate(expr, f, side="target"))
+    if expr.side == "source":
+        raise ValueError("only a target-side expression integrates over Y")
+    ring, total = f.target_ring, Fraction(0)
+    for mono, coeff in expr.terms.items():
+        powers = [(f.landweber_novikov(I), e) for (_s, I), e in mono] or [(ring.one(), 1)]
+        last, e = powers.pop()
+        factors = [g ** k for g, k in powers + [(last, e - 1)] if k]
+        rest = reduce(operator.mul, factors) if factors else ring.one()
+        total += coeff * _integrate_product(ring, rest, last)
+    return total
+
+
+def reference_evaluate(expr, f, side=None):
+    actual = expr.side
+    if actual == "scalar":
+        actual = side or "source"
+    elif side not in (None, actual):
+        raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
+    ring = f.target_ring if actual == "target" else f.source.ambient
+    total = ring.zero()
+    for mono, coeff in expr.terms.items():
+        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+            continue  # zero in the ring, so no index is built
+        K = c_exponents(mono)  # the c-part is the model's cached c^K
+        factors = [f.chern_monomial(K)] if K else []
+        for (kind, payload), e in mono:
+            if kind == "s":
+                factors.append(f.landweber_novikov(payload) ** e)
+            elif kind == "fs":
+                factors.append(f.pullback(f.landweber_novikov(payload)) ** e)
+        total = total + coeff * (reduce(operator.mul, factors) if factors else ring.one())
+    return total
 
 
 @st.composite
@@ -488,7 +525,8 @@ def model_with_target_expression(draw):
 @settings(max_examples=200, deadline=None)
 def test_integrate_matches_the_evaluated_class(case):
     f, expr = case
-    assert _integrate(expr, f) == reference_integrate(expr, f)
+    assert integrate_top(f.target_ring, evaluate(expr, f, side="target")) == \
+        reference_integrate(expr, f)
 
 
 @pytest.mark.parametrize("name", SHIPPED_NAMES)
@@ -505,8 +543,40 @@ def test_counts_match_the_evaluated_class(name):
     assert counted
 
 
-def test_integrate_refuses_source_symbols():
-    f = _model("veronese-p3")
-    for expr in (c(1), fs() + 1):
-        with pytest.raises(ValueError):
-            _integrate(expr, f)
+@st.composite
+def model_with_expression(draw):
+    """A model, an expression on one side (some monomials above the top degree)
+    and the side to pass.  With two monomials drawn, their coefficients are set
+    to cancel at one ring monomial their classes share, if any."""
+    f = _model(draw(st.sampled_from(MODEL_NAMES)))
+    kind = draw(st.sampled_from(["target", "source", "scalar"]))
+    if kind == "target":
+        symbol = st.tuples(st.just("s"), st.sampled_from(LN_INDICES))
+    else:
+        symbol = st.one_of(st.tuples(st.just("c"), st.integers(1, 4)),
+                           st.tuples(st.just("fs"), st.sampled_from(LN_INDICES)))
+    mono = st.lists(st.tuples(symbol, st.integers(1, 3)), max_size=0 if kind == "scalar" else 3)
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    expr = SymbolicExpr(draw(st.dictionaries(mono.map(tuple), coeff, min_size=1, max_size=6)))
+    side = draw(st.sampled_from([None, "source", "target"]) if expr.side == "scalar"
+                else st.sampled_from([None, expr.side]))
+    on = side or ("target" if expr.side == "target" else "source")  # for each monomial alone
+    if len(expr.terms) >= 2:
+        m1, m2 = draw(st.permutations(list(expr.terms)))[:2]
+        a = reference_evaluate(SymbolicExpr({m1: 1}), f, on).terms
+        b = reference_evaluate(SymbolicExpr({m2: 1}), f, on).terms
+        if shared := sorted(a.keys() & b.keys()):
+            mu = draw(st.sampled_from(shared))
+            x1, x2 = expr.terms[m1], expr.terms[m2]
+            rest = reference_evaluate(expr, f, side).coefficient(mu) - x1 * a[mu] - x2 * b[mu]
+            expr = expr + SymbolicExpr({m2: -(x1 * a[mu] + rest) / b[mu] - x2})
+    return f, expr, side
+
+
+@given(model_with_expression())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_the_running_sum(case):
+    f, expr, side = case
+    got = evaluate(expr, f, side)
+    assert got == reference_evaluate(expr, f, side)
+    assert all(type(x) is Fraction and x for x in got.terms.values())

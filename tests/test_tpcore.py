@@ -589,8 +589,9 @@ class TestEvaluate:
 
     def test_side_must_match_a_non_scalar_expression(self):
         f = get_model("veronese-p3")  # both rings name their generator h
-        with pytest.raises(ValueError, match="source-side expression"):
-            evaluate(c(2), f, side="target")
+        for expr in (c(2), fs() + 1):  # so counts, which integrate over Y, refuse them
+            with pytest.raises(ValueError, match="source-side expression"):
+                evaluate(expr, f, side="target")
         with pytest.raises(ValueError, match="target-side expression"):
             evaluate(s(), f, side="source")
         assert evaluate(c(2), f, side="source") == evaluate(c(2), f)
