@@ -19,7 +19,7 @@ from tpcalc.maps import (
     projection_from_product,
     rational_curve_model,
 )
-from tpcalc.symbolic import SymbolicExpr, c_exponents
+from tpcalc.symbolic import SymbolicExpr, c, c_exponents, fs
 from tpcalc.tpcore import count_points, default_db, evaluate, expand_target, multi_type
 from tpcalc.verify import PROPERTY_MODELS, projection_formula_holds
 
@@ -541,6 +541,15 @@ def test_counts_match_the_evaluated_class(name):
         assert count_points(f, t, db) == want
         counted += 1
     assert counted
+
+
+def test_integrate_refuses_source_symbols():
+    # A count integrates over Y, so a source-side expression is refused
+    # before any class is built.
+    f = _model("veronese-p3")
+    for expr in (c(1), fs() + 1):
+        with pytest.raises(ValueError):
+            integrate_top(f.target_ring, evaluate(expr, f, side="target"))
 
 
 @st.composite
