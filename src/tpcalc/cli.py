@@ -24,7 +24,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import verify as verify_suites
@@ -60,20 +59,21 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    result: object = None
-    checks: list = field(default_factory=list)
-    elapsed_ms: float | None = None
+    def __init__(self, command: str, inputs: dict, result: object = None,
+                 checks: list | None = None, elapsed_ms: float | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.result = result
+        self.checks = [] if checks is None else checks
+        self.elapsed_ms = elapsed_ms
 
     @property
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=str)
+        return json.dumps(vars(self), indent=2, default=str)
 
     def to_text(self) -> str:
         lines = []

@@ -11,7 +11,6 @@ back at the labels of the offending constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,23 +27,39 @@ def chern_monomials_of_degree(degree: int) -> list[Index]:
     return [canon_index(I) for I in reversed(list(ring.monomials_of_degree(degree)))]
 
 
-@dataclass
 class LinearSystem:
     """Rows are (coefficient vector, right-hand side, provenance label)."""
 
-    unknowns: list[Index]
-    rows: list[tuple[list[Fraction], Fraction, str]] = field(default_factory=list)
+    def __init__(self, unknowns: list[Index],
+                 rows: list[tuple[list[Fraction], Fraction, str]] | None = None):
+        self.unknowns = unknowns
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is LinearSystem else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LinearSystem(unknowns={self.unknowns!r}, rows={self.rows!r})"
 
     def describe_unknowns(self) -> list[str]:
         return [render_expr(c_monomial(I)) for I in self.unknowns]
 
 
-@dataclass
 class SolveResult:
-    status: str  # 'unique' | 'underdetermined' | 'inconsistent'
-    solution: dict[Index, Fraction] | None = None
-    kernel: list[dict[Index, Fraction]] = field(default_factory=list)
-    violated: list[str] = field(default_factory=list)
+    def __init__(self, status: str, solution: dict[Index, Fraction] | None = None,
+                 kernel: list[dict[Index, Fraction]] | None = None,
+                 violated: list[str] | None = None):
+        self.status = status  # 'unique' | 'underdetermined' | 'inconsistent'
+        self.solution = solution
+        self.kernel = [] if kernel is None else kernel
+        self.violated = [] if violated is None else violated
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SolveResult else NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"SolveResult(status={self.status!r}, solution={self.solution!r}, "
+                f"kernel={self.kernel!r}, violated={self.violated!r})")
 
     def residual(self) -> SymbolicExpr:
         """The solved polynomial sum a_I c^I (unique solutions only)."""

@@ -14,7 +14,6 @@ Z[t], every division an exact integer one, and the scale divided back out once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -205,16 +204,29 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
 # -- parametrized curves ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CurveParam:
-    """An affine chart of a map P^1 -> P^2, t -> (x(t), y(t))."""
+    """An affine chart of a map P^1 -> P^2, t -> (x(t), y(t)); immutable."""
 
-    x: Poly
-    y: Poly
-
-    def __post_init__(self):
-        if poly_deg(self.x) < 1 and poly_deg(self.y) < 1:
+    def __init__(self, x: Poly, y: Poly):
+        if poly_deg(x) < 1 and poly_deg(y) < 1:
             raise OracleError("x and y must not both be constant")
+        vars(self).update(x=x, y=y)  # past __setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not CurveParam:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"CurveParam(x={self.x!r}, y={self.y!r})"
 
     @property
     def degree(self) -> int:

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import GradedClass, _mul_packed, integrate_top
 from .maps import MapModel
@@ -58,8 +57,7 @@ class InconsistentExtraction(ValueError):
 # -- singularity types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingType:
+class SingType(NamedTuple):
     """A mono-singularity type with its target codimension ell."""
 
     name: str
@@ -96,20 +94,33 @@ def _aut_order(names: Sequence[str]) -> int:
     return order
 
 
-@dataclass(frozen=True)
 class MultiSingType:
     """An ordered tuple of mono-singularity type names at a fixed kappa, resolved
-    against the types declared in the store `db` (the built-in ones only if None)."""
+    against the types declared in the store `db` (the built-in ones only if None).
+    Immutable; equality, hash and repr are by entries and kappa, whatever the store."""
 
-    entries: tuple[str, ...]
-    kappa: int
-    db: ResidualDB | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[str, ...], kappa: int, db: ResidualDB | None = None):
+        if not entries:
             raise SingTypeError("multi-singularity type needs at least one entry")
-        for name in self.entries:
-            sing_ell(name, self.kappa, self.db)  # validates
+        for name in entries:
+            sing_ell(name, kappa, db)  # validates
+        vars(self).update(entries=entries, kappa=kappa, db=db)  # past __setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not MultiSingType:
+            return NotImplemented
+        return (self.entries, self.kappa) == (other.entries, other.kappa)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.kappa))
+
+    def __repr__(self) -> str:
+        return f"MultiSingType(entries={self.entries!r}, kappa={self.kappa!r})"
 
     @property
     def r(self) -> int:
