@@ -1,11 +1,13 @@
 """Variety models: products of projective spaces and complete intersections.
 
-A model consists of an ambient truncated ring (the intersection ring of
-P^{n_1} x ... x P^{n_k}), the degree-1 divisor classes cutting the variety
-out, and the inverse tangent class c(TX)^{-1}, an ambient representative found
-by adjunction with no inversion.  Classes on the variety are always ambient
-representatives; every downstream operation factors through multiplication
-by the fundamental class, so representative ambiguity never leaks.
+A model is its ambient truncated ring (the intersection ring of
+P^{n_1} x ... x P^{n_k}) and the degree-1 divisor classes L_j cutting the
+variety out.  Its tangent bundle is a signed sum of line bundles, O(h_i)^(n_i+1)
+from the Euler sequence of each factor minus O(L_j) by adjunction, so every
+tangent class is `chern_of_roots` over those roots.  Classes on the variety
+are always ambient representatives; every downstream operation factors
+through multiplication by the fundamental class, so representative
+ambiguity never leaks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -40,36 +41,52 @@ def _factor_names(count: int, names: Sequence[str] | None) -> tuple[str, ...]:
     return tuple(f"h{i + 1}" for i in range(count))
 
 
+def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]]) -> GradedClass:
+    """prod (1 + D)^a over (D, a) pairs, D a degree-1 class and a an integer of
+    either sign; pairs with equal D add their exponents first.  Each factor is
+    the binomial series sum_e C(a, e) D^e, C(a, e+1) = C(a, e) (a - e) / (e + 1),
+    stopped where C(a, e) or D^e is 0; D^e has degree e, so its terms are new."""
+    merged: dict[GradedClass, int] = {}
+    for D, a in roots:
+        merged[D] = merged.get(D, 0) + a
+    total = ring.one()
+    for D, a in ((D, a) for D, a in merged.items() if a):
+        terms, power, coeff, e = dict(ring.one().terms), D, a, 1
+        while coeff and not power.is_zero():
+            terms.update((m, coeff * x) for m, x in power.terms.items())
+            coeff, e = coeff * (a - e) // (e + 1), e + 1
+            if coeff:
+                power = power * D
+        total = total * GradedClass._trusted(ring, terms)
+    return total
+
+
 class VarietyModel:
-    """A complete intersection inside a product of projective spaces.  Given only
-    c(TX), it inverts it; given only c(TX)^{-1}, it derives c(TX) on first read;
-    given neither, it raises ModelError."""
+    """The complete intersection of the divisors L_j (degree-1 classes) in the
+    product of projective spaces with intersection ring `ambient`.  Its tangent
+    bundle has the roots (h_i, n_i + 1) and (L_j, -1); c(TX) and c(TX)^{-1} are
+    `chern_of_roots` over them, built on each read."""
 
-    __slots__ = ("ambient", "factor_dims", "divisors", "dimension", "fundamental",
-                 "tangent_inverse", "_tangent")
+    __slots__ = ("ambient", "divisors", "factor_dims", "dimension", "fundamental",
+                 "tangent_roots")
 
-    def __init__(self, ambient: RingSpec, factor_dims: tuple[int, ...],
-                 divisors: tuple[GradedClass, ...], dimension: int,
-                 tangent_total: GradedClass | None, fundamental: GradedClass,
-                 tangent_inverse: GradedClass | None = None):
-        given = tangent_inverse or tangent_total
-        if given is None:
-            raise ModelError("a variety model needs tangent_total or tangent_inverse")
-        if given.constant_term() != 1:
-            raise ModelError("tangent class must have constant term 1")
-        self.ambient = ambient
-        self.factor_dims = factor_dims
-        self.divisors = divisors
-        self.dimension = dimension
-        self.fundamental = fundamental
-        self._tangent = tangent_total
-        self.tangent_inverse = tangent_inverse or tangent_total.invert()
+    def __init__(self, ambient: RingSpec, divisors: Sequence[GradedClass] = ()):
+        if any(d != 1 for d in ambient.degrees):
+            raise ModelError("a variety model needs a ring of degree-1 generators")
+        self.ambient, self.divisors = ambient, tuple(divisors)
+        self.factor_dims = ambient.bounds
+        self.dimension = ambient.top_degree - len(self.divisors)
+        self.fundamental = reduce(mul, self.divisors, ambient.one())
+        gens = [(ambient.gen(n), d + 1) for n, d in zip(ambient.names, ambient.bounds)]
+        self.tangent_roots = tuple(gens + [(L, -1) for L in self.divisors])
 
     @property
     def tangent_total(self) -> GradedClass:
-        if self._tangent is None:
-            self._tangent = self.tangent_inverse.invert()
-        return self._tangent
+        return chern_of_roots(self.ambient, self.tangent_roots)
+
+    @property
+    def tangent_inverse(self) -> GradedClass:
+        return chern_of_roots(self.ambient, [(D, -a) for D, a in self.tangent_roots])
 
     def __repr__(self) -> str:
         factors = "x".join(f"P{d}" for d in self.factor_dims)
@@ -80,9 +97,7 @@ class VarietyModel:
 
 def product_projective(dims: Iterable[int],
                        names: Sequence[str] | None = None) -> VarietyModel:
-    """The product P^{d_1} x ... x P^{d_k}: at prod h_i^(e_i) its Euler-sequence
-    tangent class has the coefficient prod C(d_i + 1, e_i), and its inverse
-    prod (-1)^(e_i) C(d_i + e_i, e_i)."""
+    """The product P^{d_1} x ... x P^{d_k}, its ring refused above MAX_RING_SIZE."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ModelError("need at least one projective factor")
@@ -90,14 +105,8 @@ def product_projective(dims: Iterable[int],
         raise ModelError("projective factors need dimension >= 1")
     if (size := math.prod(d + 1 for d in dims)) > MAX_RING_SIZE:
         raise ModelError(f"ring of {size} monomials exceeds MAX_RING_SIZE = {MAX_RING_SIZE}")
-    ring = make_ring([(n, 1, d) for n, d in zip(_factor_names(len(dims), names), dims)])
-
-    def closed_form(coeff) -> GradedClass:  # coefficient prod coeff(d_i, e_i)
-        return GradedClass._trusted(ring, {m: Fraction(math.prod(map(coeff, dims, m)))
-                                           for m in product(*(range(d + 1) for d in dims))})
-
-    return VarietyModel(ring, dims, (), sum(dims), closed_form(lambda d, e: math.comb(d + 1, e)),
-                        ring.one(), closed_form(lambda d, e: (-1) ** e * math.comb(d + e, e)))
+    names = _factor_names(len(dims), names)
+    return VarietyModel(make_ring([(n, 1, d) for n, d in zip(names, dims)]))
 
 
 def complete_intersection(ambient: VarietyModel,
@@ -107,9 +116,7 @@ def complete_intersection(ambient: VarietyModel,
 
     Each multidegree is either a degree-1 ambient class or an integer vector
     (d_1, ..., d_k) standing for sum d_i * g_i, with no negative entry or
-    coefficient (such a class cuts out no hypersurface).  With
-    E = prod (1 + L_j), [X] is the degree-m part of E (m divisors) and
-    adjunction gives c(TX)^{-1} = c(T_ambient)^{-1} * E.
+    coefficient (such a class cuts out no hypersurface).
     """
     if ambient.divisors:
         raise ModelError("ambient model must be a bare product of projective spaces")
@@ -134,12 +141,7 @@ def complete_intersection(ambient: VarietyModel,
         classes.append(L)
     if len(classes) >= ambient.dimension:
         raise ModelError("too many divisors: dimension would drop to zero or below")
-    if not classes:
-        return ambient
-    E = reduce(mul, [ring.one() + L for L in classes])
-    return VarietyModel(ring, ambient.factor_dims, tuple(classes),
-                        ambient.dimension - len(classes), None,
-                        E.graded_component(len(classes)), ambient.tangent_inverse * E)
+    return VarietyModel(ring, classes) if classes else ambient
 
 
 def integrate_on(variety: VarietyModel, p: GradedClass) -> Fraction:
@@ -155,30 +157,31 @@ def integrate_on(variety: VarietyModel, p: GradedClass) -> Fraction:
 #
 # Grammar used by the CLI: `product [2,3]` for a bare product, optionally
 # followed by `ci [(4,1),(1,1)]` with one integer multidegree vector per
-# divisor, e.g. `product [3,3] ci [(3,0),(1,1)]`.
+# divisor, e.g. `product [3,3] ci [(3,0),(1,1)]`.  Lists are comma-separated
+# integers, whitespace is allowed between tokens, and a one-entry vector may
+# be written `(5,)`, as Python writes a 1-tuple; nothing else is read.
 
-_DESCRIPTION_RE = re.compile(
-    r"^\s*product\s*\[\s*([0-9,\s]+?)\s*\]\s*(?:ci\s*\[\s*(.+?)\s*\]\s*)?$"
-)
-_VECTOR_RE = re.compile(r"\(\s*([-0-9,\s]*?)\s*\)")
+_NATURALS = r"[0-9]+(?:\s*,\s*[0-9]+)*"
+_INTEGERS = r"-?[0-9]+(?:\s*,\s*-?[0-9]+)*"
+_VECTOR = rf"\(\s*(?:{_INTEGERS}|-?[0-9]+\s*,)\s*\)"
+_DESCRIPTION_RE = re.compile(rf"\s*product\s*\[\s*({_NATURALS})\s*\]\s*"
+                             rf"(?:ci\s*\[\s*({_VECTOR}(?:\s*,\s*{_VECTOR})*)\s*\]\s*)?")
+_VECTOR_RE = re.compile(r"\(([^)]*)\)")
+
+
+def _integers(text: str) -> list[int]:
+    """The integers of a list the grammar has matched, (5,) included."""
+    return [int(x) for x in text.rstrip().rstrip(",").split(",")]
 
 
 def parse_variety(text: str) -> VarietyModel:
     """Parse a model description like 'product [2,1] ci [(3,1)]'."""
-    m = _DESCRIPTION_RE.match(text)
+    m = _DESCRIPTION_RE.fullmatch(text)
     if not m:
-        raise ModelError(
-            f"cannot parse variety description {text!r}; expected "
-            "'product [n1,n2,...]' optionally followed by 'ci [(..),(..)]'"
-        )
-    dims = [int(x) for x in m.group(1).split(",") if x.strip()]
-    ambient = product_projective(dims)
+        raise ModelError(f"cannot parse variety description {text!r}; expected "
+                         "'product [n1,n2,...]' optionally followed by 'ci [(..),(..)]'")
+    ambient = product_projective(_integers(m.group(1)))
     if m.group(2) is None:
         return ambient
     vectors = _VECTOR_RE.findall(m.group(2))
-    if not vectors:
-        raise ModelError(f"no multidegree vectors in {text!r}")
-    multidegrees = [
-        tuple(int(x) for x in vec.split(",") if x.strip()) for vec in vectors
-    ]
-    return complete_intersection(ambient, multidegrees)
+    return complete_intersection(ambient, [_integers(vec) for vec in vectors])

@@ -7,7 +7,8 @@ pullbacks f^*(h_i) of the target's hyperplane classes (degree-1 classes on
 X).  They fix the rest: f^* is the ring map sending h_i to f^*(h_i), and
 since the monomials m of Y and their duals m^v = top/m are dual bases,
 f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
-c(f) = f^*c(TY) * c(TX)^{-1} takes no inverse, and each c^I is built once.
+c(f) = c(f^*TY - TX) is `chern_of_roots` over the pulled-back roots of TY and
+the negated roots of TX, and each c^I is built once.
 The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
@@ -26,7 +27,8 @@ import re
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _integrate_product
-from .chow import ModelError, VarietyModel, parse_variety, product_projective
+from .chow import (_NATURALS, ModelError, VarietyModel, _integers, chern_of_roots, parse_variety,
+                   product_projective)
 from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
@@ -91,10 +93,11 @@ class MapModel:
         raise NotImplementedError
 
     def quotient_chern(self) -> GradedClass:
-        """Total class of f^*TY - TX in the source's ambient ring."""
+        """Total class of f^*TY - TX in the source's ambient ring, from their roots."""
         if self._chern_total is None:
-            pulled = self.pullback(self.target.tangent_total)
-            self._chern_total = pulled * self.source.tangent_inverse
+            roots = [(self.pullback(D), a) for D, a in self.target.tangent_roots]
+            self._chern_total = chern_of_roots(
+                self.source.ambient, roots + [(D, -a) for D, a in self.source.tangent_roots])
         return self._chern_total
 
     def chern(self, j: int) -> GradedClass:
@@ -260,7 +263,7 @@ def model_names() -> list[str]:
     return sorted(_FIXED_MODELS) + [f"{k}:<d>" for k in sorted(_PARAMETRIC_MODELS)]
 
 
-_PROJECTION_DESC_RE = re.compile(r"^(.*?)\s*->\s*\[\s*([0-9,\s]+?)\s*\]\s*$")
+_PROJECTION_DESC_RE = re.compile(rf"(.*?)\s*->\s*\[\s*({_NATURALS})\s*\]\s*")
 
 
 def get_model(name: str) -> MapModel:
@@ -286,14 +289,11 @@ def get_model(name: str) -> MapModel:
             return build(d)
         name = build.format(d=d)
     if name.startswith("product"):
-        m = _PROJECTION_DESC_RE.match(name)
+        m = _PROJECTION_DESC_RE.fullmatch(name)
         if not m:
-            raise ModelError(
-                f"a projection description needs '-> [factors]': {name!r}"
-            )
-        X = parse_variety(m.group(1))
-        factors = [int(x) for x in m.group(2).split(",") if x.strip()]
-        return projection_from_product(X, factors)
+            raise ModelError(f"cannot parse projection description {name!r}; expected "
+                             "a variety description followed by '-> [i1,i2,...]'")
+        return projection_from_product(parse_variety(m.group(1)), _integers(m.group(2)))
     raise ModelError(
         f"unknown model {name!r}; available: {', '.join(model_names())} "
         "or a description like 'product [2,1] ci [(3,1)] -> [1]'"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,36 @@ class TestDescriptionGrammar:
             parse_variety("grassmannian [2,4]")
         with pytest.raises(ModelError):
             parse_variety("product [2,1] ci []")
+
+    @pytest.mark.parametrize("text", [
+        "product [2,1] ci [(1,1) xyz]",
+        "product [2,1] ci [junk(1,1)]",
+        "product [3,3] ci [(3,0);(1,1)]",
+        "product [2,1] ci [(1,,1)]",
+        "product [2,,1]",
+        "product [2 1]",
+        "product [2,1,]",
+        "product [2,1] ci [(1,1),]",
+        "product [2,1] ci [(1,1,)]",
+        "product [2,1] ci [(1 1)]",
+        "product [2,1] ci [()]",
+        "product [-2,1]",
+        "product [\u0663,1]",
+        "product [2,1] extra",
+    ])
+    def test_unreadable_text_is_refused_by_name(self, text):
+        with pytest.raises(ModelError, match="cannot parse variety description " + re.escape(repr(text))):
+            parse_variety(text)
+
+    def test_whitespace_between_tokens(self):
+        X = parse_variety("  product[ 3 , 3 ]ci[ ( 3 , 0 ) ,( 1,1 ) ]  ")
+        assert X.fundamental == parse_variety("product [3,3] ci [(3,0),(1,1)]").fundamental
+
+    def test_a_one_entry_vector_may_end_in_a_comma(self):
+        """(5,) is Python's repr of a 1-tuple, so generators that write str(tuple(v))
+        are read on one factor too; only a one-entry vector takes the comma."""
+        X = parse_variety("product [3] ci [(2,)]")
+        assert X.fundamental == parse_variety("product [3] ci [(2)]").fundamental
+        assert X.fundamental == 2 * X.ambient.gen("h")
+        with pytest.raises(ModelError, match="cannot parse"):
+            parse_variety("product [3,1] ci [(2,1,)]")

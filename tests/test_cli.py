@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -601,6 +602,42 @@ class TestRingSizeLimit:
         code, _, err = run(capsys, argv[:1] + ["--model", model] + argv[1:])
         assert code == 2
         assert "9261 monomials exceeds MAX_RING_SIZE" in err
+
+
+class TestRingLimitModels:
+    """Models at MAX_RING_SIZE build in milliseconds: c(f) takes no product of
+    target size times source size."""
+
+    @pytest.mark.parametrize("model", [
+        "product [2047,1] -> [0]",
+        "product [1,2047] -> [0]",
+        "product [2047,1] ci [(1,1)] -> [0]",
+        "product [63,63] -> [0]",
+        "product [15,15,15] -> [0,1]",
+        "product [15,15,15] ci [(1,1,1),(2,1,0)] -> [0]",
+    ])
+    def test_c1_power_evaluates_within_the_deadline(self, capsys, model):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["eval", "--model", model, "--expr", "c1^60"])
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - start < 3
+
+
+class TestUnreadableDescription:
+    @pytest.mark.parametrize("model", [
+        "product [2,1] ci [(1,1) xyz] -> [1]",
+        "product [2,1] ci [junk(1,1)] -> [1]",
+        "product [3,3] ci [(3,0);(1,1)] -> [1]",
+        "product [2,1] ci [(1,,1)] -> [1]",
+        "product [2,,1] -> [1]",
+        "product [2,1] -> [1,,]",
+        "product [2 1] -> [1]",
+    ])
+    def test_unreadable_description_exits_2(self, capsys, model):
+        code, out, err = run(capsys, ["count", "--model", model, "--type", "A1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse ")
+        assert "invalid literal" not in err
 
 
 class TestNegativeMultidegree:

@@ -1,18 +1,22 @@
 import functools
 import operator
 import random
+import re
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpcalc.algebra import (GradedClass, _integrate_product, integrate_top, parse_class,
-                            render_class)
-from tpcalc.chow import ModelError, VarietyModel, integrate_on, product_projective
+from tpcalc.algebra import (GradedClass, _integrate_product, integrate_top, make_ring,
+                            parse_class, render_class)
+from tpcalc.chow import (ModelError, VarietyModel, chern_of_roots, integrate_on, parse_variety,
+                         product_projective)
 from tpcalc.interp import chern_monomials_of_degree
 from tpcalc.maps import (
+    _PARAMETRIC_MODELS,
     LNIndex,
     get_model,
     linear_projection_model,
@@ -368,6 +372,24 @@ def model_with_classes(draw):
     return f, draw(classes_in(f.source.ambient)), draw(classes_in(f.target_ring))
 
 
+ROOT = Path(__file__).resolve().parent.parent
+DOCUMENTED = sorted({
+    desc for doc in ("README.md", "tests/golden_cli.txt", "tests/golden_expansions.txt",
+                     "perfbench/README.md", "perfbench/workloads.py")
+    for desc in re.findall(r"[\"'](product \[[^\]]*\](?: ci \[[^\]]*\])? -> \[[^\]]*\])[\"']",
+                           (ROOT / doc).read_text(encoding="utf-8"))})  # quoted, as a --model
+
+
+def test_documented_and_generated_descriptions_parse():
+    assert "product [2,3] ci [(4,1)] -> [1]" in DOCUMENTED
+    shapes = ["product [2,1] ci [(3,1)] -> [1]",  # the CLI's own example
+              "product [1,2,2,3] ci [(1,2,1,3),(3,1,1,2)] -> [0,1]"]  # perfbench's generator
+    shapes += [desc.format(d=3) for desc in _PARAMETRIC_MODELS.values() if isinstance(desc, str)]
+    seeded = MODEL_NAMES[len(SHIPPED_NAMES):]  # seeded_descriptions writes str(list), str(tuple)
+    for desc in DOCUMENTED + shapes + seeded:
+        assert get_model(desc).kind == "product-projection"
+
+
 def test_descriptions_cover_both_target_sizes():
     sizes = {len(_model(name).target_ring.gens) for name in MODEL_NAMES}
     assert sizes == {1, 2}
@@ -425,17 +447,51 @@ def test_random_projections_match_the_retired_routes(desc, I):
     assert_model_matches_retired_routes(get_model(desc), I)
 
 
-def test_a_variety_given_one_tangent_class_derives_the_other():
-    X = product_projective([2, 1])
-    shape = (X.ambient, X.factor_dims, (), X.dimension)
-    given_total = VarietyModel(*shape, X.tangent_total, X.fundamental)
-    given_inverse = VarietyModel(*shape, None, X.fundamental, X.tangent_inverse)
-    assert given_total.tangent_inverse == X.tangent_inverse
-    assert given_inverse.tangent_total == X.tangent_total
-    with pytest.raises(ModelError):
-        VarietyModel(*shape, None, X.fundamental, 2 * X.tangent_inverse)
-    with pytest.raises(ModelError, match="needs tangent_total or tangent_inverse"):
-        VarietyModel(*shape, None, X.fundamental)
+def test_a_variety_is_its_ring_and_its_divisors():
+    for desc in ("product [2,1]", "product [2,3] ci [(4,1)]", "product [3,3] ci [(3,0),(1,1)]"):
+        X = parse_variety(desc)
+        Y = VarietyModel(X.ambient, X.divisors)
+        assert Y.factor_dims == X.ambient.bounds
+        assert Y.dimension == X.ambient.top_degree - len(X.divisors)
+        assert Y.fundamental == reference_fundamental(X)
+        assert Y.tangent_total == reference_tangent(X)
+    with pytest.raises(TypeError):
+        VarietyModel(X.ambient, X.factor_dims, X.divisors, X.dimension, X.tangent_total,
+                     X.fundamental)
+    for old in ("tangent_total", "tangent_inverse", "factor_dims", "dimension", "fundamental"):
+        with pytest.raises(TypeError):
+            VarietyModel(X.ambient, X.divisors, **{old: getattr(X, old)})
+    with pytest.raises(ModelError, match="degree-1 generators"):
+        VarietyModel(make_ring([("h", 1, 2), ("q", 2, 1)]))
+
+
+@st.composite
+def rings_and_roots(draw):
+    """A ring of 1 to 3 factors and (D, a) pairs, D a sum of generators and
+    a in [-6, 6], with some D repeated or given the opposite exponent."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    ring = make_ring([(f"g{i}", 1, d) for i, d in enumerate(dims)])
+    divisor = st.lists(st.sampled_from(ring.names), min_size=1, max_size=3).map(
+        lambda names: sum((ring.gen(n) for n in names), ring.zero()))
+    exponent = st.integers(-6, 6)
+    roots = draw(st.lists(st.tuples(divisor, exponent), min_size=1, max_size=4))
+    echoes = draw(st.lists(st.tuples(st.sampled_from(roots), st.booleans(), exponent),
+                           max_size=3))
+    roots += [(D, -a if opposite else b) for (D, a), opposite, b in echoes]
+    return ring, draw(st.permutations(roots))
+
+
+@given(rings_and_roots())
+@settings(max_examples=200, deadline=None)
+def test_chern_of_roots_matches_powers(case):
+    ring, roots = case
+    expected = reduce(operator.mul, [(ring.one() + D) ** a for D, a in roots], ring.one())
+    assert chern_of_roots(ring, roots) == expected
+
+
+def test_quotient_chern_matches_the_retired_product_near_the_ring_limit():
+    f = get_model("product [400,1] -> [0]")  # 802 monomials, target 401
+    assert f.quotient_chern() == reference_quotient_chern(f)
 
 
 def test_a_long_chain_of_chern_monomials_needs_no_deep_recursion():
