@@ -20,6 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, RingSpec, _integrate_product, make_ring
+from .grammar import MAX_DIGITS
 
 
 class ModelError(ValueError):
@@ -39,6 +40,18 @@ def _factor_names(count: int, names: Sequence[str] | None) -> tuple[str, ...]:
     if count in _DEFAULT_NAME_SETS:
         return _DEFAULT_NAME_SETS[count]
     return tuple(f"h{i + 1}" for i in range(count))
+
+
+def _effective_degree_one(ring: RingSpec, L: GradedClass, kind: str) -> GradedClass:
+    """L, admitted as an effective degree-1 class of ring: a nonzero class of ring
+    whose every term is a generator with a coefficient >= 0."""
+    if not isinstance(L, GradedClass) or L.ring != ring:
+        raise ModelError(f"a {kind} class lives in the wrong ring")
+    if L.is_zero() or not L.is_homogeneous(1):
+        raise ModelError(f"{kind} classes must be homogeneous of degree 1")
+    if any(x < 0 for x in L.terms.values()):
+        raise ModelError(f"{kind} classes need non-negative multidegree entries")
+    return L
 
 
 def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]]) -> GradedClass:
@@ -62,8 +75,9 @@ def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]]) -> 
 
 
 class VarietyModel:
-    """The complete intersection of the divisors L_j (degree-1 classes) in the
-    product of projective spaces with intersection ring `ambient`.  Its tangent
+    """The complete intersection of the divisors L_j (effective degree-1 classes,
+    fewer than the ambient dimension) in the product of projective spaces with
+    intersection ring `ambient`, of at most MAX_RING_SIZE monomials.  Its tangent
     bundle has the roots (h_i, n_i + 1) and (L_j, -1); c(TX) and c(TX)^{-1} are
     `chern_of_roots` over them, built on each read."""
 
@@ -73,7 +87,13 @@ class VarietyModel:
     def __init__(self, ambient: RingSpec, divisors: Sequence[GradedClass] = ()):
         if any(d != 1 for d in ambient.degrees):
             raise ModelError("a variety model needs a ring of degree-1 generators")
-        self.ambient, self.divisors = ambient, tuple(divisors)
+        if (size := math.prod(n + 1 for n in ambient.bounds)) > MAX_RING_SIZE:
+            size = size if size < 10 ** MAX_DIGITS else f"more than 10^{MAX_DIGITS}"
+            raise ModelError(f"ring of {size} monomials exceeds MAX_RING_SIZE = {MAX_RING_SIZE}")
+        self.ambient = ambient
+        self.divisors = tuple(_effective_degree_one(ambient, L, "divisor") for L in divisors)
+        if len(self.divisors) >= ambient.top_degree:
+            raise ModelError("too many divisors: dimension would drop to zero or below")
         self.factor_dims = ambient.bounds
         self.dimension = ambient.top_degree - len(self.divisors)
         self.fundamental = reduce(mul, self.divisors, ambient.one())
@@ -97,14 +117,12 @@ class VarietyModel:
 
 def product_projective(dims: Iterable[int],
                        names: Sequence[str] | None = None) -> VarietyModel:
-    """The product P^{d_1} x ... x P^{d_k}, its ring refused above MAX_RING_SIZE."""
+    """The product P^{d_1} x ... x P^{d_k}."""
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ModelError("need at least one projective factor")
     if any(d < 1 for d in dims):
         raise ModelError("projective factors need dimension >= 1")
-    if (size := math.prod(d + 1 for d in dims)) > MAX_RING_SIZE:
-        raise ModelError(f"ring of {size} monomials exceeds MAX_RING_SIZE = {MAX_RING_SIZE}")
     names = _factor_names(len(dims), names)
     return VarietyModel(make_ring([(n, 1, d) for n, d in zip(names, dims)]))
 
@@ -115,32 +133,19 @@ def complete_intersection(ambient: VarietyModel,
     """Cut a complete intersection out of a product of projective spaces.
 
     Each multidegree is either a degree-1 ambient class or an integer vector
-    (d_1, ..., d_k) standing for sum d_i * g_i, with no negative entry or
-    coefficient (such a class cuts out no hypersurface).
+    (d_1, ..., d_k) standing for sum d_i * g_i; `VarietyModel` admits them.
     """
     if ambient.divisors:
         raise ModelError("ambient model must be a bare product of projective spaces")
-    ring = ambient.ambient
-    classes: list[GradedClass] = []
+    ring, classes = ambient.ambient, []
     for md in multidegrees:
-        if isinstance(md, GradedClass):
-            L = md
-        else:
+        if not isinstance(md, GradedClass):
             vec = tuple(int(x) for x in md)
             if len(vec) != len(ring.gens):
                 raise ModelError("multidegree vector has wrong length")
-            L = ring.zero()
-            for coeff, name in zip(vec, ring.names):
-                L = L + coeff * ring.gen(name)
-        if L.ring != ring:
-            raise ModelError("divisor class lives in the wrong ring")
-        if L.is_zero() or not L.is_homogeneous(1):
-            raise ModelError("divisor classes must be homogeneous of degree 1")
-        if any(x < 0 for x in L.terms.values()):
-            raise ModelError("divisor classes need non-negative multidegree entries")
-        classes.append(L)
-    if len(classes) >= ambient.dimension:
-        raise ModelError("too many divisors: dimension would drop to zero or below")
+            md = GradedClass(ring, {tuple(int(i == j) for j in range(len(vec))): x
+                                    for i, x in enumerate(vec)})
+        classes.append(md)
     return VarietyModel(ring, classes) if classes else ambient
 
 
@@ -169,9 +174,14 @@ _DESCRIPTION_RE = re.compile(rf"\s*product\s*\[\s*({_NATURALS})\s*\]\s*"
 _VECTOR_RE = re.compile(r"\(([^)]*)\)")
 
 
-def _integers(text: str) -> list[int]:
-    """The integers of a list the grammar has matched, (5,) included."""
-    return [int(x) for x in text.rstrip().rstrip(",").split(",")]
+def _integers(text: str, kind: str, description: str) -> list[int]:
+    """The integers of a list the grammar has matched, (5,) included; one of more
+    than MAX_DIGITS digits, which Python would not read, names the description."""
+    tokens = text.rstrip().rstrip(",").split(",")
+    if any(len(x.strip().lstrip("-")) > MAX_DIGITS for x in tokens):
+        raise ModelError(f"cannot parse {kind} description {description!r}: "
+                         f"an integer has more than {MAX_DIGITS} digits")
+    return [int(x) for x in tokens]
 
 
 def parse_variety(text: str) -> VarietyModel:
@@ -180,8 +190,8 @@ def parse_variety(text: str) -> VarietyModel:
     if not m:
         raise ModelError(f"cannot parse variety description {text!r}; expected "
                          "'product [n1,n2,...]' optionally followed by 'ci [(..),(..)]'")
-    ambient = product_projective(_integers(m.group(1)))
+    ambient = product_projective(_integers(m.group(1), "variety", text))
     if m.group(2) is None:
         return ambient
     vectors = _VECTOR_RE.findall(m.group(2))
-    return complete_intersection(ambient, [_integers(vec) for vec in vectors])
+    return complete_intersection(ambient, [_integers(vec, "variety", text) for vec in vectors])

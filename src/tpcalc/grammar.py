@@ -15,6 +15,8 @@ from fractions import Fraction
 from typing import Iterable
 
 Factors = list[tuple[str, int]]  # (name, exponent) pairs in print order
+MAX_DIGITS = 4300  # Python's int-to-str limit, so every coefficient read prints
+_TOO_BIG = 10 ** MAX_DIGITS
 Term = tuple[Fraction, Factors]
 
 _SIGN_SPLIT_PATTERN = re.compile(r"(?<![\^*/])\s*([+-])\s*")
@@ -74,12 +76,25 @@ def parse_sum(text: str, error: type[Exception]) -> list[Term]:
             if not m:
                 raise error(f"cannot parse factor {factor!r}")
             num, den, name, power = m.groups()
+            if len(factor) > MAX_DIGITS and any(len(g or "") > MAX_DIGITS
+                                                for g in (num, den, power)):
+                raise error(f"number of more than {MAX_DIGITS} digits in factor {factor!r}")
             e = int(power or 1)
             if name is not None:
                 factors.append((name, e))
             elif den is not None and int(den) == 0:
                 raise error(f"zero denominator in factor {factor!r}")
             else:
-                coeff *= Fraction(int(num), int(den or 1)) ** e
+                coeff = _times_power(coeff, Fraction(int(num), int(den or 1)), e, factor, error)
         terms.append((coeff, factors))
     return terms
+
+
+def _times_power(coeff: Fraction, base: Fraction, e: int, factor: str, error) -> Fraction:
+    """coeff * base^e, refused with ``error`` if it has more than MAX_DIGITS digits
+    above or below the line; bit lengths bound base^e before the power is taken."""
+    if (max(base.numerator, base.denominator).bit_length() - 1) * e < _TOO_BIG.bit_length():
+        value = coeff * base ** e
+        if max(abs(value.numerator), value.denominator) < _TOO_BIG:
+            return value
+    raise error(f"number of more than {MAX_DIGITS} digits in factor {factor!r}")

@@ -27,8 +27,8 @@ import re
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _integrate_product
-from .chow import (_NATURALS, ModelError, VarietyModel, _integers, chern_of_roots, parse_variety,
-                   product_projective)
+from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _integers,
+                   chern_of_roots, parse_variety, product_projective)
 from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
@@ -71,12 +71,14 @@ class MapModel:
     """A proper map f: X -> Y: quotient Chern class, c^I and LN classes, cached.
 
     Subclasses give ``pullback`` and ``pushforward``; the target is a
-    VarietyModel whose ambient ring holds the target classes.
+    VarietyModel without divisors, whose ambient ring holds the target classes.
     """
 
     kind = "abstract"
 
     def __init__(self, source: VarietyModel, target: VarietyModel):
+        if target.divisors:  # kappa and the dual-basis pushforward read a bare product
+            raise ModelError("a map model needs a bare product of projective spaces as target")
         self.source = source
         self.target = target
         self.target_ring = target.ambient
@@ -127,7 +129,8 @@ class MapModel:
 
 class ProductTargetMap(MapModel):
     """A map to a product of projective spaces, given by the pullbacks of the
-    target's hyperplane classes (degree-1 source classes, one per factor).
+    target's hyperplane classes (effective degree-1 source classes, one per
+    target generator).
 
     f^*(m) and [X] f^*(m) are built on demand, one product per target
     monomial m, from the entry for m with one exponent lowered.
@@ -137,7 +140,10 @@ class ProductTargetMap(MapModel):
                  hyperplanes: Sequence[GradedClass], kind: str):
         super().__init__(source, target)
         self.kind = kind
-        self.hyperplanes = hyperplanes = tuple(hyperplanes)
+        self.hyperplanes = hyperplanes = tuple(
+            _effective_degree_one(source.ambient, H, "hyperplane") for H in hyperplanes)
+        if len(hyperplanes) != len(target.ambient.gens):
+            raise ModelError("one hyperplane class per target generator")
         amb, n = source.ambient, len(hyperplanes)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         self._pulled = {(0,) * n: amb.one(), **dict(zip(units, hyperplanes))}
@@ -196,17 +202,11 @@ def projection_from_product(X: VarietyModel,
 def linear_projection_model(X: VarietyModel, e: GradedClass,
                             target_dim: int) -> ProductTargetMap:
     """Generic linear projection to P^{target_dim} of X embedded by e."""
-    if e.ring != X.ambient:
-        raise ModelError("embedding class lives in the wrong ring")
-    if e.is_zero() or not e.is_homogeneous(1):
-        raise ModelError("embedding class must be homogeneous of degree 1")
     return ProductTargetMap(X, product_projective([target_dim]), [e], "linear-projection")
 
 
 def rational_curve_model(d: int) -> ProductTargetMap:
     """Generic degree-d parametrized rational plane curve P^1 -> P^2."""
-    if d < 1:
-        raise ModelError("curve degree must be >= 1")
     p1 = product_projective([1], names=("p",))
     return ProductTargetMap(p1, product_projective([2]), [d * p1.ambient.gen("p")],
                             "rational-curve")
@@ -293,7 +293,8 @@ def get_model(name: str) -> MapModel:
         if not m:
             raise ModelError(f"cannot parse projection description {name!r}; expected "
                              "a variety description followed by '-> [i1,i2,...]'")
-        return projection_from_product(parse_variety(m.group(1)), _integers(m.group(2)))
+        return projection_from_product(parse_variety(m.group(1)),
+                                       _integers(m.group(2), "projection", name))
     raise ModelError(
         f"unknown model {name!r}; available: {', '.join(model_names())} "
         "or a description like 'product [2,1] ci [(3,1)] -> [1]'"

@@ -192,6 +192,8 @@ class TestDescriptionGrammar:
         "product [-2,1]",
         "product [\u0663,1]",
         "product [2,1] extra",
+        pytest.param("product [" + "9" * 5000 + ",1]", id="a factor of 5000 digits"),
+        pytest.param("product [2,1] ci [(1,-" + "0" * 4300 + "1)]", id="an entry of 4301 digits"),
     ])
     def test_unreadable_text_is_refused_by_name(self, text):
         with pytest.raises(ModelError, match="cannot parse variety description " + re.escape(repr(text))):

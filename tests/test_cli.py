@@ -632,12 +632,14 @@ class TestUnreadableDescription:
         "product [2,,1] -> [1]",
         "product [2,1] -> [1,,]",
         "product [2 1] -> [1]",
+        pytest.param("product [" + "9" * 5000 + ",1] -> [0]", id="a factor of 5000 digits"),
+        pytest.param("product [2,1] -> [" + "0" * 4300 + "1]", id="a target of 4301 digits"),
     ])
     def test_unreadable_description_exits_2(self, capsys, model):
         code, out, err = run(capsys, ["count", "--model", model, "--type", "A1"])
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot parse ")
-        assert "invalid literal" not in err
+        assert "invalid literal" not in err and "Exceeds the limit" not in err
 
 
 class TestNegativeMultidegree:

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from tpcalc.algebra import (GradedClass, _integrate_product, integrate_top, make_ring,
                             parse_class, render_class)
-from tpcalc.chow import (ModelError, VarietyModel, chern_of_roots, integrate_on, parse_variety,
-                         product_projective)
+from tpcalc import chow
+from tpcalc.chow import (ModelError, VarietyModel, chern_of_roots, complete_intersection,
+                         integrate_on, parse_variety, product_projective)
 from tpcalc.interp import chern_monomials_of_degree
 from tpcalc.maps import (
     _PARAMETRIC_MODELS,
     LNIndex,
+    ProductTargetMap,
     get_model,
     linear_projection_model,
     projection_from_product,
@@ -463,6 +465,108 @@ def test_a_variety_is_its_ring_and_its_divisors():
             VarietyModel(X.ambient, X.divisors, **{old: getattr(X, old)})
     with pytest.raises(ModelError, match="degree-1 generators"):
         VarietyModel(make_ring([("h", 1, 2), ("q", 2, 1)]))
+
+
+@st.composite
+def candidate_divisors(draw):
+    """A bare product of 1 to 3 factors, a candidate class L and whether L is an
+    effective degree-1 class of its ring: a sum of the monomials of degree 0, 1
+    or 2 with coefficients in [-2, 3], the zero class, or a generator of
+    another ring."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    X = product_projective(dims)
+    ring = X.ambient
+    kind = draw(st.sampled_from(["sum", "sum", "sum", "zero", "other ring"]))
+    if kind == "zero":
+        return X, ring.zero(), False
+    if kind == "other ring":
+        other = make_ring([(n, 1, b + 1) for n, b in zip(ring.names, ring.bounds)])
+        return X, other.gen(draw(st.sampled_from(other.names))), False
+    degree = draw(st.integers(0, 2))
+    monomials = list(ring.monomials_of_degree(degree))
+    coeffs = draw(st.lists(st.integers(-2, 3), min_size=len(monomials),
+                           max_size=len(monomials)))
+    effective = degree == 1 and any(coeffs) and min(coeffs) >= 0
+    return X, GradedClass(ring, dict(zip(monomials, coeffs))), effective
+
+
+def outcome(build):
+    """What build() gives: ('built', model) or ('refused', message)."""
+    try:
+        return "built", build()
+    except ModelError as err:
+        return "refused", str(err)
+
+
+@given(candidate_divisors(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_one_rule_admits_divisors_and_hyperplanes(case, t):
+    """VarietyModel and complete_intersection admit the same divisors, and
+    ProductTargetMap and linear_projection_model the same hyperplane classes:
+    exactly the effective degree-1 classes of the source's ring."""
+    X, L, effective = case
+    ring = X.ambient
+    direct = outcome(lambda: VarietyModel(ring, [L]))
+    via_ci = outcome(lambda: complete_intersection(X, [L]))
+    assert direct[0] == via_ci[0] == ("built" if effective and ring.top_degree > 1
+                                      else "refused")
+    if direct[0] == "built":
+        assert direct[1].fundamental == via_ci[1].fundamental == L
+        assert direct[1].tangent_total == via_ci[1].tangent_total
+    else:
+        assert direct[1] == via_ci[1]
+    Y = product_projective([t])
+    direct = outcome(lambda: ProductTargetMap(X, Y, [L], "linear-projection"))
+    via_lp = outcome(lambda: linear_projection_model(X, L, t))
+    assert direct[0] == via_lp[0] == ("built" if effective else "refused")
+    if direct[0] == "built":
+        assert direct[1].kappa == via_lp[1].kappa == t - ring.top_degree
+        assert direct[1].quotient_chern() == via_lp[1].quotient_chern()
+        assert direct[1].pushforward(ring.one()) == via_lp[1].pushforward(ring.one())
+    else:
+        assert direct[1] == via_lp[1]
+
+
+@pytest.mark.parametrize("factors, size", [
+    ([("a", 1, 4095)], 4096),
+    ([("a", 1, 63), ("b", 1, 63)], 4096),
+    ([("a", 1, 4096)], 4097),
+    ([("a", 1, 16), ("b", 1, 240)], 4097),
+])
+def test_variety_model_admits_rings_up_to_the_limit(factors, size):
+    ring = make_ring(factors)
+    assert chow.MAX_RING_SIZE == 4096
+    if size <= chow.MAX_RING_SIZE:
+        assert VarietyModel(ring).factor_dims == ring.bounds
+    else:
+        with pytest.raises(ModelError, match=f"ring of {size} monomials exceeds MAX_RING_SIZE"):
+            VarietyModel(ring)
+
+
+P2xP1 = make_ring([("h", 1, 2), ("H", 1, 1)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VarietyModel(P2xP1, [P2xP1.gen("h") ** 2]), "homogeneous of degree 1"),
+    (lambda: VarietyModel(P2xP1, [P2xP1.gen("h")] * 3 + [P2xP1.gen("H")]), "too many divisors"),
+    (lambda: VarietyModel(P2xP1, [-P2xP1.gen("h")]), "non-negative multidegree"),
+    (lambda: VarietyModel(make_ring([("a", 1, 5000), ("b", 1, 5000)])),
+     "ring of 25010001 monomials"),
+    (lambda: VarietyModel(make_ring([("a", 1, 10 ** 2200), ("b", 1, 10 ** 2200)])),
+     re.escape("ring of more than 10^4300 monomials")),  # a size too long to print
+    (lambda: ProductTargetMap(product_projective([2]), product_projective([3]),
+                              [make_ring([("h", 1, 2)]).gen("h") ** 2], "x"),
+     "homogeneous of degree 1"),
+    (lambda: ProductTargetMap(product_projective([2]), product_projective([1, 1]),
+                              [make_ring([("h", 1, 2)]).gen("h")], "x"),
+     "one hyperplane class per target generator"),
+    (lambda: ProductTargetMap(product_projective([2, 1]), parse_variety("product [3] ci [(1,)]"),
+                              [P2xP1.gen("h")], "x"),
+     "bare product"),
+])
+def test_ill_formed_models_are_refused_at_construction(build, message):
+    with pytest.raises(ModelError, match=message):
+        build()
 
 
 @st.composite

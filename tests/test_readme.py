@@ -2,6 +2,7 @@
 
 Where a full-line `# <output>` comment follows a command, the printed text
 (less the `# elapsed:` timing line) must be that comment, byte for byte.
+The Library section's python block runs too.
 """
 
 import os
@@ -15,10 +16,14 @@ from tpcalc import cli
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
+def readme_text():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def readme_examples():
     """(command line, expected output or None) for each README example."""
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
+    text = readme_text()
     examples = []
     for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
         lines = block.replace("\\\n", " ").splitlines()
@@ -48,3 +53,10 @@ def test_readme_example(capsys, line, expected):
     if expected is not None:
         shown = "".join(l for l in out.splitlines(True) if not l.startswith("# elapsed:"))
         assert shown == expected + "\n"
+
+
+def test_library_example_prints_the_count(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", readme_text(), flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], README, "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "675"
