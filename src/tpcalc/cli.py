@@ -6,13 +6,13 @@ not a non-negative integer included) or stdout was closed before the report
 was written, 2 usage errors (unknown subcommand,
 model or type, an unreadable --db, an input above a size limit).
 
-`main` makes every report: its `inputs` are the parsed options less `--db`
-and `--json`, keyed by dest (`constraints` for `--constraint`).  It loads the
-store once for a subcommand that takes `--db` and hands it to the handler,
-which only fills in `result` or `checks`.  `--json` emits the report as
-{command, inputs, result, checks, elapsed_ms}, the same payload as the text
-output; timing lives outside the checked payload so reports are
-deterministic for fixed inputs.
+`main` makes every report, a dict {command, inputs, result, checks,
+elapsed_ms}: its `inputs` are the parsed options less `--db` and `--json`,
+keyed by dest (`constraints` for `--constraint`).  It loads the store once
+for a subcommand that takes `--db` and hands it to the handler, which only
+sets `result` or `checks`.  `--json` emits the dict, the same payload as the
+text output (`report_text`); timing lives outside the checked payload so
+reports are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from . import verify as verify_suites
 from .algebra import render_class
+from .grammar import MAX_DIGITS, render_number
 from .interp import assemble_system, solve_exact
 from .maps import get_model, model_names
 from .oracle import CurveParam, double_point_degree, poly_str
@@ -59,38 +60,24 @@ class UsageError(ValueError):
     pass
 
 
-class Report:
-    def __init__(self, command: str, inputs: dict, result: object = None,
-                 checks: list | None = None, elapsed_ms: float | None = None):
-        self.command = command
-        self.inputs = inputs
-        self.result = result
-        self.checks = [] if checks is None else checks
-        self.elapsed_ms = elapsed_ms
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, default=str)
-
-    def to_text(self) -> str:
-        lines = []
-        if self.result is not None:
-            if isinstance(self.result, dict):
-                for key, value in self.result.items():
-                    lines.append(f"{key}: {value}")
-            else:
-                lines.append(str(self.result))
-        for c in self.checks:
-            status = "PASS" if c["pass"] else "FAIL"
-            lines.append(
-                f"{status} {c['name']}: expected {c['expected']}, got {c['got']}"
-            )
-        if self.elapsed_ms is not None:
-            lines.append(f"# elapsed: {self.elapsed_ms:.1f} ms")
-        return "\n".join(lines)
+def report_text(report: dict) -> str:
+    """The text form of a report: its result, one line per check, the elapsed time."""
+    lines = []
+    result = report["result"]
+    if result is not None:
+        if isinstance(result, dict):
+            for key, value in result.items():
+                lines.append(f"{key}: {value}")
+        else:
+            lines.append(str(result))
+    for c in report["checks"]:
+        status = "PASS" if c["pass"] else "FAIL"
+        lines.append(
+            f"{status} {c['name']}: expected {c['expected']}, got {c['got']}"
+        )
+    if report["elapsed_ms"] is not None:
+        lines.append(f"# elapsed: {report['elapsed_ms']:.1f} ms")
+    return "\n".join(lines)
 
 
 def _load_db(path: str | None):
@@ -125,12 +112,12 @@ def _expand(t: MultiSingType, side: str, normalized: bool, db):
     return expr / t.aut_order_rest if normalized else expr
 
 
-def _cmd_expand(args, rep: Report, db) -> None:
+def _cmd_expand(args, rep: dict, db) -> None:
     t = _multi_type(args.type, args.kappa, db)
-    rep.result = render_expr(_expand(t, args.side, args.normalized, db))
+    rep["result"] = render_expr(_expand(t, args.side, args.normalized, db))
 
 
-def _cmd_eval(args, rep: Report, db) -> None:
+def _cmd_eval(args, rep: dict, db) -> None:
     model = get_model(args.model)
     if (args.expr is None) == (args.type is None):
         raise UsageError("eval needs exactly one of --expr or --type")
@@ -141,32 +128,32 @@ def _cmd_eval(args, rep: Report, db) -> None:
     else:
         t = _multi_type(args.type, model.kappa, db)
         expr = _expand(t, args.side or "target", args.normalized, db)
-    rep.result = render_class(evaluate(expr, model, side=args.side))
+    rep["result"] = render_class(evaluate(expr, model, side=args.side))
 
 
-def _cmd_count(args, rep: Report, db) -> None:
+def _cmd_count(args, rep: dict, db) -> None:
     model = get_model(args.model)
     n = count_points(model, _multi_type(args.type, model.kappa, db), db)
-    rep.result = str(n)
+    rep["result"] = render_number(n)
     if n < 0 or n.denominator != 1:  # a wrong db entry or a non-generic map
-        rep.checks.append({"name": "count", "expected": "a non-negative integer",
-                           "got": str(n), "pass": False})
+        rep["checks"].append({"name": "count", "expected": "a non-negative integer",
+                              "got": rep["result"], "pass": False})
 
 
-def _cmd_porteous(args, rep: Report) -> None:
+def _cmd_porteous(args, rep: dict) -> None:
     if args.k > PORTEOUS_MAX_K:
         raise UsageError(f"--k {args.k} is above the limit of {PORTEOUS_MAX_K}; "
                          "the determinant's cost grows about 2^k * k")
-    rep.result = render_expr(thom_porteous(args.kappa, args.k))
+    rep["result"] = render_expr(thom_porteous(args.kappa, args.k))
 
 
-def _cmd_extract(args, rep: Report, db) -> None:
+def _cmd_extract(args, rep: dict, db) -> None:
     t = _multi_type(args.type, args.kappa, db)
     R = extract_residual(t, parse_expr(args.known), args.side, db)
-    rep.result = residual_line(t.key, t.kappa, R)
+    rep["result"] = residual_line(t.key, t.kappa, R)
 
 
-def _cmd_interp(args, rep: Report, db) -> None:
+def _cmd_interp(args, rep: dict, db) -> None:
     t = _multi_type(args.type, args.kappa, db)
     if t.ell_total - t.kappa > INTERP_MAX_DEGREE:
         raise UsageError(f"the residual degree ell - kappa = {t.ell_total - t.kappa} is above "
@@ -189,26 +176,25 @@ def _cmd_interp(args, rep: Report, db) -> None:
     system = assemble_system(t, db, constraints)
     outcome = solve_exact(system)
     if outcome.status == "unique":
-        rep.result = residual_line(t.key, t.kappa, outcome.residual())
+        rep["result"] = residual_line(t.key, t.kappa, outcome.residual())
     elif outcome.status == "underdetermined":
         label = dict(zip(system.unknowns, system.describe_unknowns()))
-        kern = ["; ".join(f"{label[I]}={a}" for I, a in vec.items())
+        kern = ["; ".join(f"{label[I]}={render_number(a)}" for I, a in vec.items())
                 for vec in outcome.kernel]
-        rep.result = {
+        rep["result"] = {
             "status": "underdetermined",
-            "particular": {label[I]: str(a) for I, a in outcome.solution.items()},
+            "particular": {label[I]: render_number(a) for I, a in outcome.solution.items()},
             "kernel": kern,
         }
     else:
-        rep.result = {"status": "inconsistent", "violated": outcome.violated}
+        rep["result"] = {"status": "inconsistent", "violated": outcome.violated}
 
 
-def _cmd_oracle(args, rep: Report) -> None:
+def _cmd_oracle(args, rep: dict) -> None:
     too_many_digits = UsageError("a coefficient or the common denominator of a curve "
                                  f"coordinate has more than {ORACLE_MAX_DIGITS} digits")
-    # 10000/10000*t reduces below the limit, but Python 3.11+ refuses to read
-    # a number of more than 4300 digits as an int
-    if re.search(r"\d{4301}", args.curve):
+    # 10000/10000*t reduces below the limit, but parse_sum refuses it with its own message
+    if re.search(rf"\d{{{MAX_DIGITS + 1}}}", args.curve):
         raise too_many_digits
     curve = CurveParam.parse(args.curve, max_degree=ORACLE_MAX_DEGREE)
     for p in (curve.x, curve.y):  # p = (integer coefficients) / den
@@ -216,7 +202,7 @@ def _cmd_oracle(args, rep: Report) -> None:
         if max([den, *(abs(a * den) for a in p)]) >= 10 ** ORACLE_MAX_DIGITS:
             raise too_many_digits
     deg = double_point_degree(curve)
-    rep.result = {
+    rep["result"] = {
         "x": poly_str(curve.x),
         "y": poly_str(curve.y),
         "degree": curve.degree,
@@ -226,8 +212,8 @@ def _cmd_oracle(args, rep: Report) -> None:
     }
 
 
-def _cmd_verify(args, rep: Report) -> None:
-    rep.checks = verify_suites.run_suite(args.suite)
+def _cmd_verify(args, rep: dict) -> None:
+    rep["checks"] = verify_suites.run_suite(args.suite)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
                              "in absolute value; expansions grow with |kappa|")
         inputs = {k: v for k, v in vars(args).items()
                   if k not in ("cmd", "fn", "subparser", "db", "json")}
-        report = Report(args.cmd, inputs)
+        report = {"command": args.cmd, "inputs": inputs, "result": None, "checks": [],
+                  "elapsed_ms": None}
         if hasattr(args, "db"):
             args.fn(args, report, _load_db(args.db))
         else:
@@ -321,16 +308,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         args.subparser.print_usage(sys.stderr)
         return 2
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     try:
-        print(report.to_json() if args.json else report.to_text())
+        print(json.dumps(report, indent=2, default=str) if args.json else report_text(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early; point stdout at devnull so that the flush
         # at exit cannot fail again (the note on SIGPIPE in the signal module docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 0 if report.all_pass else 1
+    return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
 if __name__ == "__main__":

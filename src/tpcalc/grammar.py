@@ -37,16 +37,23 @@ def render_sum(terms: Iterable[Term]) -> str:
         mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors)
         mag = abs(coeff)
         if not mono:
-            body = str(mag)
+            body = render_number(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{render_number(mag)}*{mono}"
         if not out:
             out.append(body if coeff > 0 else f"-{body}")
         else:
             out.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(out) if out else "0"
+
+
+def render_number(x: Fraction | int) -> str:
+    """str(x); a ValueError past MAX_DIGITS digits, which parse_sum would not read."""
+    if max(abs(x.numerator), x.denominator) >= _TOO_BIG:
+        raise ValueError(f"a result has a number of more than {MAX_DIGITS} digits")
+    return str(x)
 
 
 def parse_sum(text: str, error: type[Exception]) -> list[Term]:

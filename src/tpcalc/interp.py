@@ -12,10 +12,11 @@ back at the labels of the offending constraints.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 from .algebra import RingSpec, integrate_top
-from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr, s
+from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr
 from .tpcore import MultiSingType, ResidualDB, _partition_sum, evaluate
 
 
@@ -27,46 +28,35 @@ def chern_monomials_of_degree(degree: int) -> list[Index]:
     return [canon_index(I) for I in reversed(list(ring.monomials_of_degree(degree)))]
 
 
-class LinearSystem:
+class LinearSystem(SimpleNamespace):
     """Rows are (coefficient vector, right-hand side, provenance label)."""
+
+    __reduce__ = object.__reduce__  # SimpleNamespace's calls the class with no arguments
 
     def __init__(self, unknowns: list[Index],
                  rows: list[tuple[list[Fraction], Fraction, str]] | None = None):
-        self.unknowns = unknowns
-        self.rows = [] if rows is None else rows
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is LinearSystem else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LinearSystem(unknowns={self.unknowns!r}, rows={self.rows!r})"
+        super().__init__(unknowns=unknowns, rows=[] if rows is None else rows)
 
     def describe_unknowns(self) -> list[str]:
         return [render_expr(c_monomial(I)) for I in self.unknowns]
 
 
-class SolveResult:
+class SolveResult(SimpleNamespace):
+    __reduce__ = object.__reduce__
+
     def __init__(self, status: str, solution: dict[Index, Fraction] | None = None,
                  kernel: list[dict[Index, Fraction]] | None = None,
                  violated: list[str] | None = None):
-        self.status = status  # 'unique' | 'underdetermined' | 'inconsistent'
-        self.solution = solution
-        self.kernel = [] if kernel is None else kernel
-        self.violated = [] if violated is None else violated
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is SolveResult else NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"SolveResult(status={self.status!r}, solution={self.solution!r}, "
-                f"kernel={self.kernel!r}, violated={self.violated!r})")
+        super().__init__(status=status,  # 'unique', 'underdetermined' or 'inconsistent'
+                         solution=solution, kernel=[] if kernel is None else kernel,
+                         violated=[] if violated is None else violated)
 
     def residual(self) -> SymbolicExpr:
-        """The solved polynomial sum a_I c^I (unique solutions only)."""
+        """The solved polynomial sum a_I c^I (unique solutions only), summed in one dict."""
         if self.status != "unique":
             raise ValueError(f"system is {self.status}, no unique residual")
-        terms = (c_monomial(I) * a for I, a in self.solution.items())
-        return sum(terms, SymbolicExpr.zero())
+        return SymbolicExpr({tuple((("c", j), e) for j, e in enumerate(I, start=1)): a
+                             for I, a in self.solution.items()})
 
 
 def assemble_system(t: MultiSingType, db: ResidualDB,
@@ -87,7 +77,7 @@ def assemble_system(t: MultiSingType, db: ResidualDB,
             )
         ring = model.target_ring
         base = integrate_top(ring, evaluate(proper, model, "target"))
-        coeffs = [integrate_top(ring, evaluate(s(*I), model, "target")) for I in system.unknowns]
+        coeffs = [integrate_top(ring, model.landweber_novikov(I)) for I in system.unknowns]
         system.rows.append((coeffs, t.aut_order * Fraction(count) - base, label))
     return system
 

@@ -161,10 +161,11 @@ class ProductTargetMap(MapModel):
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:
             raise ModelError("pullback argument lives in the wrong ring")
-        out = self.source.ambient.zero()
+        terms: dict = {}  # every monomial's image is added in here, as in evaluate
         for mono, coeff in beta.terms.items():
-            out = out + coeff * self._image(self._pulled, mono)
-        return out
+            for m, x in self._image(self._pulled, mono).terms.items():
+                terms[m] = terms.get(m, 0) + coeff * x
+        return GradedClass._trusted(self.source.ambient, {m: x for m, x in terms.items() if x})
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         """The coefficient of m is int_X alpha * f^*(top/m)."""

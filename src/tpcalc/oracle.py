@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .grammar import parse_sum, render_sum
 
@@ -204,29 +204,15 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
 # -- parametrized curves ---------------------------------------------------------
 
 
-class CurveParam:
-    """An affine chart of a map P^1 -> P^2, t -> (x(t), y(t)); immutable."""
+class CurveParam(NamedTuple("CurveParam", [("x", Poly), ("y", Poly)])):
+    """An affine chart of a map P^1 -> P^2, t -> (x(t), y(t)); an (x, y) tuple."""
 
-    def __init__(self, x: Poly, y: Poly):
+    __slots__ = ()
+
+    def __new__(cls, x: Poly, y: Poly):
         if poly_deg(x) < 1 and poly_deg(y) < 1:
             raise OracleError("x and y must not both be constant")
-        vars(self).update(x=x, y=y)  # past __setattr__
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not CurveParam:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"CurveParam(x={self.x!r}, y={self.y!r})"
+        return super().__new__(cls, x, y)
 
     @property
     def degree(self) -> int:

@@ -30,6 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import GradedClass, _mul_packed, integrate_top
+from .grammar import MAX_DIGITS
 from .maps import MapModel
 from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
 
@@ -301,9 +302,12 @@ class ResidualDB:
             typ, m = cls._TYPE_RE.match(line), cls._LINE_RE.match(line)
             if not (typ or m):
                 raise ValueError(f"bad residual-db line {lineno}: {raw!r}")
+            ints = typ.group(2, 3) if typ else (m[2],)
             try:
+                if max(len(x.lstrip("-")) for x in ints) > MAX_DIGITS:  # int() would refuse it
+                    raise ValueError(f"an integer has more than {MAX_DIGITS} digits")
                 if typ:
-                    db.declare(typ[1], int(typ[2]), int(typ[3]))
+                    db.declare(typ[1], *map(int, ints))
                 else:
                     names = tuple(n.strip() for n in m[1].split(",") if n.strip())
                     db.insert(names, int(m[2]), parse_expr(m[3]))

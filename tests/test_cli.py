@@ -8,6 +8,7 @@ import pytest
 
 from tpcalc import cli
 from tpcalc import verify as verify_suites
+from tpcalc.grammar import MAX_DIGITS
 
 
 def run(capsys, argv):
@@ -640,6 +641,37 @@ class TestUnreadableDescription:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot parse ")
         assert "invalid literal" not in err and "Exceeds the limit" not in err
+
+
+class TestNumbersPastMaxDigits:
+    """A number Python would neither print nor read exits 2 in tpcalc's words."""
+
+    MODEL = "product [2,1] ci [(" + "9" * 3000 + ",1)] -> [1]"
+    HUGE = "7" * 5000
+
+    def assert_refused(self, capsys, argv, message):
+        for extra in ([], ["--json"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv + extra)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {message}")
+            assert f"more than {MAX_DIGITS} digits" in err
+            assert "set_int_max_str_digits" not in err
+            assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("argv", [["eval", "--expr", "c1^2"], ["count", "--type", "A1"]],
+                             ids=["eval", "count"])
+    def test_a_result_past_the_limit_exits_2(self, capsys, argv):
+        self.assert_refused(capsys, argv[:1] + ["--model", self.MODEL] + argv[1:],
+                            "a result has a number of more than")
+
+    @pytest.mark.parametrize("line", [f"type=B kappa={HUGE} ell=1",
+                                      f"types=[A0] kappa={HUGE} R= 1"], ids=["type", "types"])
+    def test_a_db_integer_past_the_limit_exits_2(self, capsys, tmp_path, line):
+        dbfile = tmp_path / "huge.db"
+        dbfile.write_text(line + "\n")
+        self.assert_refused(capsys, ["expand", "--type", "A0", "--kappa", "1",
+                                     "--db", str(dbfile)], "bad residual-db line 1: ")
 
 
 class TestNegativeMultidegree:

@@ -1,10 +1,11 @@
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
 from tpcalc.algebra import RingError, make_ring, parse_class
-from tpcalc.grammar import MAX_DIGITS, parse_sum, render_sum
+from tpcalc.grammar import MAX_DIGITS, parse_sum, render_number, render_sum
 from tpcalc.oracle import OracleError, parse_poly
 from tpcalc.symbolic import parse_expr
 
@@ -44,3 +45,17 @@ def test_every_coefficient_read_prints():
     assert MAX_DIGITS == 4300  # Python's int-to-str limit
     for text, shown in [("10^4299", "1" + "0" * 4299), ("-1/10^4299", "-1/1" + "0" * 4299)]:
         assert render_sum(parse_sum(text, ValueError)) == shown
+
+
+def test_no_number_past_max_digits_prints():
+    """What prints reads back: a number past MAX_DIGITS digits is refused in
+    tpcalc's words, not Python's."""
+    top = 10 ** MAX_DIGITS - 1
+    assert render_number(Fraction(-1, top)) == f"-1/{top}"
+    assert render_sum([(Fraction(top), [("x", 2)])]) == f"{top}*x^2"
+    for x in (top + 1, Fraction(1, top + 1), Fraction(-(top + 1), 3)):
+        for render in (render_number, lambda x: render_sum([(x, [])]),
+                       lambda x: render_sum([(1, [("y", 1)]), (x, [("x", 2)])])):
+            with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits") as exc:
+                render(x)
+            assert "set_int_max_str_digits" not in str(exc.value)

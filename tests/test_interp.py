@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpcalc.algebra import integrate_top
 from tpcalc.interp import (
     LinearSystem,
     SolveResult,
@@ -12,8 +13,8 @@ from tpcalc.interp import (
     solve_exact,
 )
 from tpcalc.maps import get_model
-from tpcalc.symbolic import c, canon_index
-from tpcalc.tpcore import count_points, default_db, multi_type
+from tpcalc.symbolic import SymbolicExpr, c, c_monomial, canon_index, s
+from tpcalc.tpcore import count_points, default_db, evaluate, multi_type
 
 
 @pytest.fixture
@@ -209,6 +210,22 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble_system(t, db.copy(), [(get_model("ratcurve:4"), Fraction(3))])
 
+    @pytest.mark.parametrize("spec, models", [
+        ("A0,A0", ["ratcurve:3", "ratcurve:5"]),
+        ("A0,A0,A0", ["veronese-p3", "scroll-q-p3", "web3:2"]),
+        ("A1", ["veronese-p3", "web3:3"]),
+    ])
+    def test_rows_match_the_evaluate_route(self, db, spec, models):
+        """Each coefficient is the integrated LN class, as evaluate(s_I) gives it."""
+        t = multi_type(spec, 1)
+        scratch = db.copy()
+        scratch.remove(t.key, 1)
+        constraints = [(name, get_model(name), Fraction(0)) for name in models]
+        system = assemble_system(t, scratch, constraints)
+        for (vec, _rhs, _label), (_name, model, _count) in zip(system.rows, constraints):
+            assert vec == [integrate_top(model.target_ring, evaluate(s(*I), model, "target"))
+                           for I in system.unknowns]
+
     def test_dimension_mismatch(self, db):
         t = multi_type("A0,A0,A0", 1)  # ell = 3, but ratcurve target is P^2
         with pytest.raises(ValueError):
@@ -299,3 +316,13 @@ class TestSolve:
         outcome = solve_exact(system)
         with pytest.raises(ValueError):
             outcome.residual()
+
+
+@given(st.dictionaries(st.lists(st.integers(0, 3), max_size=4).map(tuple), ENTRIES,
+                       max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_residual_matches_the_running_sum(solution):
+    """Indices that meet once trimmed, such as (1,) and (1, 0), add up."""
+    running = sum((c_monomial(I) * a for I, a in solution.items()), SymbolicExpr.zero())
+    residual = SolveResult(status="unique", solution=solution).residual()
+    assert residual == running

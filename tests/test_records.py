@@ -1,27 +1,37 @@
-"""The six record classes against the dataclasses they replaced.
+"""The six records against the dataclasses they replaced.
 
-tpcalc defines its records as plain classes, so that importing the package
-or its command line loads neither `dataclasses` nor `inspect`, which every
-CLI process would pay for at start-up.  The dataclass definitions are kept
-below verbatim as references; each replacement must match its reference in
-fields, equality, hashing, repr, refused assignment and deletion, and
-validation errors.
+tpcalc defines its records as `typing.NamedTuple`s, `types.SimpleNamespace`s,
+a plain class and a dict, so that importing the package or its command line
+loads neither `dataclasses` nor `inspect`, which every CLI process would pay
+for at start-up.  The dataclass definitions are kept below verbatim as
+references; each replacement must match its reference in fields, equality,
+hashing, repr, refused assignment and deletion, and validation errors.
 
 Intended differences:
 * `SingType` is a `typing.NamedTuple`, so it also unpacks, indexes and
   compares as the tuple (name, kappa, ell);
-* `cli.Report` is internal to the command line and is only ever written out,
-  so it keeps no fieldwise `==` or dataclass repr; its `to_json` is the same.
+* `CurveParam` is a `typing.NamedTuple` too, so it also unpacks, indexes and
+  compares as its (x, y) tuple; its `_make` and `_replace` skip the check in
+  `__new__`, and nothing in tpcalc calls them;
+* a `LinearSystem` or `SolveResult` is a `types.SimpleNamespace`, so it also
+  compares equal to a plain `SimpleNamespace` with the same fields; it pickles
+  with protocol 2 or later, the default, but not with protocols 0 and 1;
+* the command line's report is a dict built in `cli.main`, internal to the
+  command line and only ever written out; `cli.report_text` is the reference's
+  `to_text`, and `json.dumps` of the dict its `to_json`.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, asdict, dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +357,10 @@ def test_curve_param_matches_reference(fields_pair):
         assert_same_equality(new, ref, new_b, ref_b)
         assert_same_hash(new, ref, new_b, ref_b)
     assert oracle.CurveParam(*a) == oracle.CurveParam(y=a[1], x=a[0])
+    # the intended difference: a NamedTuple is also its tuple of fields
+    assert new == a and tuple(new) == a and ref != a
+    x, y = new
+    assert (x, y) == a
 
 
 def test_curve_param_parse_matches_reference():
@@ -373,6 +387,9 @@ def test_linear_system_matches_reference(fields_pair):
     assert_same_equality(new, ref, interp.LinearSystem(*b), LinearSystem(*b))
     assert_unhashable(new, ref)
     assert_same(interp.LinearSystem(a[0]), LinearSystem(a[0]), ("unknowns", "rows"))
+    # the intended difference: a SimpleNamespace equals one with the same fields
+    plain = SimpleNamespace(unknowns=a[0], rows=a[1])
+    assert new == plain and ref != plain
 
 
 def test_linear_system_default_rows_are_per_instance():
@@ -396,6 +413,8 @@ def test_solve_result_matches_reference(fields_pair):
     assert_same(interp.SolveResult(a[0]), SolveResult(a[0]), fields)
     assert_same(interp.SolveResult(a[0], violated=a[3]), SolveResult(a[0], violated=a[3]),
                 fields)
+    plain = SimpleNamespace(**dict(zip(fields, a)))
+    assert new == plain and ref != plain
 
 
 def test_solve_result_default_lists_are_per_instance():
@@ -405,20 +424,39 @@ def test_solve_result_default_lists_are_per_instance():
     assert (second.kernel, second.violated) == ([], [])
 
 
+def to_json(report: dict) -> str:
+    """The command line's --json form of a report."""
+    return json.dumps(report, indent=2, default=str)
+
+
 @settings(max_examples=60)
 @given(report_fields)
 def test_report_matches_reference(fields):
-    new, ref = cli.Report(*fields), Report(*fields)
+    ref = Report(*fields)
     names = ("command", "inputs", "result", "checks", "elapsed_ms")
-    assert [getattr(new, f) for f in names] == [getattr(ref, f) for f in names]
-    assert new.to_json() == ref.to_json()
-    assert list(json.loads(new.to_json())) == list(names)
-    assert new.to_text() == ref.to_text()
-    assert new.all_pass == ref.all_pass
-    bare_new, bare_ref = cli.Report(*fields[:2]), Report(*fields[:2])
-    assert bare_new.to_json() == bare_ref.to_json()
-    bare_new.checks.append({"name": "n", "expected": "1", "got": "1", "pass": True})
-    assert cli.Report(*fields[:2]).checks == []
+    new = dict(zip(names, fields))
+    assert [new[f] for f in names] == [getattr(ref, f) for f in names]
+    assert to_json(new) == ref.to_json()
+    assert list(json.loads(to_json(new))) == list(names)
+    assert cli.report_text(new) == ref.to_text()
+    assert all(c["pass"] for c in new["checks"]) == ref.all_pass
+    bare_new = {**dict(zip(names[:2], fields)), "result": None, "checks": [],
+                "elapsed_ms": None}  # as cli.main starts every report
+    bare_ref = Report(*fields[:2])
+    assert to_json(bare_new) == bare_ref.to_json()
+    assert cli.report_text(bare_new) == bare_ref.to_text()
+
+
+@settings(max_examples=30)
+@given(curve_fields, system_fields, solve_fields)
+def test_records_copy_and_pickle(curve, system, solve):
+    records = [interp.LinearSystem(*system), interp.SolveResult(*solve)]
+    if poly_deg(curve[0]) >= 1 or poly_deg(curve[1]) >= 1:
+        records.append(oracle.CurveParam(*curve))
+    for record in records:
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
 
 
 # -- what the plain classes are for ----------------------------------------------
