@@ -6,9 +6,10 @@ of a product of projective spaces, which is all the substrate the rest of the
 package needs.  Coefficients are `fractions.Fraction`; nothing here ever
 touches floating point.  `GradedClass` and `symbolic.SymbolicExpr` share
 the sum arithmetic of `_SparseSum`, and both multiply in one product loop,
-`_mul_packed`, on monomials in one packed-integer layout, `Packing`: a ring
-bounds its fields (so the loop truncates), the symbolic kernel sizes them
-per call (so nothing overflows).
+`_mul_packed`, on monomials in one packed-integer layout, `Packing`, which
+encodes and decodes its own monomials: a ring bounds its fields (so the loop
+truncates) and reads exponent tuples, the symbolic kernel sizes them per
+call (so nothing overflows) and reads symbol tuples.
 """
 
 from __future__ import annotations
@@ -35,37 +36,55 @@ class Packing:
     multiplication*).  Field i starts at bit i * stride and has `width` bits.
     With bounds n_i < 2^width a guard bit tops each field, and `_mul_packed`
     adds 2^width - 1 - n_i to field i (`bias`), so a guard bit is set exactly
-    when an exponent passes n_i: truncation is one ``& guard`` test.  Callers
-    map their monomials to (field, exponent) pairs and back."""
+    when an exponent passes n_i: truncation is one ``& guard`` test.
 
-    __slots__ = ("stride", "bias", "guard")
+    A packing carries its codec: `encode` maps a monomial to its key and
+    `decode` a key back, the constant monomial to and from 0.  A bounded
+    packing reads a ring's exponent tuples by fixed shifts, memoised; an
+    unbounded one reads tuples of (symbol, exponent) pairs, symbol i of
+    `symbols` in field i, from the highest field down, one step per symbol
+    a key holds."""
 
-    def __init__(self, width: int, bounds: tuple[int, ...] = ()):
+    __slots__ = ("stride", "bias", "guard", "encode", "decode")
+
+    def __init__(self, width: int, bounds: tuple[int, ...] = (), symbols: Sequence = ()):
         self.stride = stride = width + 1 if bounds else width
         self.bias = sum(((1 << width) - 1 - b) << i * stride for i, b in enumerate(bounds))
         self.guard = sum(1 << i * stride + width for i in range(len(bounds)))
+        if bounds:
+            shifts, mask, memo = range(0, len(bounds) * stride, stride), (1 << width) - 1, {}
 
-    def key(self, pairs: Iterable[tuple[int, int]]) -> int:
-        return sum(e << i * self.stride for i, e in pairs)
+            def decode(key: int) -> tuple[int, ...]:
+                mono = memo.get(key)
+                if mono is None:
+                    mono = memo[key] = tuple(key >> s & mask for s in shifts)
+                return mono
 
-    def fields(self, key: int, names: Sequence) -> list[tuple[object, int]]:
-        """(names[i], exponent) per nonzero field i, lowest first, read from the top down."""
-        stride, pairs = self.stride, []
-        while key:
-            i = (key.bit_length() - 1) // stride
-            e = key >> i * stride
-            key -= e << i * stride
-            pairs.append((names[i], e))
-        return pairs[::-1]
+            self.encode = lambda mono: sum(e << s for e, s in zip(mono, shifts))
+        else:
+            shift = {sym: i * stride for i, sym in enumerate(symbols)}
 
-    def pack(self, terms: Mapping, scale: int, fields_of) -> list[tuple[int, int]]:
+            def decode(key: int) -> tuple:
+                pairs = []
+                while key:
+                    i = (key.bit_length() - 1) // stride
+                    e = key >> i * stride
+                    key -= e << i * stride
+                    pairs.append((symbols[i], e))
+                return tuple(pairs[::-1])
+
+            self.encode = lambda mono: sum(e << shift[sym] for sym, e in mono)
+        self.decode = decode
+
+    def pack(self, terms: Mapping, scale: int) -> list[tuple[int, int]]:
         """[(key, scale * x)] over Fraction terms x; `scale` clears every denominator."""
-        return [(self.key(fields_of(m)), x.numerator * (scale // x.denominator))
-                for m, x in terms.items()]
+        encode = self.encode
+        return [(encode(m), x.numerator * (scale // x.denominator)) for m, x in terms.items()]
 
-    def unpack(self, nums: Iterable[tuple[int, int]], den: int, monomial_of) -> dict:
-        """{monomial_of(key): n / den} over (key, integer numerator) pairs."""
-        return {monomial_of(k): Fraction(n, den) if den != 1 else Fraction(n) for k, n in nums}
+    def unpack(self, nums: Iterable[tuple[int, int]], den: int) -> dict:
+        """{monomial: n / den} over (key, integer numerator) pairs."""
+        decode = self.decode
+        return {decode(k): Fraction(n, den) if den != 1 else Fraction(n) for k, n in nums}
 
 
 class RingSpec:
@@ -74,11 +93,10 @@ class RingSpec:
     A monomial is a tuple of exponents in generator order; it is in normal
     form iff every exponent e_i <= n_i.  The top class is the monomial
     (n_1, ..., n_k) of degree ``top_degree``.  `_packing` gives generator i
-    field i, bounded by n_i; `_exponents` reads a key back, memoised per ring.
+    field i, bounded by n_i, and reads keys back as exponent tuples.
     """
 
-    __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index",
-                 "_packing", "_decode")
+    __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index", "_packing")
 
     def __init__(self, gens: Iterable[tuple[str, int, int]]):
         gens = tuple((str(n), int(d), int(b)) for (n, d, b) in gens)
@@ -99,14 +117,6 @@ class RingSpec:
         self.top_degree = sum(d * b for (_, d, b) in gens)
         self._index = {name: i for i, name in enumerate(names)}
         self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds)
-        self._decode: dict[int, tuple[int, ...]] = {}  # packed key -> exponents
-
-    def _exponents(self, key: int) -> tuple[int, ...]:
-        mono = self._decode.get(key)
-        if mono is None:
-            fields = dict(self._packing.fields(key, range(len(self.gens))))
-            mono = self._decode[key] = tuple(fields.get(i, 0) for i in range(len(self.gens)))
-        return mono
 
     def index(self, name: str) -> int:
         try:
@@ -261,7 +271,7 @@ class GradedClass(_SparseSum):
         """(D, [(packed monomial, D * coefficient)]) with D the lcm of the denominators."""
         if self._ints is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
-            self._ints = (den, self.ring._packing.pack(self.terms, den, enumerate))
+            self._ints = (den, self.ring._packing.pack(self.terms, den))
         return self._ints
 
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
@@ -274,8 +284,7 @@ class GradedClass(_SparseSum):
         g = gcd(den, *(n for _, n in nums))
         if g > 1:
             den, nums = den // g, [(k, n // g) for k, n in nums]
-        return GradedClass._trusted(ring, ring._packing.unpack(nums, den, ring._exponents),
-                                    (den, nums))
+        return GradedClass._trusted(ring, ring._packing.unpack(nums, den), (den, nums))
 
     # -- structure -------------------------------------------------------
 
@@ -308,7 +317,7 @@ class GradedClass(_SparseSum):
         the integral Q_d = a^(d+1) (1/P)_d obey Q_0 = 1 and Q_d =
         -sum_{i=1..d} a^(i-1) P_i Q_(d-i); the inverse is sum_d D Q_d / a^(d+1).
         """
-        ring = self.ring
+        ring, packing = self.ring, self.ring._packing
         den, nums = self._packed()
         a = dict(nums).get(0)  # the constant monomial packs to 0
         if a is None:
@@ -316,16 +325,15 @@ class GradedClass(_SparseSum):
         parts: dict[int, list[tuple[int, int]]] = {}  # i -> -a^(i-1) P_i
         for k, n in nums:
             if k:
-                i = ring.monomial_degree(ring._exponents(k))
+                i = ring.monomial_degree(packing.decode(k))
                 parts.setdefault(i, []).append((k, -n * a ** (i - 1)))
         q: list[dict[int, int]] = [{0: 1}]
         terms = {(0,) * len(ring.gens): Fraction(den, a)}
         for d in range(1, ring.top_degree + 1):
             acc = _mul_packed([(part, q[d - i].items()) for i, part in parts.items() if i <= d],
-                              ring._packing)
+                              packing)
             q.append(acc)
-            terms.update(ring._packing.unpack(((k, den * n) for k, n in acc.items()),
-                                              a ** (d + 1), ring._exponents))
+            terms.update(packing.unpack(((k, den * n) for k, n in acc.items()), a ** (d + 1)))
         return GradedClass._trusted(ring, terms)
 
     # -- equality / rendering ---------------------------------------------
@@ -390,7 +398,7 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
     if p.ring != ring or q.ring != ring:
         raise RingError("class does not live in the given ring")
     (den1, left), (den2, right) = p._packed(), q._packed()
-    right, top = dict(right), ring._packing.key(enumerate(ring.bounds))
+    right, top = dict(right), ring._packing.encode(ring.bounds)
     return Fraction(sum(n * right.get(top - k, 0) for k, n in left), den1 * den2)
 
 

@@ -125,9 +125,9 @@ def poly_content_free(p: Poly) -> Poly:
     return tuple(x * scale for x in p)
 
 
-def poly_str(p: Poly, var: str = "t") -> str:
+def poly_str(p: Poly) -> str:
     return render_sum(
-        (p[i], [(var, i)] if i else []) for i in range(len(p) - 1, -1, -1) if p[i]
+        (p[i], [("t", i)] if i else []) for i in range(len(p) - 1, -1, -1) if p[i]
     )
 
 

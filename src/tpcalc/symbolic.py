@@ -14,9 +14,10 @@ or delimited (``s_(10,0,1)``) when an entry exceeds 9.  Target-side expressions 
 source-side ones use ``c`` and ``fs``; the two kinds never mix.
 
 `SymbolicExpr` has the sum arithmetic of `algebra._SparseSum` and multiplies
-on the ring classes' packed monomials (`algebra.Packing`); `packing_of` only
-maps the symbols of a call to bit fields.  One push map, `_push`, sends c^K *
-prod fs_I^e to k_K * prod k_I^e, for k = s (f_*, `sify`) or k = fs (f^* f_*).
+on the ring classes' packed monomials; `packing_of` gives the symbols of a
+call one `algebra.Packing`, which encodes their monomials and decodes them.
+One push map, `_push`, sends c^K * prod fs_I^e to k_K * prod k_I^e, for
+k = s (f_*, `sify`) or k = fs (f^* f_*).
 """
 
 from __future__ import annotations
@@ -123,10 +124,9 @@ class SymbolicExpr(_SparseSum):
             return self._scale(other)
         a, b = self.terms, other.terms
         den1, den2 = (lcm(*(x.denominator for x in terms.values())) for terms in (a, b))
-        packing, fields_of, monomial_of = packing_of((a, b), 2)
-        nums = _mul_packed([(packing.pack(a, den1, fields_of), packing.pack(b, den2, fields_of))],
-                           packing)
-        return SymbolicExpr._trusted(packing.unpack(nums.items(), den1 * den2, monomial_of))
+        packing = packing_of((a, b), 2)
+        nums = _mul_packed([(packing.pack(a, den1), packing.pack(b, den2))], packing)
+        return SymbolicExpr._trusted(packing.unpack(nums.items(), den1 * den2))
 
     def invert(self):
         raise ValueError("negative powers of symbolic expressions")
@@ -193,28 +193,25 @@ def _canon_monomial(mono) -> Monomial:
     return tuple(sorted(acc.items(), key=lambda kv: _symbol_key(kv[0])))
 
 
-def packing_of(termsets: Iterable[Mapping[Monomial, Fraction]], factors: int):
-    """(packing, fields_of, monomial_of): symbol i of the term mappings in canonical
-    order owns field i, wide enough for a product of `factors` of their terms;
-    the maps take a monomial to (field, exponent) pairs and a key back."""
+def packing_of(termsets: Iterable[Mapping[Monomial, Fraction]], factors: int) -> Packing:
+    """The packing of the term mappings' monomials: symbol i in canonical order
+    owns field i, wide enough for a product of `factors` of their terms."""
     powers = {power for terms in termsets for mono in terms for power in mono}
     symbols = sorted({sym for sym, _e in powers}, key=_symbol_key)
-    field = {sym: i for i, sym in enumerate(symbols)}
-    packing = Packing((factors * max((e for _sym, e in powers), default=1)).bit_length())
-    return (packing, lambda mono: [(field[sym], e) for sym, e in mono],
-            lambda key: tuple(packing.fields(key, symbols)))
+    return Packing((factors * max((e for _sym, e in powers), default=1)).bit_length(),
+                   symbols=symbols)
 
 
 # -- symbol constructors ---------------------------------------------------
 
 
-def c(j: int, exp: int = 1) -> SymbolicExpr:
+def c(j: int) -> SymbolicExpr:
     """The quotient Chern class symbol c_j; c_0 = 1 and c_{<0} = 0."""
     if j < 0:
         return SymbolicExpr.zero()
     if j == 0:
         return SymbolicExpr.constant(1)
-    return SymbolicExpr({((("c", j), exp),): Fraction(1)})
+    return SymbolicExpr({((("c", j), 1),): Fraction(1)})
 
 
 def s(*I: int) -> SymbolicExpr:

@@ -151,7 +151,9 @@ def multi_type(spec: str | Iterable[str], kappa: int,
                db: ResidualDB | None = None) -> MultiSingType:
     """Build a MultiSingType from 'A0,A0,A1' or an iterable of names."""
     if isinstance(spec, str):
-        names = tuple(n.strip() for n in spec.split(",") if n.strip())
+        names = tuple(n.strip() for n in spec.split(","))
+        if not all(names):
+            raise SingTypeError(f"empty entry in multi-singularity type {spec!r}")
     else:
         names = tuple(spec)
     return MultiSingType(names, kappa, db)
@@ -170,19 +172,10 @@ def set_partitions(r: int) -> list[SetPartition]:
     """
     if r < 1:
         raise ValueError("set_partitions needs r >= 1")
-    parts: list[list[list[int]]] = [[]]
-    for x in range(1, r + 1):
-        grown: list[list[list[int]]] = []
-        for p in parts:
-            for i in range(len(p)):
-                grown.append([blk + [x] if j == i else list(blk) for j, blk in enumerate(p)])
-            grown.append([list(blk) for blk in p] + [[x]])
-        parts = grown
-    canon = [
-        tuple(sorted((tuple(sorted(b)) for b in p), key=lambda blk: blk[0]))
-        for p in parts
-    ]
-    return sorted(canon)
+    parts: list[SetPartition] = [()]
+    for x in range(1, r + 1):  # x joins each block in turn, or opens the last
+        parts = [p[:i] + (b + (x,),) + p[i + 1:] for p in parts for i, b in enumerate(p + ((),))]
+    return sorted(parts)
 
 
 def bell_number(r: int) -> int:
@@ -373,9 +366,9 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
     values = {(d, False): _push(R[d], "s" if side == "target" else "fs").terms
               for d in R if not (keep and d == full)}
     values.update(((d, True), R[d].terms) for d in R if keep and d[lead])
-    packing, fields_of, monomial_of = packing_of(values.values(), t.r)
+    packing = packing_of(values.values(), t.r)
     lam = math.lcm(*(x.denominator for d in R for x in R[d].terms.values()))
-    packed = {key: packing.pack(x, lam ** sum(key[0]), fields_of) for key, x in values.items()}
+    packed = {key: packing.pack(x, lam ** sum(key[0])) for key, x in values.items()}
     sums: dict[tuple, dict] = {subsets[0]: {0: 1}}  # sub-multiset -> packed F
     for v in subsets[1:]:
         top = v == full
@@ -389,7 +382,7 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
             products.append(([(key, n * weight) for key, n in packed[d, top and keep]],
                              sums[tuple(k - e for k, e in zip(v, d))].items()))
         sums[v] = _mul_packed(products, packing)
-    return SymbolicExpr._trusted(packing.unpack(sums[full].items(), lam ** t.r, monomial_of))
+    return SymbolicExpr._trusted(packing.unpack(sums[full].items(), lam ** t.r))
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
@@ -455,8 +448,8 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
     if k < 1:
         raise ValueError("thom_porteous needs k >= 1")
     entries = {(i, j): c(kappa + k + j - i).terms for i in range(k) for j in range(k)}
-    packing, fields_of, monomial_of = packing_of(entries.values(), k)
-    entries = {ij: packing.pack(terms, 1, fields_of) for ij, terms in entries.items()}
+    packing = packing_of(entries.values(), k)
+    entries = {ij: packing.pack(terms, 1) for ij, terms in entries.items()}
     minors: dict[int, dict] = {0: {0: 1}}  # column mask -> packed minor
     for i in range(k - 1, -1, -1):
         layer: dict[int, list] = {}
@@ -467,7 +460,7 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
                     layer.setdefault(mask | 1 << j, []).append(
                         ([(key, sign * n) for key, n in entries[i, j]], minor.items()))
         minors = {mask: _mul_packed(products, packing) for mask, products in layer.items()}
-    return SymbolicExpr._trusted(packing.unpack(minors[(1 << k) - 1].items(), 1, monomial_of))
+    return SymbolicExpr._trusted(packing.unpack(minors[(1 << k) - 1].items(), 1))
 
 
 # -- evaluation on map models ----------------------------------------------------

@@ -151,13 +151,17 @@ def _random_class(rng: random.Random, ring, degree: int) -> GradedClass:
     return GradedClass(ring, terms)
 
 
-def projection_formula_holds(model: MapModel, pairs: int = 100,
-                             seed: int = 20240823) -> bool:
-    """f_*(alpha * f^* beta) == f_*(alpha) * beta on random class pairs."""
-    rng = random.Random(seed)
+PROJECTION_PAIRS, PROJECTION_SEED = 100, 20240823
+PROPERTY_MODELS = ["veronese-p3", "scroll-q-p3", "ratcurve:3", "pencil:3",
+                   "web3:3", "dual-surface:3"]
+
+
+def projection_formula_holds(model: MapModel) -> bool:
+    """f_*(alpha * f^* beta) == f_*(alpha) * beta on seeded random class pairs."""
+    rng = random.Random(PROJECTION_SEED)
     src = model.source.ambient
     tgt = model.target_ring
-    for _ in range(pairs):
+    for _ in range(PROJECTION_PAIRS):
         alpha = _random_class(rng, src, rng.randint(0, src.top_degree))
         beta = _random_class(rng, tgt, rng.randint(0, tgt.top_degree))
         lhs = model.pushforward(alpha * model.pullback(beta))
@@ -165,10 +169,6 @@ def projection_formula_holds(model: MapModel, pairs: int = 100,
         if lhs != rhs:
             return False
     return True
-
-
-PROPERTY_MODELS = ["veronese-p3", "scroll-q-p3", "ratcurve:3", "pencil:3",
-                   "web3:3", "dual-surface:3"]
 
 
 def nested_triple_point_class(model: MapModel) -> GradedClass:
@@ -189,7 +189,8 @@ def suite_properties() -> list[dict]:
 
     for name in PROPERTY_MODELS:
         ok = projection_formula_holds(get_model(name))
-        checks.append(_check(f"projection formula on {name} (100 pairs)", True, ok))
+        checks.append(_check(f"projection formula on {name} ({PROJECTION_PAIRS} pairs)",
+                             True, ok))
 
     homogeneous = True
     for (names, kappa) in db.keys():

@@ -303,21 +303,34 @@ def test_dense_square_and_inverse_match_reference():
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.data())
 @settings(max_examples=100)
 def test_bounded_keys_decode_to_their_exponents(bounds, data):
-    ring = make_ring([(f"g{i}", 1, b) for i, b in enumerate(bounds)])
+    packing = make_ring([(f"g{i}", 1, b) for i, b in enumerate(bounds)])._packing
     mono = tuple(data.draw(st.integers(0, b)) for b in bounds)
-    key = ring._packing.key(enumerate(mono))
-    assert ring._packing.fields(key, range(len(mono))) == [(i, e) for i, e in enumerate(mono) if e]
-    assert ring._exponents(key) == mono
+    key = packing.encode(mono)
+    assert key == sum(e << i * packing.stride for i, e in enumerate(mono))
+    assert packing.decode(key) == mono
+    assert packing.decode(key) is packing.decode(key)  # memoised
 
 
 @given(st.integers(1, 12), st.dictionaries(st.integers(0, 300), st.integers(1, 4095)))
 @settings(max_examples=100)
 def test_unbounded_keys_decode_to_their_fields(width, exponents):
     # fields far apart, as the symbols of one expansion are
-    packing = Packing(width)
-    pairs = sorted((i, e % (1 << width) or 1) for i, e in exponents.items())
-    assert packing.fields(packing.key(pairs), range(301)) == pairs
+    packing = Packing(width, symbols=range(301))
+    pairs = tuple(sorted((i, e % (1 << width) or 1) for i, e in exponents.items()))
+    key = packing.encode(pairs)
+    assert key == sum(e << i * width for i, e in pairs)
+    assert packing.decode(key) == pairs
     assert packing.bias == packing.guard == 0
+
+
+def test_the_constant_monomial_packs_to_zero():
+    # the {0: 1} seeds of the expansions and invert's constant term rely on it
+    for bounds in [(), (1,), (3, 2), (8, 1, 15)]:
+        packing = make_ring([(f"g{i}", 1, b) for i, b in enumerate(bounds)])._packing
+        assert packing.encode((0,) * len(bounds)) == 0
+        assert packing.decode(0) == (0,) * len(bounds)
+    unbounded = Packing(3, symbols=("a", "b"))
+    assert unbounded.encode(()) == 0 and unbounded.decode(0) == ()
 
 
 @pytest.mark.parametrize("bounds", [(7,), (8,), (7, 3, 1), (3, 8, 7), (1, 15, 16)])

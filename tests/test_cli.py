@@ -42,6 +42,13 @@ class TestExpand:
         assert code == 2
         assert "E8" in err
 
+    @pytest.mark.parametrize("spec", ["A0,,A0", "A0,", ",A0"])
+    def test_empty_type_entry_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, ["expand", "--type", spec, "--kappa", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"error: empty entry in multi-singularity type {spec!r}"
+
     def test_missing_residual_exits_2_unquoted(self, capsys):
         code, out, err = run(capsys, ["expand", "--type", "A0,A0,A0,A0", "--kappa", "2"])
         assert code == 2

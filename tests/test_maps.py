@@ -178,7 +178,7 @@ class TestProductProjection:
 class TestProjectionFormula:
     @pytest.mark.parametrize("name", PROPERTY_MODELS)
     def test_holds_exactly(self, name):
-        assert projection_formula_holds(get_model(name), pairs=100)
+        assert projection_formula_holds(get_model(name))
 
 
 class TestDegreeShift:

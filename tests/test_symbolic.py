@@ -20,6 +20,7 @@ from tpcalc.symbolic import (
     canon_index,
     fs,
     index_c_degree,
+    packing_of,
     parse_expr,
     render_expr,
     s,
@@ -263,6 +264,29 @@ def test_product_over_many_symbols():
     assert_same_product(a * b, reference_product(a, b))
     square = (c(300) - fs(2) / 4) ** 2
     assert_same_product(a * b * square, reference_product(reference_product(a, b), square))
+
+
+_symbols = st.one_of(
+    st.builds(lambda j: ("c", j), st.integers(1, 1000)),
+    st.tuples(st.sampled_from(["s", "fs"]),
+              st.lists(st.integers(0, 12), max_size=4).map(canon_index)),
+)
+
+
+@given(st.lists(_symbols, min_size=1, max_size=300, unique=True), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packing_of_round_trips_monomials(symbols, factors, data):
+    # one term per symbol; then monomials joining symbols whose fields lie far
+    # apart, each at the largest exponent its field holds
+    terms = {((sym, data.draw(st.integers(1, 40))),): Fraction(1) for sym in symbols}
+    packing = packing_of([terms], factors)
+    for mono in terms:
+        assert packing.decode(packing.encode(mono)) == mono
+    top = (1 << packing.stride) - 1
+    for _ in range(3):
+        picks = data.draw(st.lists(st.sampled_from(symbols), unique=True, max_size=8))
+        (mono,) = SymbolicExpr({tuple((sym, top) for sym in picks): 1}).terms
+        assert packing.decode(packing.encode(mono)) == mono
 
 
 # -- sify against the retired product-based push --------------------------------

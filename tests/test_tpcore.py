@@ -254,6 +254,11 @@ class TestMultiSingType:
         with pytest.raises(SingTypeError):
             MultiSingType((), 1)
 
+    @pytest.mark.parametrize("spec", ["A0,,A0", "A0,", ",A0", "A0, ,A1", ""])
+    def test_empty_entry_in_spec_rejected(self, spec):
+        with pytest.raises(SingTypeError, match=f"empty entry in multi-singularity type {spec!r}"):
+            multi_type(spec, 1)
+
 
 class TestSetPartitions:
     @pytest.mark.parametrize("r,count", [(1, 1), (2, 2), (3, 5), (4, 15)])
