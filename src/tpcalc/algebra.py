@@ -3,9 +3,11 @@
 A ring is Q[g_1,...,g_k] modulo the relations g_i^(n_i+1) = 0, with each
 generator carrying a positive degree.  This is exactly the intersection ring
 of a product of projective spaces, which is all the substrate the rest of the
-package needs.  Coefficients are `fractions.Fraction`; nothing here ever
-touches floating point.  `GradedClass` and `symbolic.SymbolicExpr` share
-the sum arithmetic of `_SparseSum`, and both multiply in one product loop,
+package needs.  Coefficients are exact rationals; a float raises TypeError.
+A `GradedClass` holds packed integer numerators over one denominator and
+builds its `fractions.Fraction` terms on first read.  `GradedClass` and
+`symbolic.SymbolicExpr` share the sum arithmetic of `_SparseSum`, and both
+multiply in one product loop,
 `_mul_packed`, on monomials in one packed-integer layout, `Packing`, which
 encodes and decodes its own monomials: a ring bounds its fields (so the loop
 truncates) and reads exponent tuples, the symbolic kernel sizes them per
@@ -76,10 +78,10 @@ class Packing:
             self.encode = lambda mono: sum(e << shift[sym] for sym, e in mono)
         self.decode = decode
 
-    def pack(self, terms: Mapping, scale: int) -> list[tuple[int, int]]:
-        """[(key, scale * x)] over Fraction terms x; `scale` clears every denominator."""
+    def pack(self, terms: Mapping, scale: int) -> dict[int, int]:
+        """{key: scale * x} over Fraction terms x; `scale` clears every denominator."""
         encode = self.encode
-        return [(encode(m), x.numerator * (scale // x.denominator)) for m, x in terms.items()]
+        return {encode(m): x.numerator * (scale // x.denominator) for m, x in terms.items()}
 
     def unpack(self, nums: Iterable[tuple[int, int]], den: int) -> dict:
         """{monomial: n / den} over (key, integer numerator) pairs."""
@@ -132,14 +134,14 @@ class RingSpec:
         return self.bounds
 
     def zero(self) -> "GradedClass":
-        return GradedClass._trusted(self, {})
+        return GradedClass._from_ints(self, 1, {})
 
     def one(self) -> "GradedClass":
-        return GradedClass._trusted(self, {(0,) * len(self.gens): Fraction(1)})
+        return GradedClass._from_ints(self, 1, {0: 1})  # the constant monomial packs to 0
 
     def gen(self, name: str) -> "GradedClass":
-        mono = tuple(1 if i == self.index(name) else 0 for i in range(len(self.gens)))
-        return GradedClass._trusted(self, {mono: Fraction(1)})
+        key = 1 << self.index(name) * self._packing.stride  # exponent 1 in the name's field
+        return GradedClass._from_ints(self, 1, {key: 1})
 
     def monomials_of_degree(self, d: int) -> Iterator[tuple[int, ...]]:
         """All normal-form monomials of total degree d, lex order."""
@@ -171,12 +173,19 @@ def make_ring(spec: Iterable[tuple[str, int, int]]) -> RingSpec:
     return RingSpec(spec)
 
 
+def _scalar(value) -> Fraction:
+    """An int or Fraction as a Fraction; a float, or anything else, raises TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"coefficients are int or Fraction, not {type(value).__name__}")
+
+
 class _SparseSum:
     """A finite sum of monomials, `terms`: monomial -> nonzero Fraction.
 
-    A subclass wraps a terms dict (`_like`), lifts a scalar or checks an
-    operand (`_coerce`), and gives `__mul__` (a scalar goes to `_scale`) and
-    `invert`, which a negative power calls.
+    A subclass wraps a terms dict (`_like`), lifts a scalar (through `_scalar`)
+    or checks an operand (`_coerce`), and gives `__mul__` (a scalar goes to
+    `_scale`) and `invert`, which a negative power calls.
     """
 
     __slots__ = ()
@@ -208,7 +217,7 @@ class _SparseSum:
         return self * other
 
     def __truediv__(self, other: Scalar):
-        return self * (Fraction(1) / Fraction(other))
+        return self * (1 / _scalar(other))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -226,15 +235,17 @@ class _SparseSum:
 
 
 class GradedClass(_SparseSum):
-    """An element of a RingSpec: a finite sum of monomials with Fraction coefficients.
+    """An element of a RingSpec: a finite sum of monomials with rational coefficients.
 
     Immutable after construction.  Monomials that violate a nilpotency bound
     are dropped (that is the ring's truncation), zero coefficients are never
-    stored.  Products and inverses run on packed monomials (see Packing) and
-    integer numerators over a common denominator (``_ints``, kept once built).
+    stored.  A class holds packed integer numerators over their least common
+    denominator (``_ints``, see Packing), on which products, inverses,
+    components, integrals, ``==`` and ``hash`` run; `terms` is built from
+    them on first read (and they from `terms` for a class given by terms).
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_ints")
+    __slots__ = ("ring", "_terms", "_hash", "_ints")
 
     def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -244,18 +255,32 @@ class GradedClass(_SparseSum):
                 raise RingError(f"monomial {mono} has wrong arity for {ring!r}")
             if any(e < 0 for e in mono):
                 raise RingError(f"negative exponent in {mono}")
-            coeff = Fraction(coeff)
+            coeff = _scalar(coeff)
             if all(e <= b for e, b in zip(mono, ring.bounds)):  # else truncated away
                 clean[mono] = clean.get(mono, 0) + coeff
-        self.ring, self.terms = ring, {m: c for m, c in clean.items() if c}
+        self.ring, self._terms = ring, {m: c for m, c in clean.items() if c}
         self._hash = self._ints = None
 
     @classmethod
-    def _trusted(cls, ring: RingSpec, terms: dict, ints=None) -> "GradedClass":
+    def _trusted(cls, ring: RingSpec, terms: dict | None) -> "GradedClass":
         """Wrap nonzero Fractions on normal-form tuples, unchecked."""
         self = object.__new__(cls)
-        self.ring, self.terms, self._hash, self._ints = ring, terms, None, ints
+        self.ring, self._terms, self._hash, self._ints = ring, terms, None, None
         return self
+
+    @classmethod
+    def _from_ints(cls, ring: RingSpec, den: int, nums: dict[int, int]) -> "GradedClass":
+        """sum n / den over nonzero {packed monomial: n}, in lowest terms, terms unbuilt."""
+        self, g = cls._trusted(ring, None), gcd(den, *nums.values())
+        self._ints = (den // g, {k: n // g for k, n in nums.items()} if g > 1 else nums)
+        return self
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        if self._terms is None:
+            den, nums = self._ints
+            self._terms = self.ring._packing.unpack(nums.items(), den)
+        return self._terms
 
     def _like(self, terms: dict) -> "GradedClass":
         return GradedClass._trusted(self.ring, terms)
@@ -265,13 +290,13 @@ class GradedClass(_SparseSum):
             if self.ring != value.ring:
                 raise RingError("operands live in different rings")
             return value
-        return self.ring.one()._scale(Fraction(value))
+        return self.ring.one()._scale(_scalar(value))
 
-    def _packed(self) -> tuple[int, list[tuple[int, int]]]:
-        """(D, [(packed monomial, D * coefficient)]) with D the lcm of the denominators."""
+    def _packed(self) -> tuple[int, dict[int, int]]:
+        """(D, {packed monomial: D * coefficient}) with D the lcm of the denominators."""
         if self._ints is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            self._ints = (den, self.ring._packing.pack(self.terms, den))
+            den = lcm(*(c.denominator for c in self._terms.values()))
+            self._ints = (den, self.ring._packing.pack(self._terms, den))
         return self._ints
 
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
@@ -279,12 +304,8 @@ class GradedClass(_SparseSum):
             return self._scale(other)
         ring = self._coerce(other).ring  # RingError across rings
         (den1, left), (den2, right) = self._packed(), other._packed()
-        nums = list(_mul_packed([(left, right)], ring._packing).items())
-        den = den1 * den2
-        g = gcd(den, *(n for _, n in nums))
-        if g > 1:
-            den, nums = den // g, [(k, n // g) for k, n in nums]
-        return GradedClass._trusted(ring, ring._packing.unpack(nums, den), (den, nums))
+        return GradedClass._from_ints(
+            ring, den1 * den2, _mul_packed([(left.items(), right.items())], ring._packing))
 
     # -- structure -------------------------------------------------------
 
@@ -296,16 +317,15 @@ class GradedClass(_SparseSum):
 
     def graded_component(self, d: int) -> "GradedClass":
         """The sum of terms of total degree exactly d (zero if none)."""
-        deg = self.ring.monomial_degree
-        return GradedClass._trusted(self.ring, {m: c for m, c in self.terms.items()
-                                                if deg(m) == d})
+        return self.components().get(d, self.ring.zero())
 
     def components(self) -> dict[int, "GradedClass"]:
-        """Decomposition into homogeneous pieces, keyed by degree."""
-        deg, parts = self.ring.monomial_degree, {}
-        for m, c in self.terms.items():
-            parts.setdefault(deg(m), {})[m] = c
-        return {d: GradedClass._trusted(self.ring, parts[d]) for d in sorted(parts)}
+        """Decomposition into homogeneous pieces, keyed by degree, split on the packed form."""
+        ring, (den, nums), parts = self.ring, self._packed(), {}
+        deg, decode = ring.monomial_degree, ring._packing.decode
+        for k, n in nums.items():
+            parts.setdefault(deg(decode(k)), {})[k] = n
+        return {d: GradedClass._from_ints(ring, den, parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.ring.monomial_degree(m) == d for m in self.terms)
@@ -319,11 +339,11 @@ class GradedClass(_SparseSum):
         """
         ring, packing = self.ring, self.ring._packing
         den, nums = self._packed()
-        a = dict(nums).get(0)  # the constant monomial packs to 0
+        a = nums.get(0)  # the constant monomial packs to 0
         if a is None:
             raise RingError("not a unit: zero constant term")
         parts: dict[int, list[tuple[int, int]]] = {}  # i -> -a^(i-1) P_i
-        for k, n in nums:
+        for k, n in nums.items():
             if k:
                 i = ring.monomial_degree(packing.decode(k))
                 parts.setdefault(i, []).append((k, -n * a ** (i - 1)))
@@ -341,15 +361,13 @@ class GradedClass(_SparseSum):
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
-        return (
-            isinstance(other, GradedClass)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return (isinstance(other, GradedClass) and self.ring == other.ring
+                and self._packed() == other._packed())
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, tuple(sorted(self.terms.items()))))
+            den, nums = self._packed()
+            self._hash = hash((self.ring, den, frozenset(nums.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -386,10 +404,8 @@ def graded_component(p: GradedClass, d: int) -> GradedClass:
 
 
 def integrate_top(ring: RingSpec, p: GradedClass) -> Fraction:
-    """Coefficient of the fundamental top monomial prod g_i^(n_i)."""
-    if p.ring != ring:
-        raise RingError("class does not live in the given ring")
-    return p.coefficient(ring.top_monomial)
+    """Coefficient of the fundamental top monomial prod g_i^(n_i), the integral of p * 1."""
+    return _integrate_product(ring, p, ring.one())
 
 
 def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fraction:
@@ -397,9 +413,19 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
     pairs with the term of q at the complementary monomial top/m."""
     if p.ring != ring or q.ring != ring:
         raise RingError("class does not live in the given ring")
-    (den1, left), (den2, right) = p._packed(), q._packed()
-    right, top = dict(right), ring._packing.encode(ring.bounds)
-    return Fraction(sum(n * right.get(top - k, 0) for k, n in left), den1 * den2)
+    (den1, left), (den2, right), top = p._packed(), q._packed(), ring._packing.encode(ring.bounds)
+    return Fraction(sum(n * right.get(top - k, 0) for k, n in left.items()), den1 * den2)
+
+
+def _combine(ring: RingSpec, pairs: Iterable[tuple[Scalar, GradedClass]]) -> GradedClass:
+    """sum x * p over (scalar x, class p of ring) pairs, on integer numerators
+    over one common denominator: each x, so scaled, is a constant left factor
+    of `_mul_packed`.  The sum's terms are built only when read."""
+    pairs = [(x, p._packed()) for x, p in pairs]
+    den = lcm(*(x.denominator * d for x, (d, _) in pairs))
+    return GradedClass._from_ints(ring, den, _mul_packed(
+        [([(0, x.numerator * (den // (x.denominator * d)))], nums.items())
+         for x, (d, nums) in pairs], ring._packing))
 
 
 # -- textual grammar -----------------------------------------------------

@@ -19,7 +19,7 @@ from functools import reduce
 from operator import mul
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, RingSpec, _integrate_product, make_ring
+from .algebra import GradedClass, RingSpec, _integrate_product, _mul_packed, make_ring
 from .grammar import MAX_DIGITS
 
 
@@ -58,20 +58,25 @@ def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]]) -> 
     """prod (1 + D)^a over (D, a) pairs, D a degree-1 class and a an integer of
     either sign; pairs with equal D add their exponents first.  Each factor is
     the binomial series sum_e C(a, e) D^e, C(a, e+1) = C(a, e) (a - e) / (e + 1),
-    stopped where C(a, e) or D^e is 0; D^e has degree e, so its terms are new."""
+    stopped where C(a, e) or D^e is 0; D^e has degree e, so its terms are new.
+    It runs on packed integer numerators: for D = N / q, q^E times the series
+    is sum_e C(a, e) q^(E - e) N^e, with E = a > 0, else the top degree (the
+    last e for which D^e can be nonzero)."""
     merged: dict[GradedClass, int] = {}
     for D, a in roots:
         merged[D] = merged.get(D, 0) + a
-    total = ring.one()
+    packing, den, total = ring._packing, 1, {0: 1}
     for D, a in ((D, a) for D, a in merged.items() if a):
-        terms, power, coeff, e = dict(ring.one().terms), D, a, 1
-        while coeff and not power.is_zero():
-            terms.update((m, coeff * x) for m, x in power.terms.items())
+        (q, N), E = D._packed(), a if a > 0 else ring.top_degree
+        series, power, coeff, e = {}, {0: 1}, 1, 0  # power = N^e, coeff = C(a, e)
+        while coeff and power:
+            scale = coeff * q ** (E - e)
+            series.update((k, scale * n) for k, n in power.items())
             coeff, e = coeff * (a - e) // (e + 1), e + 1
             if coeff:
-                power = power * D
-        total = total * GradedClass._trusted(ring, terms)
-    return total
+                power = _mul_packed([(power.items(), N.items())], packing)
+        total, den = _mul_packed([(total.items(), series.items())], packing), den * q ** E
+    return GradedClass._from_ints(ring, den, total)
 
 
 class VarietyModel:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, _integrate_product
+from .algebra import GradedClass, _combine, _integrate_product
 from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _integers,
                    chern_of_roots, parse_variety, product_projective)
 from .symbolic import Index, canon_index, index_c_degree, index_str
@@ -161,24 +161,22 @@ class ProductTargetMap(MapModel):
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:
             raise ModelError("pullback argument lives in the wrong ring")
-        terms: dict = {}  # every monomial's image is added in here, as in evaluate
-        for mono, coeff in beta.terms.items():
-            for m, x in self._image(self._pulled, mono).terms.items():
-                terms[m] = terms.get(m, 0) + coeff * x
-        return GradedClass._trusted(self.source.ambient, {m: x for m, x in terms.items() if x})
+        return _combine(self.source.ambient,
+                        [(x, self._image(self._pulled, m)) for m, x in beta.terms.items()])
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         """The coefficient of m is int_X alpha * f^*(top/m)."""
         ambient = self.source.ambient
         if alpha.ring != ambient:
             raise ModelError("pushforward argument lives in the wrong ring")
-        ring, top = self.target_ring, self.target_ring.top_monomial
+        ring, top, decode = self.target_ring, self.target_ring.top_monomial, ambient._packing.decode
         terms = {}
-        for d in {ambient.monomial_degree(m) for m in alpha.terms}:
+        for d in {ambient.monomial_degree(decode(k)) for k in alpha._packed()[1]}:
             for m in ring.monomials_of_degree(d + self.kappa):
                 dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))
-                terms[m] = _integrate_product(ambient, alpha, dual)
-        return GradedClass(ring, terms)
+                if x := _integrate_product(ambient, alpha, dual):
+                    terms[m] = x
+        return GradedClass._trusted(ring, terms)
 
 
 def projection_from_product(X: VarietyModel,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .algebra import Packing, _mul_packed, _SparseSum
+from .algebra import Packing, _mul_packed, _scalar, _SparseSum
 from .grammar import parse_sum, render_sum
 
 Scalar = Union[int, Fraction]
@@ -89,7 +89,7 @@ class SymbolicExpr(_SparseSum):
     def __init__(self, terms: Mapping[Monomial, Scalar]):
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = _scalar(coeff)
             if coeff:
                 mono = _canon_monomial(mono)
                 clean[mono] = clean.get(mono, 0) + coeff
@@ -110,7 +110,7 @@ class SymbolicExpr(_SparseSum):
 
     @staticmethod
     def constant(value: Scalar) -> "SymbolicExpr":
-        return SymbolicExpr({(): Fraction(value)})
+        return SymbolicExpr({(): value})
 
     _like = _trusted
 
@@ -122,10 +122,11 @@ class SymbolicExpr(_SparseSum):
     def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
-        a, b = self.terms, other.terms
+        a, b = self.terms, self._coerce(other).terms
         den1, den2 = (lcm(*(x.denominator for x in terms.values())) for terms in (a, b))
         packing = packing_of((a, b), 2)
-        nums = _mul_packed([(packing.pack(a, den1), packing.pack(b, den2))], packing)
+        nums = _mul_packed([(packing.pack(a, den1).items(), packing.pack(b, den2).items())],
+                           packing)
         return SymbolicExpr._trusted(packing.unpack(nums.items(), den1 * den2))
 
     def invert(self):

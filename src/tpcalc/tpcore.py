@@ -29,7 +29,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import GradedClass, _mul_packed, integrate_top
+from .algebra import GradedClass, _combine, _mul_packed, integrate_top
 from .grammar import MAX_DIGITS
 from .maps import MapModel
 from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
@@ -379,7 +379,7 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
                 continue
             weight = math.prod(math.comb(k - (n == lead_v), e - (n == lead_v))
                                for n, (k, e) in enumerate(zip(v, d)))
-            products.append(([(key, n * weight) for key, n in packed[d, top and keep]],
+            products.append(([(key, n * weight) for key, n in packed[d, top and keep].items()],
                              sums[tuple(k - e for k, e in zip(v, d))].items()))
         sums[v] = _mul_packed(products, packing)
     return SymbolicExpr._trusted(packing.unpack(sums[full].items(), lam ** t.r))
@@ -458,7 +458,7 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
                 if not mask >> j & 1:
                     sign = (-1) ** bin(mask & ((1 << j) - 1)).count("1")
                     layer.setdefault(mask | 1 << j, []).append(
-                        ([(key, sign * n) for key, n in entries[i, j]], minor.items()))
+                        ([(key, sign * n) for key, n in entries[i, j].items()], minor.items()))
         minors = {mask: _mul_packed(products, packing) for mask, products in layer.items()}
     return SymbolicExpr._trusted(packing.unpack(minors[(1 << k) - 1].items(), 1))
 
@@ -480,7 +480,7 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     elif side not in (None, actual):
         raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
     ring = f.target_ring if actual == "target" else f.source.ambient
-    terms: dict = {}  # every monomial's class is added in here, copying no running sum
+    pairs = []  # (coefficient, class) of each monomial, summed in one pass
     for mono, coeff in expr.terms.items():
         if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
             continue  # zero in the ring, so no index is built
@@ -491,10 +491,8 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
                 factors.append(f.landweber_novikov(payload) ** e)
             elif kind == "fs":
                 factors.append(f.pullback(f.landweber_novikov(payload)) ** e)
-        value = reduce(operator.mul, factors) if factors else ring.one()
-        for m, x in value.terms.items():
-            terms[m] = terms.get(m, 0) + coeff * x
-    return GradedClass._trusted(ring, {m: x for m, x in terms.items() if x})
+        pairs.append((coeff, reduce(operator.mul, factors) if factors else ring.one()))
+    return _combine(ring, pairs)
 
 
 def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:

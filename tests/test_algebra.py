@@ -367,3 +367,56 @@ class TestPublicConstructorChecks:
         p = GradedClass(P2, {(3,): 5, (1,): Fraction(1, 2), (0,): 0})
         assert p.terms == {(1,): Fraction(1, 2)}
         assert all(type(c) is Fraction for c in p.terms.values())
+
+
+# -- products stay packed until their terms are read ------------------------------
+
+
+def eager_components(p):
+    """The retired split: one terms dict per degree, through the checking constructor."""
+    parts = {}
+    for m, c in p.terms.items():
+        parts.setdefault(p.ring.monomial_degree(m), {})[m] = c
+    return {d: GradedClass(p.ring, parts[d]) for d in sorted(parts)}
+
+
+@given(ring_with_classes())
+@settings(max_examples=150, deadline=None)
+def test_lazy_product_reads_like_the_eager_reference(case):
+    _, (p, q, _) = case
+    want = ref_mul(p, q)  # its terms built eagerly by the constructor
+    got = p * q
+    assert got == want and hash(got) == hash(want)
+    pieces = got.components()
+    assert got._terms is None  # ==, hash and components ran on the packed form
+    reference = eager_components(want)
+    assert list(pieces) == list(reference)
+    for d, piece in pieces.items():
+        assert piece == reference[d] and hash(piece) == hash(reference[d])
+        same(piece, reference[d])
+    assert str(got) == str(want)
+    same(got, want)
+    for d in range(p.ring.top_degree + 2):  # graded_component splits the packed form too
+        same(graded_component(got, d), reference.get(d, p.ring.zero()))
+
+
+class TestFloatScalars:
+    """Floats are refused by every operator and constructor: nothing is inexact."""
+
+    h = P2.gen("h")
+
+    @pytest.mark.parametrize("op", [
+        lambda h: h * 0.5, lambda h: 0.5 * h, lambda h: h + 0.1, lambda h: 0.1 + h,
+        lambda h: h - 0.1, lambda h: 0.1 - h, lambda h: h / 0.5,
+    ], ids=["mul", "rmul", "add", "radd", "sub", "rsub", "truediv"])
+    def test_operator_refuses_a_float(self, op):
+        with pytest.raises(TypeError, match="float"):
+            op(self.h)
+
+    def test_constructor_refuses_a_float(self):
+        with pytest.raises(TypeError, match="float"):
+            GradedClass(P2, {(1,): 0.1})
+
+    def test_int_and_fraction_scalars_still_work(self):
+        assert self.h * Fraction(1, 2) + 1 == GradedClass(P2, {(0,): 1, (1,): Fraction(1, 2)})
+        assert self.h / 2 == Fraction(1, 2) * self.h

@@ -402,6 +402,7 @@ def test_descriptions_cover_both_target_sizes():
 def test_pullback_and_pushforward_match_references(case):
     f, alpha, beta = case
     assert f.pullback(beta) == reference_pullback(f, beta)
+    assert f.pullback(beta).terms == fraction_pullback(f, beta).terms
     assert f.pushforward(alpha) == reference_pushforward(f, alpha)
     assert f.pushforward(alpha * f.pullback(beta)) == f.pushforward(alpha) * beta
 
@@ -571,12 +572,15 @@ def test_ill_formed_models_are_refused_at_construction(build, message):
 
 @st.composite
 def rings_and_roots(draw):
-    """A ring of 1 to 3 factors and (D, a) pairs, D a sum of generators and
-    a in [-6, 6], with some D repeated or given the opposite exponent."""
+    """A ring of 1 to 3 factors and (D, a) pairs, D a sum of generators with
+    positive weights, some of denominator 2 to 5, and a in [-6, 6], with some D
+    repeated or given the opposite exponent."""
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     ring = make_ring([(f"g{i}", 1, d) for i, d in enumerate(dims)])
-    divisor = st.lists(st.sampled_from(ring.names), min_size=1, max_size=3).map(
-        lambda names: sum((ring.gen(n) for n in names), ring.zero()))
+    weight = st.one_of(st.just(1), st.builds(Fraction, st.integers(1, 9), st.integers(2, 5)))
+    divisor = st.lists(st.tuples(st.sampled_from(ring.names), weight), min_size=1,
+                       max_size=3).map(lambda pairs: sum((w * ring.gen(n) for n, w in pairs),
+                                                         ring.zero()))
     exponent = st.integers(-6, 6)
     roots = draw(st.lists(st.tuples(divisor, exponent), min_size=1, max_size=4))
     echoes = draw(st.lists(st.tuples(st.sampled_from(roots), st.booleans(), exponent),
@@ -590,7 +594,27 @@ def rings_and_roots(draw):
 def test_chern_of_roots_matches_powers(case):
     ring, roots = case
     expected = reduce(operator.mul, [(ring.one() + D) ** a for D, a in roots], ring.one())
-    assert chern_of_roots(ring, roots) == expected
+    got = chern_of_roots(ring, roots)
+    assert got == expected
+    assert got.terms == fraction_chern_of_roots(ring, roots).terms
+
+
+def fraction_chern_of_roots(ring, roots):
+    """The retired Fraction route: each binomial series a terms dict of
+    Fractions, multiplied into the total one GradedClass product at a time."""
+    merged = {}
+    for D, a in roots:
+        merged[D] = merged.get(D, 0) + a
+    total = ring.one()
+    for D, a in ((D, a) for D, a in merged.items() if a):
+        terms, power, coeff, e = {(0,) * len(ring.gens): Fraction(1)}, D, a, 1
+        while coeff and not power.is_zero():
+            terms.update((m, coeff * x) for m, x in power.terms.items())
+            coeff, e = coeff * (a - e) // (e + 1), e + 1
+            if coeff:
+                power = power * D
+        total = total * GradedClass(ring, terms)
+    return total
 
 
 def test_quotient_chern_matches_the_retired_product_near_the_ring_limit():
@@ -638,6 +662,37 @@ def reference_integrate(expr, f):
         rest = reduce(operator.mul, factors) if factors else ring.one()
         total += coeff * _integrate_product(ring, rest, last)
     return total
+
+
+def fraction_evaluate(expr, f, side=None):
+    """The retired Fraction running sum: one Fraction per term of every
+    monomial's class, added into one terms dict."""
+    actual = side or "source" if expr.side == "scalar" else expr.side
+    ring = f.target_ring if actual == "target" else f.source.ambient
+    terms = {}
+    for mono, coeff in expr.terms.items():
+        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+            continue
+        K = c_exponents(mono)
+        factors = [f.chern_monomial(K)] if K else []
+        for (kind, payload), e in mono:
+            if kind != "c":
+                ln = f.landweber_novikov(payload)
+                factors.append((ln if kind == "s" else fraction_pullback(f, ln)) ** e)
+        value = reduce(operator.mul, factors) if factors else ring.one()
+        for m, x in value.terms.items():
+            terms[m] = terms.get(m, 0) + coeff * x
+    return GradedClass(ring, terms)
+
+
+def fraction_pullback(f, beta):
+    """The retired Fraction route of pullback: the images of beta's monomials,
+    added one Fraction at a time into one terms dict."""
+    terms = {}
+    for mono, coeff in beta.terms.items():
+        for m, x in f._image(f._pulled, mono).terms.items():
+            terms[m] = terms.get(m, 0) + coeff * x
+    return GradedClass(f.source.ambient, terms)
 
 
 def reference_evaluate(expr, f, side=None):
@@ -748,4 +803,5 @@ def test_evaluate_matches_the_running_sum(case):
     f, expr, side = case
     got = evaluate(expr, f, side)
     assert got == reference_evaluate(expr, f, side)
+    assert got.terms == fraction_evaluate(expr, f, side).terms
     assert all(type(x) is Fraction and x for x in got.terms.values())

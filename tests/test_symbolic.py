@@ -409,3 +409,23 @@ _chern_heavy_monomials = st.tuples(
 def test_sparse_render_key_orders_like_the_dense_one(monos):
     monos = list({next(iter(SymbolicExpr({tuple(m): 1}).terms)) for m in monos})
     assert sorted(monos, key=_monomial_sort_key) == sorted(monos, key=dense_sort_key)
+
+
+class TestFloatScalars:
+    """Floats are refused by every operator and constructor: nothing is inexact."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x + 0.1, lambda x: 0.1 + x,
+        lambda x: x - 0.1, lambda x: 0.1 - x, lambda x: x / 0.5,
+    ], ids=["mul", "rmul", "add", "radd", "sub", "rsub", "truediv"])
+    def test_operator_refuses_a_float(self, op):
+        with pytest.raises(TypeError, match="float"):
+            op(c(1))
+
+    @pytest.mark.parametrize("build", [
+        lambda: SymbolicExpr({(): 0.5}), lambda: SymbolicExpr({((("c", 1), 1),): 0.5}),
+        lambda: SymbolicExpr.constant(0.5),
+    ], ids=["constant-term", "c1", "constant"])
+    def test_constructor_refuses_a_float(self, build):
+        with pytest.raises(TypeError, match="float"):
+            build()
