@@ -145,17 +145,7 @@ class RingSpec:
 
     def monomials_of_degree(self, d: int) -> Iterator[tuple[int, ...]]:
         """All normal-form monomials of total degree d, lex order."""
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-            if i == len(self.gens):
-                if remaining == 0:
-                    yield prefix
-                return
-            step = self.degrees[i]
-            for e in range(min(self.bounds[i], remaining // step) + 1):
-                yield from rec(i + 1, remaining - e * step, prefix + (e,))
-
-        return rec(0, d, ())
+        return _monomials(self.degrees, self.bounds, d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RingSpec) and self.gens == other.gens
@@ -166,6 +156,18 @@ class RingSpec:
     def __repr__(self) -> str:
         gens = ", ".join(f"({n},{d},{b})" for n, d, b in self.gens)
         return f"RingSpec[{gens}]"
+
+
+def _monomials(degrees: tuple[int, ...], bounds: tuple[int, ...], d: int, i: int = 0,
+               prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """prefix + every (e_i, e_i+1, ...) with e_j <= bounds[j] and sum e_j*degrees[j] = d."""
+    if i == len(degrees):
+        if d == 0:
+            yield prefix
+        return
+    step = degrees[i]
+    for e in range(min(bounds[i], d // step) + 1):
+        yield from _monomials(degrees, bounds, d - e * step, i + 1, prefix + (e,))
 
 
 def make_ring(spec: Iterable[tuple[str, int, int]]) -> RingSpec:

@@ -52,8 +52,8 @@ from .tpcore import (
 PORTEOUS_MAX_K = 8  # k = 8: about 0.2 s with rendering; each step beyond about 6x more
 KAPPA_MAX = 1000  # |--kappa|; s-indices are dense: A0^3 at 1000 takes about 0.8 s
 INTERP_MAX_DEGREE = 30  # ell(t) - kappa; 30 takes about a second, each step of 2 about 1.5x more
-ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about a second, d = 16 about 2.5 s
-ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 2 s at degree 14
+ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about 0.6 s, d = 16 about 2.2 s
+ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 1.3 s at degree 14
 
 
 class UsageError(ValueError):

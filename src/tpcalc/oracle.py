@@ -8,8 +8,12 @@ each cusp-like branch with its local multiplicity (twice the delta
 invariant of the affine image).
 
 The resultant is the Sylvester determinant. Each row's denominators are
-cleared first, so the determinant is evaluated fraction-free (Bareiss) over
-Z[t], every division an exact integer one, and the scale divided back out once.
+cleared first, and the Kronecker substitution t = 2^B makes every entry one
+integer. Since ||f*g||_1 <= ||f||_1 * ||g||_1, the product over the rows of
+their entries' summed coefficient 1-norms bounds the determinant's coefficients;
+B is its bit length plus 2. Bareiss elimination over Z, every division exact,
+gives the determinant at t = 2^B, whose balanced base-2^B digits are its
+coefficients in t. The scale is divided back out once.
 """
 
 from __future__ import annotations
@@ -150,26 +154,31 @@ def parse_poly(text: str, var: str = "t", max_degree: int | None = None) -> Poly
 # -- resultants ----------------------------------------------------------------
 
 
-def _bareiss_det(M: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a matrix of polynomials over Z[t]."""
-    n = len(M)
-    sign = 1
-    prev: Poly = (1,)
+def _bareiss_det(M: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix; every // is exact."""
+    n, sign, prev = len(M), 1, 1
     for k in range(n - 1):
         if not M[k][k]:
             swap = next((i for i in range(k + 1, n) if M[i][k]), None)
             if swap is None:
-                return ()
+                return 0
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
+        pivot, row = M[k][k], M[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = poly_sub(poly_mul(M[i][j], M[k][k]), poly_mul(M[i][k], M[k][j]))
-                M[i][j] = poly_div_exact(num, prev) if num else ()
-            M[i][k] = ()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else poly_neg(det)
+            lead = M[i][k]
+            M[i][k + 1:] = [(a * pivot - lead * b) // prev for a, b in zip(M[i][k + 1:], row)]
+        prev = pivot
+    return sign * M[n - 1][n - 1]
+
+
+def _digits(value: int, bits: int) -> Poly:
+    """value's balanced base-2^bits digits, lowest first: p with p(2^bits) = value."""
+    half, mask, out = 1 << bits - 1, (1 << bits) - 1, []
+    while value:
+        out.append(((value + half) & mask) - half)
+        value = (value - out[-1]) >> bits
+    return tuple(out)
 
 
 def _integral(p: UPoly) -> tuple[int, UPoly]:
@@ -182,8 +191,8 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
     """Sylvester resultant in u of two polynomials with Q[t] coefficients.
 
     With this layout Res(u - a, q) = q(a) and Res(p, q*r) = Res(p,q)*Res(p,r).
-    The rows are made integral by Res(c*p, q) = c^deg(q) * Res(p, q), so the
-    elimination runs over Z[t].
+    The rows are made integral by Res(c*p, q) = c^deg(q) * Res(p, q), and
+    t = 2^bits makes every entry one integer, so the elimination runs over Z.
     """
     p, q = _trim(list(p)), _trim(list(q))
     if not p and not q:
@@ -194,11 +203,15 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
     if m == 0 and n == 0:
         return (Fraction(1),)
     (cp, p), (cq, q) = _integral(p), _integral(q)
+    # the module docstring's bound: n rows hold p's coefficients, m rows q's
+    norm_p, norm_q = (sum(abs(x) for a in f for x in a) for f in (p, q))
+    bits = (norm_p**n * norm_q**m).bit_length() + 2
+    P, Q = ([sum(c << bits * i for i, c in enumerate(a)) for a in f[::-1]] for f in (p, q))
     # n shifted rows of p's coefficients above m of q's, highest u-degree first
-    matrix = [[()] * i + list(p[::-1]) + [()] * (n - 1 - i) for i in range(n)]
-    matrix += [[()] * i + list(q[::-1]) + [()] * (m - 1 - i) for i in range(m)]
+    matrix = [[0] * i + P + [0] * (n - 1 - i) for i in range(n)]
+    matrix += [[0] * i + Q + [0] * (m - 1 - i) for i in range(m)]
     scale = cp**n * cq**m
-    return tuple(Fraction(x, scale) for x in _bareiss_det(matrix))
+    return tuple(Fraction(x, scale) for x in _digits(_bareiss_det(matrix), bits))
 
 
 # -- parametrized curves ---------------------------------------------------------

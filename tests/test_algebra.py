@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,18 @@ class TestMakeRing:
             make_ring([("h", 0, 2)])
         with pytest.raises(RingError):
             make_ring([("h", 1, 0)])
+
+    def test_listing_monomials_leaves_no_cycle(self):
+        # reference counting alone frees a ring whose monomials were listed
+        gc.collect()
+        gc.disable()
+        try:
+            ring = make_ring([("a", 1, 3), ("b", 2, 2)])
+            assert list(ring.monomials_of_degree(3)) == [(1, 1), (3, 0)]
+            del ring
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMultiply:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,106 @@ class TestAgainstFractionElimination:
                 Q = divided_difference(curve.y)
                 want = poly_content_free(_fraction_resultant(P, Q))
                 assert double_point_resultant(curve) == want
+
+
+# -- the retired elimination over Z[t], kept as the reference ---------------------
+
+
+def _poly_bareiss_det(M):
+    """Fraction-free determinant of a matrix of polynomials over Z[t]."""
+    n = len(M)
+    sign = 1
+    prev = (1,)
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return ()
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = poly_sub(poly_mul(M[i][j], M[k][k]), poly_mul(M[i][k], M[k][j]))
+                M[i][j] = poly_div_exact(num, prev) if num else ()
+            M[i][k] = ()
+        prev = M[k][k]
+    det = M[n - 1][n - 1]
+    return det if sign == 1 else poly_neg(det)
+
+
+def _poly_resultant(p, q):
+    """The Sylvester determinant of p and q scaled to Z[t], eliminated over Z[t]."""
+    p, q = list(p), list(q)
+    for f in (p, q):
+        while f and not f[-1]:
+            f.pop()
+    if not p and not q:
+        raise OracleError("resultant of two zero polynomials")
+    if not p or not q:
+        return ()
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0 and n == 0:
+        return (Fraction(1),)
+    cp, cq = (lcm(*(Fraction(x).denominator for a in f for x in a)) for f in (p, q))
+    p, q = ([tuple(int(x * c) for x in a) for a in f] for f, c in ((p, cp), (q, cq)))
+    matrix = [[()] * i + p[::-1] + [()] * (n - 1 - i) for i in range(n)]
+    matrix += [[()] * i + q[::-1] + [()] * (m - 1 - i) for i in range(m)]
+    scale = cp**n * cq**m
+    return tuple(Fraction(x, scale) for x in _poly_bareiss_det(matrix))
+
+
+def _int_poly(coeffs):
+    """An integer Poly: a tuple of ints without trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+# integer coefficients from one digit to thirteen, zero drawn often, so that
+# pivots vanish, rows swap and determinants are zero
+_z_coeff = st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                     st.integers(-10**12, 10**12))
+_int_u_poly = st.lists(st.lists(_z_coeff, max_size=6).map(_int_poly), max_size=6).map(tuple)
+_any_u_poly = st.one_of(_int_u_poly, _u_poly)
+
+
+class TestAgainstPolyElimination:
+    @given(_any_u_poly, _any_u_poly)
+    @settings(max_examples=200, deadline=None)
+    def test_random_u_polynomials(self, p, q):
+        if not any(p) and not any(q):
+            with pytest.raises(OracleError):
+                resultant(p, q)
+            return
+        got = resultant(p, q)
+        assert got == _poly_resultant(p, q)
+        assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("big", [1, 2, 7, 2**20, 2**20 - 1, 10**9])
+    def test_coefficient_at_the_bound(self, big):
+        # Res((-big) t^j, q) = (-big)^n t^(jn) for q of u-degree n: the one
+        # coefficient equals the bound, positive for even n, negative for odd
+        for j in range(3):
+            for n in range(1, 5):
+                q = tuple((k + 1,) for k in range(n)) + ((0, 3),)
+                want = (0,) * (j * n) + ((-big) ** n,)
+                assert resultant(((0,) * j + (-big,),), q) == want
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (9999, 1), (1, 9999), (2**31, 2**31 + 1)])
+    def test_alternating_signs(self, a, b):
+        # Res(a - b t, q) = (a - b t)^n: coefficients alternate in sign
+        for n in range(1, 7):
+            q = ((1,),) * n + ((-1, 2),)
+            want = tuple(comb(n, k) * a ** (n - k) * (-b) ** k for k in range(n + 1))
+            assert resultant((poly([a, -b]),), q) == want
+
+    def test_degree_10_curve_four_digit_coefficients(self):
+        rng = random.Random(10)
+        x = [rng.randint(-9999, 9999) for _ in range(10)] + [9973]
+        y = [rng.randint(-9999, 9999) for _ in range(10)] + [-8761]
+        P, Q = divided_difference(poly(x)), divided_difference(poly(y))
+        got = resultant(P, Q)
+        assert len(got) > 1 and got == _poly_resultant(P, Q)
 
 
 def _upoly_mul(a, b):
