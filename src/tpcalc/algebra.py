@@ -4,14 +4,15 @@ A ring is Q[g_1,...,g_k] modulo the relations g_i^(n_i+1) = 0, with each
 generator carrying a positive degree.  This is exactly the intersection ring
 of a product of projective spaces, which is all the substrate the rest of the
 package needs.  Coefficients are exact rationals; a float raises TypeError.
-A `GradedClass` holds packed integer numerators over one denominator and
-builds its `fractions.Fraction` terms on first read.  `GradedClass` and
-`symbolic.SymbolicExpr` share the sum arithmetic of `_SparseSum`, and both
-multiply in one product loop,
-`_mul_packed`, on monomials in one packed-integer layout, `Packing`, which
-encodes and decodes its own monomials: a ring bounds its fields (so the loop
-truncates) and reads exponent tuples, the symbolic kernel sizes them per
-call (so nothing overflows) and reads symbol tuples.
+A `GradedClass` is stored one way, as packed integer numerators over one
+denominator, and builds its `fractions.Fraction` terms on first read; its
+sums and scalar multiples run on those numerators in `_combine`.  `GradedClass`
+and `symbolic.SymbolicExpr` share the operators `_SparseSum` builds from a
+sum and a product, and both multiply in one product loop, `_mul_packed`, on
+monomials in one packed-integer layout, `Packing`, which encodes and decodes
+its own monomials: a ring bounds its fields (so the loop truncates) and reads
+exponent tuples, the symbolic kernel sizes them per call (so nothing
+overflows) and reads symbol tuples.
 """
 
 from __future__ import annotations
@@ -185,35 +186,18 @@ def _scalar(value) -> Fraction:
 class _SparseSum:
     """A finite sum of monomials, `terms`: monomial -> nonzero Fraction.
 
-    A subclass wraps a terms dict (`_like`), lifts a scalar (through `_scalar`)
-    or checks an operand (`_coerce`), and gives `__mul__` (a scalar goes to
-    `_scale`) and `invert`, which a negative power calls.
+    A subclass gives `+`, unary `-`, `__mul__` (by a scalar or a sum of its
+    own kind), `_coerce`, which lifts a scalar (through `_scalar`) or checks
+    an operand, and `invert`, which a negative power calls.
     """
 
     __slots__ = ()
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for mono, x in self._coerce(other).terms.items():
-            if x := x + terms.get(mono, 0):
-                terms[mono] = x
-            else:
-                del terms[mono]
-        return self._like(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({m: -x for m, x in self.terms.items()})
 
     def __sub__(self, other):
         return self + -self._coerce(other)
 
     def __rsub__(self, other: Scalar):
         return self._coerce(other) - self
-
-    def _scale(self, value: Scalar):
-        return self._like({m: x * value for m, x in self.terms.items()} if value else {})
 
     def __rmul__(self, other: Scalar):
         return self * other
@@ -241,13 +225,13 @@ class GradedClass(_SparseSum):
 
     Immutable after construction.  Monomials that violate a nilpotency bound
     are dropped (that is the ring's truncation), zero coefficients are never
-    stored.  A class holds packed integer numerators over their least common
-    denominator (``_ints``, see Packing), on which products, inverses,
-    components, integrals, ``==`` and ``hash`` run; `terms` is built from
-    them on first read (and they from `terms` for a class given by terms).
+    stored.  A class holds ``_ints`` = (D, {packed monomial: integer
+    numerator}) in lowest terms with D > 0 (see Packing), on which sums,
+    products, inverses, components, integrals, ``==`` and ``hash`` run;
+    `terms` is built from them on first read.
     """
 
-    __slots__ = ("ring", "_terms", "_hash", "_ints")
+    __slots__ = ("ring", "_ints", "_terms", "_hash")
 
     def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -260,21 +244,28 @@ class GradedClass(_SparseSum):
             coeff = _scalar(coeff)
             if all(e <= b for e, b in zip(mono, ring.bounds)):  # else truncated away
                 clean[mono] = clean.get(mono, 0) + coeff
-        self.ring, self._terms = ring, {m: c for m, c in clean.items() if c}
-        self._hash = self._ints = None
+        built = GradedClass._from_terms(ring, {m: c for m, c in clean.items() if c})
+        self.ring, self._ints, self._terms, self._hash = ring, built._ints, built._terms, None
 
     @classmethod
-    def _trusted(cls, ring: RingSpec, terms: dict | None) -> "GradedClass":
-        """Wrap nonzero Fractions on normal-form tuples, unchecked."""
-        self = object.__new__(cls)
-        self.ring, self._terms, self._hash, self._ints = ring, terms, None, None
+    def _from_terms(cls, ring: RingSpec, terms: dict) -> "GradedClass":
+        """Nonzero Fractions on normal-form tuples, unchecked, over the lcm of
+        their denominators, which leaves the numerators coprime to it; the terms
+        stay as the cache."""
+        self, den = object.__new__(cls), lcm(*(c.denominator for c in terms.values()))
+        self.ring, self._ints, self._terms, self._hash = (
+            ring, (den, ring._packing.pack(terms, den)), terms, None)
         return self
 
     @classmethod
     def _from_ints(cls, ring: RingSpec, den: int, nums: dict[int, int]) -> "GradedClass":
-        """sum n / den over nonzero {packed monomial: n}, in lowest terms, terms unbuilt."""
-        self, g = cls._trusted(ring, None), gcd(den, *nums.values())
-        self._ints = (den // g, {k: n // g for k, n in nums.items()} if g > 1 else nums)
+        """sum n / den over nonzero {packed monomial: n}, brought to lowest terms
+        with a positive denominator, terms unbuilt."""
+        g = gcd(den, *nums.values())
+        g = g if den > 0 else -g
+        self = object.__new__(cls)
+        self.ring, self._terms, self._hash = ring, None, None
+        self._ints = (den // g, {k: n // g for k, n in nums.items()} if g != 1 else nums)
         return self
 
     @property
@@ -284,28 +275,26 @@ class GradedClass(_SparseSum):
             self._terms = self.ring._packing.unpack(nums.items(), den)
         return self._terms
 
-    def _like(self, terms: dict) -> "GradedClass":
-        return GradedClass._trusted(self.ring, terms)
-
     def _coerce(self, value: Union["GradedClass", Scalar]) -> "GradedClass":
         if isinstance(value, GradedClass):
             if self.ring != value.ring:
                 raise RingError("operands live in different rings")
             return value
-        return self.ring.one()._scale(_scalar(value))
+        return _combine(self.ring, [(_scalar(value), self.ring.one())])
 
-    def _packed(self) -> tuple[int, dict[int, int]]:
-        """(D, {packed monomial: D * coefficient}) with D the lcm of the denominators."""
-        if self._ints is None:
-            den = lcm(*(c.denominator for c in self._terms.values()))
-            self._ints = (den, self.ring._packing.pack(self._terms, den))
-        return self._ints
+    def __add__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
+        return _combine(self.ring, [(1, self), (1, self._coerce(other))])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "GradedClass":
+        return _combine(self.ring, [(-1, self)])
 
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
         if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+            return _combine(self.ring, [(other, self)])
         ring = self._coerce(other).ring  # RingError across rings
-        (den1, left), (den2, right) = self._packed(), other._packed()
+        (den1, left), (den2, right) = self._ints, other._ints
         return GradedClass._from_ints(
             ring, den1 * den2, _mul_packed([(left.items(), right.items())], ring._packing))
 
@@ -323,7 +312,7 @@ class GradedClass(_SparseSum):
 
     def components(self) -> dict[int, "GradedClass"]:
         """Decomposition into homogeneous pieces, keyed by degree, split on the packed form."""
-        ring, (den, nums), parts = self.ring, self._packed(), {}
+        ring, (den, nums), parts = self.ring, self._ints, {}
         deg, decode = ring.monomial_degree, ring._packing.decode
         for k, n in nums.items():
             parts.setdefault(deg(decode(k)), {})[k] = n
@@ -337,10 +326,11 @@ class GradedClass(_SparseSum):
 
         For self = P/D, P integral with constant term a != 0 (else RingError),
         the integral Q_d = a^(d+1) (1/P)_d obey Q_0 = 1 and Q_d =
-        -sum_{i=1..d} a^(i-1) P_i Q_(d-i); the inverse is sum_d D Q_d / a^(d+1).
+        -sum_{i=1..d} a^(i-1) P_i Q_(d-i); the inverse is sum_d D Q_d / a^(d+1),
+        summed over the one denominator a^(T+1), T the top degree.
         """
-        ring, packing = self.ring, self.ring._packing
-        den, nums = self._packed()
+        ring, packing, top = self.ring, self.ring._packing, self.ring.top_degree
+        den, nums = self._ints
         a = nums.get(0)  # the constant monomial packs to 0
         if a is None:
             raise RingError("not a unit: zero constant term")
@@ -350,13 +340,14 @@ class GradedClass(_SparseSum):
                 i = ring.monomial_degree(packing.decode(k))
                 parts.setdefault(i, []).append((k, -n * a ** (i - 1)))
         q: list[dict[int, int]] = [{0: 1}]
-        terms = {(0,) * len(ring.gens): Fraction(den, a)}
-        for d in range(1, ring.top_degree + 1):
+        total = {0: den * a ** top}
+        for d in range(1, top + 1):
             acc = _mul_packed([(part, q[d - i].items()) for i, part in parts.items() if i <= d],
                               packing)
             q.append(acc)
-            terms.update(packing.unpack(((k, den * n) for k, n in acc.items()), a ** (d + 1)))
-        return GradedClass._trusted(ring, terms)
+            scale = den * a ** (top - d)
+            total.update((k, scale * n) for k, n in acc.items())
+        return GradedClass._from_ints(ring, a ** (top + 1), total)
 
     # -- equality / rendering ---------------------------------------------
 
@@ -364,11 +355,11 @@ class GradedClass(_SparseSum):
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         return (isinstance(other, GradedClass) and self.ring == other.ring
-                and self._packed() == other._packed())
+                and self._ints == other._ints)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            den, nums = self._packed()
+            den, nums = self._ints
             self._hash = hash((self.ring, den, frozenset(nums.items())))
         return self._hash
 
@@ -415,7 +406,7 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
     pairs with the term of q at the complementary monomial top/m."""
     if p.ring != ring or q.ring != ring:
         raise RingError("class does not live in the given ring")
-    (den1, left), (den2, right), top = p._packed(), q._packed(), ring._packing.encode(ring.bounds)
+    (den1, left), (den2, right), top = p._ints, q._ints, ring._packing.encode(ring.bounds)
     return Fraction(sum(n * right.get(top - k, 0) for k, n in left.items()), den1 * den2)
 
 
@@ -423,7 +414,7 @@ def _combine(ring: RingSpec, pairs: Iterable[tuple[Scalar, GradedClass]]) -> Gra
     """sum x * p over (scalar x, class p of ring) pairs, on integer numerators
     over one common denominator: each x, so scaled, is a constant left factor
     of `_mul_packed`.  The sum's terms are built only when read."""
-    pairs = [(x, p._packed()) for x, p in pairs]
+    pairs = [(x, p._ints) for x, p in pairs]
     den = lcm(*(x.denominator * d for x, (d, _) in pairs))
     return GradedClass._from_ints(ring, den, _mul_packed(
         [([(0, x.numerator * (den // (x.denominator * d)))], nums.items())

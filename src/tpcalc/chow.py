@@ -67,7 +67,7 @@ def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]]) -> 
         merged[D] = merged.get(D, 0) + a
     packing, den, total = ring._packing, 1, {0: 1}
     for D, a in ((D, a) for D, a in merged.items() if a):
-        (q, N), E = D._packed(), a if a > 0 else ring.top_degree
+        (q, N), E = D._ints, a if a > 0 else ring.top_degree
         series, power, coeff, e = {}, {0: 1}, 1, 0  # power = N^e, coeff = C(a, e)
         while coeff and power:
             scale = coeff * q ** (E - e)

@@ -54,6 +54,7 @@ KAPPA_MAX = 1000  # |--kappa|; s-indices are dense: A0^3 at 1000 takes about 0.8
 INTERP_MAX_DEGREE = 30  # ell(t) - kappa; 30 takes about a second, each step of 2 about 1.5x more
 ORACLE_MAX_DEGREE = 14  # a degree-14 curve takes about 0.6 s, d = 16 about 2.2 s
 ORACLE_MAX_DIGITS = 4  # per coordinate over a common denominator; 1.3 s at degree 14
+_COUNT_RE = re.compile(rf"(\d{{1,{MAX_DIGITS}}})(?:/(\d{{1,{MAX_DIGITS}}}))?")
 
 
 class UsageError(ValueError):
@@ -164,13 +165,14 @@ def _cmd_interp(args, rep: dict, db) -> None:
         name, _, value = spec.partition("=")
         if not value:
             raise UsageError(f"constraint {spec!r} must look like model=count")
+        # digits, or digits/digits, as tpcalc prints a count: Fraction would also
+        # read 1e10000000, and spend seconds building its 10^10000000
+        match = _COUNT_RE.fullmatch(value.strip())
         try:
-            count = Fraction(value)
+            count = Fraction(int(match[1]), int(match[2] or 1)) if match else None
         except ZeroDivisionError:
             raise UsageError(f"constraint {spec!r} has a zero denominator") from None
-        except ValueError:
-            count = None
-        if count is None or count < 0 or count.denominator != 1:
+        if count is None or count.denominator != 1:
             raise UsageError(f"constraint {spec!r} needs a non-negative integer count")
         constraints.append((name.strip(), get_model(name.strip()), count))
     system = assemble_system(t, db, constraints)

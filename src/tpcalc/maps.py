@@ -171,12 +171,12 @@ class ProductTargetMap(MapModel):
             raise ModelError("pushforward argument lives in the wrong ring")
         ring, top, decode = self.target_ring, self.target_ring.top_monomial, ambient._packing.decode
         terms = {}
-        for d in {ambient.monomial_degree(decode(k)) for k in alpha._packed()[1]}:
+        for d in {ambient.monomial_degree(decode(k)) for k in alpha._ints[1]}:
             for m in ring.monomials_of_degree(d + self.kappa):
                 dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))
                 if x := _integrate_product(ambient, alpha, dual):
                     terms[m] = x
-        return GradedClass._trusted(ring, terms)
+        return GradedClass._from_terms(ring, terms)
 
 
 def projection_from_product(X: VarietyModel,

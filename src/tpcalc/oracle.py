@@ -33,8 +33,6 @@ class OracleError(ValueError):
 
 
 # -- univariate polynomials ----------------------------------------------------
-# The arithmetic keeps the coefficient type: ints in, ints out; Fractions in,
-# Fractions out.
 
 
 def _trim(out: list) -> tuple:
@@ -52,20 +50,7 @@ def poly_deg(p: Poly) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    return _trim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
-
-
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-x for x in p)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
+# no caller in tpcalc; perfbench's tracer counts its calls by name
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
@@ -76,43 +61,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return _trim(out)
-
-
-def _quotient(a, b):
-    """a / b over Q; over Z the floor, so a step that is not exact leaves its
-    residue in poly_divmod's remainder."""
-    return a // b if isinstance(a, int) and isinstance(b, int) else a / b
-
-
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    n, lead = len(q), q[-1]
-    quo = [lead * 0] * max(len(p) - n + 1, 0)
-    for shift in range(len(p) - n, -1, -1):
-        if rem[shift + n - 1]:
-            factor = quo[shift] = _quotient(rem[shift + n - 1], lead)
-            for i, b in enumerate(q):
-                rem[shift + i] -= factor * b
-    return _trim(quo), _trim(rem)
-
-
-def poly_div_exact(p: Poly, q: Poly) -> Poly:
-    """p / q, which for two integer polys must divide over Z[t]."""
-    quo, rem = poly_divmod(p, q)
-    if rem:
-        raise OracleError("inexact polynomial division")
-    return quo
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    a, b = poly(p), poly(q)  # over Q[t]
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_mul(a, ((Fraction(1) / a[-1]),))  # monic
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -240,8 +188,13 @@ class CurveParam(NamedTuple("CurveParam", [("x", Poly), ("y", Poly)])):
         return CurveParam(*(parse_poly(p, max_degree=max_degree) for p in pieces))
 
     def is_immersive(self) -> bool:
-        g = poly_gcd(poly_derivative(self.x), poly_derivative(self.y))
-        return poly_deg(g) < 1
+        """Whether x' and y' have no common root, that is a nonzero resultant
+        (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3);
+        with one of them 0, whether the other is a nonzero constant."""
+        dx, dy = poly_derivative(self.x), poly_derivative(self.y)
+        if not dx or not dy:
+            return poly_deg(dx or dy) == 0
+        return bool(resultant([poly([a]) for a in dx], [poly([b]) for b in dy]))
 
 
 def divided_difference(p: Poly) -> UPoly:

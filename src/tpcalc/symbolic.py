@@ -13,8 +13,9 @@ is the pushforward of 1).  An index prints one digit per slot (``s_01``),
 or delimited (``s_(10,0,1)``) when an entry exceeds 9.  Target-side expressions use ``s`` symbols only,
 source-side ones use ``c`` and ``fs``; the two kinds never mix.
 
-`SymbolicExpr` has the sum arithmetic of `algebra._SparseSum` and multiplies
-on the ring classes' packed monomials; `packing_of` gives the symbols of a
+`SymbolicExpr` sums its `Fraction` terms directly, takes the operators
+built from a sum and a product from `algebra._SparseSum`, and multiplies on
+the ring classes' packed monomials; `packing_of` gives the symbols of a
 call one `algebra.Packing`, which encodes their monomials and decodes them.
 One push map, `_push`, sends c^K * prod fs_I^e to k_K * prod k_I^e, for
 k = s (f_*, `sify`) or k = fs (f^* f_*).
@@ -112,12 +113,27 @@ class SymbolicExpr(_SparseSum):
     def constant(value: Scalar) -> "SymbolicExpr":
         return SymbolicExpr({(): value})
 
-    _like = _trusted
-
     def _coerce(self, value: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         return value if isinstance(value, SymbolicExpr) else SymbolicExpr.constant(value)
 
     # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
+        terms = dict(self.terms)
+        for mono, x in self._coerce(other).terms.items():
+            if x := x + terms.get(mono, 0):
+                terms[mono] = x
+            else:
+                del terms[mono]
+        return SymbolicExpr._trusted(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "SymbolicExpr":
+        return SymbolicExpr._trusted({m: -x for m, x in self.terms.items()})
+
+    def _scale(self, value: Scalar) -> "SymbolicExpr":
+        return SymbolicExpr._trusted({m: x * value for m, x in self.terms.items()} if value else {})
 
     def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         if isinstance(other, (int, Fraction)):

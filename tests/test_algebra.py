@@ -1,5 +1,6 @@
 import gc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from tpcalc.algebra import (
     parse_class,
     render_class,
 )
+from tpcalc.maps import get_model, model_names
 
 P2 = make_ring([("h", 1, 2)])
 P2xP3 = make_ring([("h", 1, 2), ("H", 1, 3)])
@@ -433,3 +435,84 @@ class TestFloatScalars:
     def test_int_and_fraction_scalars_still_work(self):
         assert self.h * Fraction(1, 2) + 1 == GradedClass(P2, {(0,): 1, (1,): Fraction(1, 2)})
         assert self.h / 2 == Fraction(1, 2) * self.h
+
+
+# -- sums on integer numerators against the retired Fraction route ---------------
+
+
+def ref_add(p, q):
+    """The retired sum: one Fraction add per shared monomial."""
+    terms = dict(p.terms)
+    for mono, x in q.terms.items():
+        if x := x + terms.get(mono, 0):
+            terms[mono] = x
+        else:
+            del terms[mono]
+    return GradedClass(p.ring, terms)
+
+
+def ref_neg(p):
+    return GradedClass(p.ring, {m: -x for m, x in p.terms.items()})
+
+
+def ref_scale(p, value):
+    return GradedClass(p.ring, {m: x * value for m, x in p.terms.items()} if value else {})
+
+
+def assert_canonical(c):
+    """_ints is (D > 0, numerators coprime to D), so == and hash, which compare
+    _ints, agree with the class rebuilt from its terms."""
+    den, nums = c._ints
+    assert den > 0 and gcd(den, *nums.values()) == 1
+    rebuilt = GradedClass(c.ring, c.terms)
+    assert c == rebuilt and hash(c) == hash(rebuilt)
+
+
+@given(ring_with_classes(), st.integers(-5, 5),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6))
+@settings(max_examples=150, deadline=None)
+def test_sums_match_the_fraction_route(case, n, f):
+    ring, (p, q, r) = case
+    three = GradedClass(ring, {(0,) * len(ring.gens): 3})
+    cases = [
+        (p + q, ref_add(p, q)),
+        (p - q, ref_add(p, ref_neg(q))),
+        (-p, ref_neg(p)),
+        (p + 3, ref_add(p, three)),
+        (3 - p, ref_add(three, ref_neg(p))),
+        (sum([p, q, r]), ref_add(ref_add(p, q), r)),
+    ]
+    for x in (n, f):
+        cases += [(x * p, ref_scale(p, x)), (p * x, ref_scale(p, x))]
+        if x:
+            cases.append((p / x, ref_scale(p, 1 / Fraction(x))))
+    for got, want in cases:
+        assert_canonical(got)
+        same(got, want)
+
+
+@given(ring_with_classes())
+@settings(max_examples=100, deadline=None)
+def test_products_inverses_and_components_are_canonical(case):
+    _, (unit, q, r) = case
+    assert_canonical(q * r)
+    assert_canonical(unit.invert())
+    assert_canonical((-unit).invert())
+    for piece in (unit * q).components().values():
+        assert_canonical(piece)
+
+
+def test_inverse_of_a_negative_constant_term_has_a_positive_denominator():
+    # a = -2 and the top degree 2: the common denominator a^3 = -8 flips sign
+    p = GradedClass(P2, {(0,): -2, (1,): 1})
+    assert_canonical(p.invert())
+    same(p.invert(), ref_invert(p))
+    same(p.invert(), parse_class(P2, "-1/2 - 1/4*h - 1/8*h^2"))
+
+
+@pytest.mark.parametrize("name", [name.replace("<d>", "4") for name in model_names()])
+def test_model_classes_are_canonical(name):
+    f = get_model(name)
+    for c in (f.source.tangent_total, f.source.tangent_inverse, f.quotient_chern(),
+              f.pushforward(f.chern(1)), f.landweber_novikov((1,))):
+        assert_canonical(c)

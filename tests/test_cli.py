@@ -309,6 +309,19 @@ class TestInterp:
         assert err.splitlines()[0] == (
             f"error: constraint 'veronese-p3={count}' needs a non-negative integer count")
 
+    @pytest.mark.parametrize("count", ["1e3", "10.0", "1e10000000"])
+    def test_count_not_written_in_digits_exits_2_at_once(self, capsys, count):
+        # Fraction("1e10000000") alone takes seconds: it builds 10^10000000
+        start = time.perf_counter()
+        code, out, err = run(capsys, [
+            "interp", "--type", "A0,A0,A0", "--kappa", "1",
+            "--constraint", f"veronese-p3={count}", "--constraint", "scroll-q-p3=0"
+        ])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            f"error: constraint 'veronese-p3={count}' needs a non-negative integer count")
+
     def test_count_written_as_a_whole_fraction_runs(self, capsys):
         code, out, _ = run(capsys, [
             "interp", "--type", "A0,A0,A0", "--kappa", "1",

@@ -15,16 +15,22 @@ from tpcalc.oracle import (
     parse_poly,
     poly,
     poly_content_free,
-    poly_div_exact,
-    poly_divmod,
-    poly_gcd,
+    poly_deg,
+    poly_derivative,
     poly_mul,
-    poly_neg,
     poly_str,
-    poly_sub,
     resultant,
 )
 from tpcalc.verify import engine_double_point_degree
+
+from poly_reference import (
+    poly_add,
+    poly_div_exact,
+    poly_divmod,
+    poly_gcd,
+    poly_neg,
+    poly_sub,
+)
 
 
 def upoly(*rows):
@@ -354,8 +360,6 @@ class TestAgainstPolyElimination:
 
 def _upoly_mul(a, b):
     out = [poly([]) for _ in range(len(a) + len(b) - 1)]
-    from tpcalc.oracle import poly_add
-
     for i, pa in enumerate(a):
         for j, pb in enumerate(b):
             out[i + j] = poly_add(out[i + j], poly_mul(pa, pb))
@@ -391,6 +395,36 @@ class TestCurves:
         res = double_point_resultant(CurveParam.parse("2*t^2, 2*t^3"))
         assert res[-1] > 0
         assert all(x.denominator == 1 for x in res)
+
+
+# -- immersion by the resultant against the retired gcd route ---------------------
+
+
+def _gcd_is_immersive(curve):
+    """The retired test: x' and y' have a constant gcd over Q[t]."""
+    return poly_deg(poly_gcd(poly_derivative(curve.x), poly_derivative(curve.y))) < 1
+
+
+@pytest.mark.parametrize("text, immersive", [
+    ("3, t", True), ("3, t^2", False), ("t, t^5", True), ("t^2, t^3", False),
+    ("t^2 - 1, t^3 - t", True),
+])
+def test_immersion_edge_cases(text, immersive):
+    curve = CurveParam.parse(text)
+    assert curve.is_immersive() is _gcd_is_immersive(curve) is immersive
+
+
+@given(_coefficients, st.lists(_coefficients, max_size=4), st.lists(_coefficients, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_shared_critical_point_is_not_immersive(a, g, h):
+    # x = (t - a)^2 g and y = (t - a)^3 h: x' and y' both vanish at t = a
+    square = poly([a * a, -2 * a, 1])
+    x = poly_mul(square, poly(g))
+    y = poly_mul(poly_mul(poly([-a, 1]), square), poly(h))
+    if poly_deg(x) < 1 and poly_deg(y) < 1:
+        return
+    curve = CurveParam(x, y)
+    assert curve.is_immersive() is _gcd_is_immersive(curve) is False
 
 
 def _random_immersive_curve(rng, d):

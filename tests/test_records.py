@@ -45,10 +45,11 @@ from tpcalc.oracle import (
     poly,
     poly_deg,
     poly_derivative,
-    poly_gcd,
 )
 from tpcalc.symbolic import Index, SymbolicExpr, c_monomial, render_expr
 from tpcalc.tpcore import ResidualDB, SingTypeError, _aut_order, sing_ell
+
+from poly_reference import poly_gcd
 
 # -- the retired definitions, verbatim -----------------------------------------
 
