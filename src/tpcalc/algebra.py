@@ -4,13 +4,14 @@ A ring is Q[g_1,...,g_k] modulo the relations g_i^(n_i+1) = 0, with each
 generator carrying a positive degree.  This is exactly the intersection ring
 of a product of projective spaces, which is all the substrate the rest of the
 package needs.  Coefficients are exact rationals; a float raises TypeError.
-A `GradedClass` is stored one way, as packed integer numerators over one
-denominator, and builds its `fractions.Fraction` terms on first read; its
-sums and scalar multiples run on those numerators in `_combine`.  `GradedClass`
-and `symbolic.SymbolicExpr` share the operators `_SparseSum` builds from a
-sum and a product, and both multiply in one product loop, `_mul_packed`, on
-monomials in one packed-integer layout, `Packing`, which encodes and decodes
-its own monomials: a ring bounds its fields (so the loop truncates) and reads
+`_SparseSum` owns how a polynomial is stored, for `GradedClass` and
+`symbolic.SymbolicExpr` alike: integer numerators on monomial keys over one
+positive denominator, in lowest terms, with the `fractions.Fraction` terms
+built on first read.  Sums, negation, scalar multiples, ``==`` and ``hash``
+run on those numerators in the base class, through one sum, `_sum`.  Both
+classes multiply in one product loop, `_mul_packed`, on monomials in one
+packed-integer layout, `Packing`, which encodes and decodes its own
+monomials: a ring bounds its fields (so the loop truncates) and reads
 exponent tuples, the symbolic kernel sizes them per call (so nothing
 overflows) and reads symbol tuples.
 """
@@ -79,15 +80,10 @@ class Packing:
             self.encode = lambda mono: sum(e << shift[sym] for sym, e in mono)
         self.decode = decode
 
-    def pack(self, terms: Mapping, scale: int) -> dict[int, int]:
-        """{key: scale * x} over Fraction terms x; `scale` clears every denominator."""
+    def pack(self, nums: Mapping, scale: int = 1) -> dict[int, int]:
+        """{key: scale * n} over integer numerators {monomial: n}."""
         encode = self.encode
-        return {encode(m): x.numerator * (scale // x.denominator) for m, x in terms.items()}
-
-    def unpack(self, nums: Iterable[tuple[int, int]], den: int) -> dict:
-        """{monomial: n / den} over (key, integer numerator) pairs."""
-        decode = self.decode
-        return {decode(k): Fraction(n, den) if den != 1 else Fraction(n) for k, n in nums}
+        return {encode(m): scale * n for m, n in nums.items()}
 
 
 class RingSpec:
@@ -176,34 +172,94 @@ def make_ring(spec: Iterable[tuple[str, int, int]]) -> RingSpec:
     return RingSpec(spec)
 
 
-def _scalar(value) -> Fraction:
-    """An int or Fraction as a Fraction; a float, or anything else, raises TypeError."""
+def _scalar(value) -> Scalar:
+    """An int or Fraction as it is; a float, or anything else, raises TypeError."""
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value
     raise TypeError(f"coefficients are int or Fraction, not {type(value).__name__}")
 
 
-class _SparseSum:
-    """A finite sum of monomials, `terms`: monomial -> nonzero Fraction.
+def _numerators(terms: Mapping) -> tuple[int, dict]:
+    """(D, {key: n}) with n / D = x over {key: x}, each x an int or Fraction,
+    zeros dropped: D, the lcm of the denominators, leaves them in lowest terms."""
+    den = lcm(*(x.denominator for x in terms.values()))
+    return den, {k: x.numerator * (den // x.denominator) for k, x in terms.items() if x}
 
-    A subclass gives `+`, unary `-`, `__mul__` (by a scalar or a sum of its
-    own kind), `_coerce`, which lifts a scalar (through `_scalar`) or checks
-    an operand, and `invert`, which a negative power calls.
+
+def _sum(pairs: list) -> tuple[int, dict]:
+    """sum x * n / D over a list of (scalar x, (D, {key: n})) pairs, keys of any kind:
+    (the lcm of the x.denominator * D, {key: nonzero numerator}), not in lowest terms."""
+    den = lcm(*(x.denominator * d for x, (d, _) in pairs))
+    acc: dict = {}
+    get = acc.get
+    for x, (d, nums) in pairs:
+        scale = x.numerator * (den // (x.denominator * d))
+        for k, n in nums.items():
+            acc[k] = get(k, 0) + scale * n
+    return den, {k: n for k, n in acc.items() if n}
+
+
+class _SparseSum:
+    """A finite sum of monomials with rational coefficients, immutable, in `ring`
+    (None for free symbols), stored one way: ``_ints`` = (D > 0, {key: nonzero
+    integer numerator}) in lowest terms, so ``==`` and ``hash`` compare it, and
+    sums, negation and scalar multiples (`_times`) run on it, through `_sum`.
+    `terms`, {monomial: Fraction}, is built from it on first read.  A subclass
+    fixes the key of a monomial (`_monomials` reads keys back, `_ONE` is the
+    constant's) and gives `__mul__` and `invert`, which a negative power calls.
     """
 
-    __slots__ = ()
+    __slots__ = ("ring", "_ints", "_terms")
+
+    @classmethod
+    def _from_ints(cls, ring, den: int, nums: dict):
+        """sum n / den over nonzero {key: n}, brought to lowest terms with a
+        positive denominator, terms unbuilt."""
+        g = gcd(den, *nums.values())
+        g = g if den > 0 else -g
+        self = object.__new__(cls)
+        self.ring, self._terms = ring, None
+        self._ints = (den // g, {k: n // g for k, n in nums.items()} if g != 1 else nums)
+        return self
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            den, nums = self._ints
+            self._terms = {m: Fraction(n, den) for m, n in zip(self._monomials(), nums.values())}
+        return self._terms
+
+    def _coerce(self, value):
+        """A sum of this kind and ring as it is (else RingError), a scalar as a constant."""
+        if isinstance(value, type(self)):
+            if value.ring != self.ring:
+                raise RingError("operands live in different rings")
+            return value
+        x = _scalar(value)
+        return self._from_ints(self.ring, x.denominator, {self._ONE: x.numerator} if x else {})
+
+    def _times(self, x: Scalar):
+        return self._from_ints(self.ring, *_sum([(x, self._ints)]))
+
+    def __add__(self, other):
+        return self._from_ints(self.ring, *_sum([(1, self._ints), (1, self._coerce(other)._ints)]))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -self._coerce(other)
+        return self._from_ints(self.ring, *_sum([(1, self._ints), (-1, self._coerce(other)._ints)]))
 
     def __rsub__(self, other: Scalar):
         return self._coerce(other) - self
+
+    def __neg__(self):
+        return self._times(-1)
 
     def __rmul__(self, other: Scalar):
         return self * other
 
     def __truediv__(self, other: Scalar):
-        return self * (1 / _scalar(other))
+        return self * Fraction(1, _scalar(other))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -214,7 +270,19 @@ class _SparseSum:
         return half * half * self if n & 1 else half * half
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints[1]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        return (isinstance(other, type(self)) and self.ring == other.ring
+                and self._ints == other._ints)
+
+    def __hash__(self) -> int:
+        den, nums = self._ints
+        if nums.keys() <= {self._ONE}:  # a constant hashes as the number it equals
+            return hash(Fraction(nums.get(self._ONE, 0), den))
+        return hash((den, frozenset(nums.items())))
 
     def __repr__(self) -> str:
         return f"<{self}>"
@@ -225,16 +293,15 @@ class GradedClass(_SparseSum):
 
     Immutable after construction.  Monomials that violate a nilpotency bound
     are dropped (that is the ring's truncation), zero coefficients are never
-    stored.  A class holds ``_ints`` = (D, {packed monomial: integer
-    numerator}) in lowest terms with D > 0 (see Packing), on which sums,
-    products, inverses, components, integrals, ``==`` and ``hash`` run;
-    `terms` is built from them on first read.
+    stored.  A key is the ring's packed monomial (see Packing), so products,
+    inverses, components and integrals run on ``_ints`` too.
     """
 
-    __slots__ = ("ring", "_ints", "_terms", "_hash")
+    __slots__ = ()
+    _ONE = 0  # the constant monomial packs to 0
 
     def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Scalar] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != len(ring.gens):
@@ -243,56 +310,16 @@ class GradedClass(_SparseSum):
                 raise RingError(f"negative exponent in {mono}")
             coeff = _scalar(coeff)
             if all(e <= b for e, b in zip(mono, ring.bounds)):  # else truncated away
-                clean[mono] = clean.get(mono, 0) + coeff
-        built = GradedClass._from_terms(ring, {m: c for m, c in clean.items() if c})
-        self.ring, self._ints, self._terms, self._hash = ring, built._ints, built._terms, None
+                key = ring._packing.encode(mono)
+                clean[key] = clean[key] + coeff if key in clean else coeff
+        self.ring, self._ints, self._terms = ring, _numerators(clean), None
 
-    @classmethod
-    def _from_terms(cls, ring: RingSpec, terms: dict) -> "GradedClass":
-        """Nonzero Fractions on normal-form tuples, unchecked, over the lcm of
-        their denominators, which leaves the numerators coprime to it; the terms
-        stay as the cache."""
-        self, den = object.__new__(cls), lcm(*(c.denominator for c in terms.values()))
-        self.ring, self._ints, self._terms, self._hash = (
-            ring, (den, ring._packing.pack(terms, den)), terms, None)
-        return self
-
-    @classmethod
-    def _from_ints(cls, ring: RingSpec, den: int, nums: dict[int, int]) -> "GradedClass":
-        """sum n / den over nonzero {packed monomial: n}, brought to lowest terms
-        with a positive denominator, terms unbuilt."""
-        g = gcd(den, *nums.values())
-        g = g if den > 0 else -g
-        self = object.__new__(cls)
-        self.ring, self._terms, self._hash = ring, None, None
-        self._ints = (den // g, {k: n // g for k, n in nums.items()} if g != 1 else nums)
-        return self
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        if self._terms is None:
-            den, nums = self._ints
-            self._terms = self.ring._packing.unpack(nums.items(), den)
-        return self._terms
-
-    def _coerce(self, value: Union["GradedClass", Scalar]) -> "GradedClass":
-        if isinstance(value, GradedClass):
-            if self.ring != value.ring:
-                raise RingError("operands live in different rings")
-            return value
-        return _combine(self.ring, [(_scalar(value), self.ring.one())])
-
-    def __add__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
-        return _combine(self.ring, [(1, self), (1, self._coerce(other))])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GradedClass":
-        return _combine(self.ring, [(-1, self)])
+    def _monomials(self) -> Iterator[tuple[int, ...]]:
+        return map(self.ring._packing.decode, self._ints[1])
 
     def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
         if isinstance(other, (int, Fraction)):
-            return _combine(self.ring, [(other, self)])
+            return self._times(other)
         ring = self._coerce(other).ring  # RingError across rings
         (den1, left), (den2, right) = self._ints, other._ints
         return GradedClass._from_ints(
@@ -319,7 +346,8 @@ class GradedClass(_SparseSum):
         return {d: GradedClass._from_ints(ring, den, parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(self.ring.monomial_degree(m) == d for m in self.terms)
+        deg, decode = self.ring.monomial_degree, self.ring._packing.decode
+        return all(deg(decode(k)) == d for k in self._ints[1])
 
     def invert(self) -> "GradedClass":
         """Multiplicative inverse of a unit, by degreewise recursion.
@@ -348,20 +376,6 @@ class GradedClass(_SparseSum):
             scale = den * a ** (top - d)
             total.update((k, scale * n) for k, n in acc.items())
         return GradedClass._from_ints(ring, a ** (top + 1), total)
-
-    # -- equality / rendering ---------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        return (isinstance(other, GradedClass) and self.ring == other.ring
-                and self._ints == other._ints)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            den, nums = self._ints
-            self._hash = hash((self.ring, den, frozenset(nums.items())))
-        return self._hash
 
     def __str__(self) -> str:
         return render_class(self)
@@ -410,15 +424,12 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
     return Fraction(sum(n * right.get(top - k, 0) for k, n in left.items()), den1 * den2)
 
 
-def _combine(ring: RingSpec, pairs: Iterable[tuple[Scalar, GradedClass]]) -> GradedClass:
-    """sum x * p over (scalar x, class p of ring) pairs, on integer numerators
-    over one common denominator: each x, so scaled, is a constant left factor
-    of `_mul_packed`.  The sum's terms are built only when read."""
-    pairs = [(x, p._ints) for x, p in pairs]
-    den = lcm(*(x.denominator * d for x, (d, _) in pairs))
-    return GradedClass._from_ints(ring, den, _mul_packed(
-        [([(0, x.numerator * (den // (x.denominator * d)))], nums.items())
-         for x, (d, nums) in pairs], ring._packing))
+def _combine(ring: RingSpec, pairs: Iterable[tuple[Scalar, GradedClass]],
+             den: int) -> GradedClass:
+    """sum x * p / den over (scalar x, class p of ring) pairs, through `_sum`;
+    the sum's terms are built only when read."""
+    d, nums = _sum([(x, p._ints) for x, p in pairs])
+    return GradedClass._from_ints(ring, den * d, nums)
 
 
 # -- textual grammar -----------------------------------------------------

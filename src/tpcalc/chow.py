@@ -49,7 +49,7 @@ def _effective_degree_one(ring: RingSpec, L: GradedClass, kind: str) -> GradedCl
         raise ModelError(f"a {kind} class lives in the wrong ring")
     if L.is_zero() or not L.is_homogeneous(1):
         raise ModelError(f"{kind} classes must be homogeneous of degree 1")
-    if any(x < 0 for x in L.terms.values()):
+    if any(n < 0 for n in L._ints[1].values()):  # a numerator has its term's sign
         raise ModelError(f"{kind} classes need non-negative multidegree entries")
     return L
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, _combine, _integrate_product
+from .algebra import GradedClass, _combine, _integrate_product, _numerators
 from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _integers,
                    chern_of_roots, parse_variety, product_projective)
 from .symbolic import Index, canon_index, index_c_degree, index_str
@@ -161,8 +161,9 @@ class ProductTargetMap(MapModel):
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:
             raise ModelError("pullback argument lives in the wrong ring")
+        (den, nums), decode = beta._ints, beta.ring._packing.decode
         return _combine(self.source.ambient,
-                        [(x, self._image(self._pulled, m)) for m, x in beta.terms.items()])
+                        [(n, self._image(self._pulled, decode(k))) for k, n in nums.items()], den)
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         """The coefficient of m is int_X alpha * f^*(top/m)."""
@@ -175,8 +176,8 @@ class ProductTargetMap(MapModel):
             for m in ring.monomials_of_degree(d + self.kappa):
                 dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))
                 if x := _integrate_product(ambient, alpha, dual):
-                    terms[m] = x
-        return GradedClass._from_terms(ring, terms)
+                    terms[ring._packing.encode(m)] = x
+        return GradedClass._from_ints(ring, *_numerators(terms))
 
 
 def projection_from_product(X: VarietyModel,

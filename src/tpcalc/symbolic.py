@@ -13,10 +13,11 @@ is the pushforward of 1).  An index prints one digit per slot (``s_01``),
 or delimited (``s_(10,0,1)``) when an entry exceeds 9.  Target-side expressions use ``s`` symbols only,
 source-side ones use ``c`` and ``fs``; the two kinds never mix.
 
-`SymbolicExpr` sums its `Fraction` terms directly, takes the operators
-built from a sum and a product from `algebra._SparseSum`, and multiplies on
-the ring classes' packed monomials; `packing_of` gives the symbols of a
-call one `algebra.Packing`, which encodes their monomials and decodes them.
+`SymbolicExpr` is stored as the ring classes are (`algebra._SparseSum`),
+as integer numerators over one denominator, keyed by the canonical monomial
+tuple itself, and multiplies on the ring classes' packed monomials;
+`packing_of` gives the symbols of a call one `algebra.Packing`, which
+encodes their monomials and decodes them.
 One push map, `_push`, sends c^K * prod fs_I^e to k_K * prod k_I^e, for
 k = s (f_*, `sify`) or k = fs (f^* f_*).
 """
@@ -25,10 +26,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Union
 
-from .algebra import Packing, _mul_packed, _scalar, _SparseSum
+from .algebra import Packing, _mul_packed, _numerators, _scalar, _SparseSum
 from .grammar import parse_sum, render_sum
 
 Scalar = Union[int, Fraction]
@@ -83,25 +83,29 @@ def symbol_degree(sym: Symbol, kappa: int) -> int:
 
 
 class SymbolicExpr(_SparseSum):
-    """Immutable polynomial with Fraction coefficients in the free symbols."""
+    """Immutable polynomial with rational coefficients in the free symbols; a
+    key of `_ints` is the canonical monomial itself, () for the constant."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _ONE = ()
 
     def __init__(self, terms: Mapping[Monomial, Scalar]):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         for mono, coeff in terms.items():
             coeff = _scalar(coeff)
             if coeff:
                 mono = _canon_monomial(mono)
-                clean[mono] = clean.get(mono, 0) + coeff
-        self.terms = {m: x for m, x in clean.items() if x}
+                clean[mono] = clean[mono] + coeff if mono in clean else coeff
+        self.ring, self._ints, self._terms = None, _numerators(clean), None
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "SymbolicExpr":
-        """Wrap Fraction coefficients on canonical monomials, unchecked; drops zeros."""
-        self = object.__new__(cls)
-        self.terms = {m: x for m, x in terms.items() if x}
-        return self
+    def _from_packed(cls, packing: Packing, den: int, nums: dict[int, int]) -> "SymbolicExpr":
+        """sum n / den over nonzero {packed monomial of `packing`: n}."""
+        decode = packing.decode
+        return cls._from_ints(None, den, {decode(k): n for k, n in nums.items()})
+
+    def _monomials(self) -> Iterable[Monomial]:
+        return self._ints[1]
 
     # -- constructors ------------------------------------------------------
 
@@ -113,48 +117,19 @@ class SymbolicExpr(_SparseSum):
     def constant(value: Scalar) -> "SymbolicExpr":
         return SymbolicExpr({(): value})
 
-    def _coerce(self, value: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
-        return value if isinstance(value, SymbolicExpr) else SymbolicExpr.constant(value)
-
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
-        terms = dict(self.terms)
-        for mono, x in self._coerce(other).terms.items():
-            if x := x + terms.get(mono, 0):
-                terms[mono] = x
-            else:
-                del terms[mono]
-        return SymbolicExpr._trusted(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr._trusted({m: -x for m, x in self.terms.items()})
-
-    def _scale(self, value: Scalar) -> "SymbolicExpr":
-        return SymbolicExpr._trusted({m: x * value for m, x in self.terms.items()} if value else {})
 
     def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
         if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        a, b = self.terms, self._coerce(other).terms
-        den1, den2 = (lcm(*(x.denominator for x in terms.values())) for terms in (a, b))
+            return self._times(other)
+        (den1, a), (den2, b) = self._ints, self._coerce(other)._ints
         packing = packing_of((a, b), 2)
-        nums = _mul_packed([(packing.pack(a, den1).items(), packing.pack(b, den2).items())],
-                           packing)
-        return SymbolicExpr._trusted(packing.unpack(nums.items(), den1 * den2))
+        return SymbolicExpr._from_packed(
+            packing, den1 * den2,
+            _mul_packed([(packing.pack(a).items(), packing.pack(b).items())], packing))
 
     def invert(self):
         raise ValueError("negative powers of symbolic expressions")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SymbolicExpr.constant(other)
-        return isinstance(other, SymbolicExpr) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
 
     # -- structure -----------------------------------------------------------
 
@@ -162,7 +137,7 @@ class SymbolicExpr(_SparseSum):
     def side(self) -> str:
         """'target' (s symbols), 'source' (c / fs symbols), or 'scalar'."""
         has_s = has_src = False
-        for mono in self.terms:
+        for mono in self._ints[1]:
             for (kind, _), _e in mono:
                 if kind == "s":
                     has_s = True
@@ -180,7 +155,7 @@ class SymbolicExpr(_SparseSum):
         return sum(symbol_degree(sym, kappa) * e for sym, e in mono)
 
     def is_homogeneous(self, degree: int, kappa: int) -> bool:
-        return all(self.monomial_degree(m, kappa) == degree for m in self.terms)
+        return all(self.monomial_degree(m, kappa) == degree for m in self._ints[1])
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(_canon_monomial(mono), Fraction(0))
@@ -210,8 +185,8 @@ def _canon_monomial(mono) -> Monomial:
     return tuple(sorted(acc.items(), key=lambda kv: _symbol_key(kv[0])))
 
 
-def packing_of(termsets: Iterable[Mapping[Monomial, Fraction]], factors: int) -> Packing:
-    """The packing of the term mappings' monomials: symbol i in canonical order
+def packing_of(termsets: Iterable[Mapping[Monomial, object]], factors: int) -> Packing:
+    """The packing of the mappings' monomial keys: symbol i in canonical order
     owns field i, wide enough for a product of `factors` of their terms."""
     powers = {power for terms in termsets for mono in terms for power in mono}
     symbols = sorted({sym for sym, _e in powers}, key=_symbol_key)
@@ -260,15 +235,16 @@ def _push(expr: SymbolicExpr, kind: str) -> SymbolicExpr:
     (f_*: the c-part goes to its Landweber-Novikov symbol and every pullback
     factor leaves by the projection formula) or k = fs (f^* f_*).  The empty
     c-part goes to k_0, the push of 1; monomials that meet add up."""
-    terms: dict[Monomial, Fraction] = {}
-    for mono, x in expr.terms.items():
+    den, nums = expr._ints
+    acc: dict[Monomial, int] = {}
+    for mono, n in nums.items():
         powers = {(kind, c_exponents(mono)): 1}
         for (sym_kind, I), e in mono:
             if sym_kind == "fs":
                 powers[kind, I] = powers.get((kind, I), 0) + e
         mono = tuple(sorted(powers.items()))  # one kind: canonical order is index order
-        terms[mono] = terms[mono] + x if mono in terms else x
-    return SymbolicExpr._trusted(terms)
+        acc[mono] = acc[mono] + n if mono in acc else n
+    return SymbolicExpr._from_ints(None, den, {m: n for m, n in acc.items() if n})
 
 
 def sify(expr: SymbolicExpr) -> SymbolicExpr:
@@ -294,21 +270,23 @@ def _index_order(I: Index):
 def _monomial_sort_key(mono: Monomial):
     s_count = 0
     s_weight = 0
-    s_seq = []
+    s_runs = {}  # index order -> exponent: the sorted index sequence, run-length coded
     c_deg = 0
     c_part = []  # (j, -e) by increasing j: the c-exponent vector, sparse
     for (kind, payload), e in mono:
         if kind in ("s", "fs"):
             s_count += e
             s_weight += index_c_degree(payload) * e
-            s_seq.extend([_index_order(payload)] * e)
+            order = _index_order(payload)
+            s_runs[order] = s_runs.get(order, 0) + e
         else:
             c_deg += payload * e
             c_part.append((payload, -e))
     return (
         -s_count,
         -s_weight,
-        tuple(sorted(s_seq)),
+        # ordered as the sequences, of equal length here: a longer run is smaller
+        tuple(sorted((order, -e) for order, e in s_runs.items())),
         -c_deg,
         (c_part[-1][0] if c_part else 0, c_part),
         mono,
@@ -344,4 +322,4 @@ def parse_expr(text: str) -> SymbolicExpr:
                 mono.append(((kind, canon_index(int(i) for i in I)), e))
         mono = _canon_monomial(mono)
         terms[mono] = terms.get(mono, 0) + coeff
-    return SymbolicExpr._trusted(terms)
+    return SymbolicExpr._from_ints(None, *_numerators(terms))

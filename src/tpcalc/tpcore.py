@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import GradedClass, _combine, _mul_packed, integrate_top
-from .grammar import MAX_DIGITS
+from .grammar import _TOO_BIG, MAX_DIGITS
 from .maps import MapModel
 from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
 
@@ -251,7 +251,7 @@ class ResidualDB:
 
     def insert(self, names: Iterable[str], kappa: int, R: SymbolicExpr) -> None:
         names = tuple(sorted(names))
-        for mono in R.terms:
+        for mono in R._ints[1]:
             for (kind, _), _e in mono:
                 if kind != "c":
                     raise SingTypeError("residual polynomials are polynomials in the c_j only")
@@ -351,8 +351,8 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
     F(M) = sum_D prod_n C(m_n - [n = lead], d_n - [n = lead]) value(D) F(M - D),
     filled in bottom-up by increasing size over the prod (m_n + 1) sub-multisets,
     on packed integers (symbolic.packing_of): with lam the lcm of the residuals'
-    denominators, value(D) is scaled by lam^|D|, so F(v) is lam^|v| times an
-    integer polynomial, divided by lam^r once at the end.
+    denominators D, value(D) is scaled by lam^|D|, so F(v) is lam^|v| times an
+    integer polynomial, over lam^r at the end.
     """
     names = sorted(set(t.entries))
     full = tuple(t.entries.count(n) for n in names)
@@ -363,12 +363,13 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
          for d in subsets[1:] if not (proper and d == full)}
     lead = names.index(t.entries[0])
     keep = side == "source"  # at the top, the block holding entry 1 keeps its residual
-    values = {(d, False): _push(R[d], "s" if side == "target" else "fs").terms
+    values = {(d, False): _push(R[d], "s" if side == "target" else "fs")._ints
               for d in R if not (keep and d == full)}
-    values.update(((d, True), R[d].terms) for d in R if keep and d[lead])
-    packing = packing_of(values.values(), t.r)
-    lam = math.lcm(*(x.denominator for d in R for x in R[d].terms.values()))
-    packed = {key: packing.pack(x, lam ** sum(key[0])) for key, x in values.items()}
+    values.update(((d, True), R[d]._ints) for d in R if keep and d[lead])
+    packing = packing_of((nums for _, nums in values.values()), t.r)
+    lam = math.lcm(*(R[d]._ints[0] for d in R))  # a pushed residual's D divides its own
+    packed = {key: packing.pack(nums, lam ** sum(key[0]) // den)
+              for key, (den, nums) in values.items()}
     sums: dict[tuple, dict] = {subsets[0]: {0: 1}}  # sub-multiset -> packed F
     for v in subsets[1:]:
         top = v == full
@@ -382,7 +383,7 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
             products.append(([(key, n * weight) for key, n in packed[d, top and keep].items()],
                              sums[tuple(k - e for k, e in zip(v, d))].items()))
         sums[v] = _mul_packed(products, packing)
-    return SymbolicExpr._trusted(packing.unpack(sums[full].items(), lam ** t.r))
+    return SymbolicExpr._from_packed(packing, lam ** t.r, sums[full])
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
@@ -413,9 +414,9 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
         raise InconsistentExtraction(
             f"known expansion is not homogeneous of degree {want}"
         )
-    delta = known - _partition_sum(t, db, side, proper=True)
-    terms = {}
-    for mono, x in delta.terms.items():
+    den, delta = (known - _partition_sum(t, db, side, proper=True))._ints
+    nums = {}
+    for mono, n in delta.items():
         if side == "source" and any(kind != "c" for (kind, _), _e in mono):
             raise InconsistentExtraction(
                 "no residual reproduces the given source expansion: "
@@ -429,8 +430,8 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
                     "is not a single s-symbol"
                 )
             mono = tuple((("c", j), e) for j, e in enumerate(mono[0][0][1], start=1) if e)
-        terms[mono] = x
-    R = SymbolicExpr._trusted(terms)
+        nums[mono] = n
+    R = SymbolicExpr._from_ints(None, den, nums)
     db.insert(t.key, t.kappa, R)
     return R
 
@@ -447,9 +448,9 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
     """
     if k < 1:
         raise ValueError("thom_porteous needs k >= 1")
-    entries = {(i, j): c(kappa + k + j - i).terms for i in range(k) for j in range(k)}
+    entries = {(i, j): c(kappa + k + j - i)._ints[1] for i in range(k) for j in range(k)}
     packing = packing_of(entries.values(), k)
-    entries = {ij: packing.pack(terms, 1) for ij, terms in entries.items()}
+    entries = {ij: packing.pack(nums) for ij, nums in entries.items()}
     minors: dict[int, dict] = {0: {0: 1}}  # column mask -> packed minor
     for i in range(k - 1, -1, -1):
         layer: dict[int, list] = {}
@@ -460,7 +461,7 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
                     layer.setdefault(mask | 1 << j, []).append(
                         ([(key, sign * n) for key, n in entries[i, j].items()], minor.items()))
         minors = {mask: _mul_packed(products, packing) for mask, products in layer.items()}
-    return SymbolicExpr._trusted(packing.unpack(minors[(1 << k) - 1].items(), 1))
+    return SymbolicExpr._from_packed(packing, 1, minors[(1 << k) - 1])
 
 
 # -- evaluation on map models ----------------------------------------------------
@@ -480,19 +481,28 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
     elif side not in (None, actual):
         raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
     ring = f.target_ring if actual == "target" else f.source.ambient
-    pairs = []  # (coefficient, class) of each monomial, summed in one pass
-    for mono, coeff in expr.terms.items():
+    den, nums = expr._ints
+    pairs = []  # (numerator, class) of each monomial, summed in one pass
+    for mono, n in nums.items():
         if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
             continue  # zero in the ring, so no index is built
         K = c_exponents(mono)  # the c-part is the model's cached c^K
-        factors = [f.chern_monomial(K)] if K else []
+        factors = [(f.chern_monomial(K), 1)] if K else []
         for (kind, payload), e in mono:
-            if kind == "s":
-                factors.append(f.landweber_novikov(payload) ** e)
-            elif kind == "fs":
-                factors.append(f.pullback(f.landweber_novikov(payload)) ** e)
-        pairs.append((coeff, reduce(operator.mul, factors) if factors else ring.one()))
-    return _combine(ring, pairs)
+            if kind != "c":
+                beta = f.landweber_novikov(payload)
+                factors.append((beta if kind == "s" else f.pullback(beta), e))
+        if any(p.is_zero() for p, _e in factors):
+            continue  # before any power is taken, however large
+        for p, e in factors:  # one of positive degree is nilpotent; a constant's power is bounded
+            d, ps = p._ints
+            if ps.keys() == {0} and (e * (max(abs(ps[0]), d).bit_length() - 1)
+                                     > _TOO_BIG.bit_length()):
+                raise ValueError(f"the term {render_expr(SymbolicExpr({mono: 1}))} takes a "
+                                 f"power of more than {MAX_DIGITS} digits")
+        powers = [p ** e for p, e in factors]
+        pairs.append((n, reduce(operator.mul, powers) if powers else ring.one()))
+    return _combine(ring, pairs, den)
 
 
 def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:

@@ -516,3 +516,13 @@ def test_model_classes_are_canonical(name):
     for c in (f.source.tangent_total, f.source.tangent_inverse, f.quotient_chern(),
               f.pushforward(f.chern(1)), f.landweber_novikov((1,))):
         assert_canonical(c)
+
+
+def test_equal_scalars_and_constants_collapse_in_a_set():
+    # a class whose only monomial is the constant one hashes as its number
+    assert P2.one() * 3 == 3
+    assert len({P2.one() * 3, 3}) == 1 and len({3, P2xP3.one() * 3}) == 1
+    assert P2.one() * 3 != P2xP3.one() * 3  # equal to one number, but in two rings
+    assert len({P2.zero(), 0, P2.gen("h") - P2.gen("h")}) == 1
+    assert len({P2.one() / 2, Fraction(1, 2), parse_class(P2, "1/4 + 1/4")}) == 1
+    assert len({P2.gen("h"), P2.gen("h") + 0, P2.one(), 1}) == 2

@@ -98,6 +98,21 @@ class TestEval:
         code, out, err = run(capsys, ["eval", "--model", "veronese-p3", "--expr", expr])
         assert (code, out.splitlines()[0], err) == (0, "0", "")
 
+    @pytest.mark.parametrize("e", [10 ** 9, 10 ** 14])
+    def test_huge_power_of_a_constant_exits_2_at_once(self, capsys, e):
+        # s_1 is the constant 4 on web3:4 (kappa = -1), so s_1^e has about 0.6 e digits
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["eval", "--model", "web3:4", "--expr", f"s_1^{e}"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (f"error: the term s_1^{e} takes a power of more "
+                                       f"than {MAX_DIGITS} digits")
+
+    def test_huge_power_times_a_zero_factor_prints_0(self, capsys):
+        code, out, err = run(capsys, ["eval", "--model", "web3:4",
+                                      "--expr", "s_1^99999999999*s_0 + s_1^2"])
+        assert (code, out.splitlines()[0], err) == (0, "16", "")
+
     def test_unknown_model_exits_2(self, capsys):
         code, _, err = run(capsys, [
             "eval", "--model", "k3-surface", "--expr", "c2"

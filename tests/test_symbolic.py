@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 from typing import Mapping
 
 import pytest
@@ -26,6 +28,9 @@ from tpcalc.symbolic import (
     s,
     sify,
 )
+from tpcalc.interp import SolveResult
+from tpcalc.tpcore import (default_db, expand_source, expand_target, extract_residual,
+                           multi_type, thom_porteous)
 
 
 class TestIndices:
@@ -198,7 +203,7 @@ def add_product(acc: dict, terms1: Mapping[Monomial, Scalar],
 def reference_product(a, b):
     acc = {}
     add_product(acc, a.terms, b.terms)
-    return SymbolicExpr._trusted(acc)
+    return SymbolicExpr(acc)
 
 
 def assert_same_product(got, want):
@@ -305,7 +310,7 @@ def map_monomials(expr, fn) -> SymbolicExpr:
     for mono, coeff in expr.terms.items():
         for m, c in fn(mono).terms.items():
             acc[m] = acc.get(m, 0) + c * coeff
-    return SymbolicExpr._trusted(acc)
+    return SymbolicExpr(acc)
 
 
 def reference_sify(expr: SymbolicExpr) -> SymbolicExpr:
@@ -350,7 +355,7 @@ def _source_expressions(draw):
                          draw(st.integers(min_value=1, max_value=3)))
         for m, v in SymbolicExpr({tuple(mono): coeff}).terms.items():
             terms[m] = terms.get(m, 0) + v
-    return SymbolicExpr._trusted(terms)
+    return SymbolicExpr(terms)
 
 
 @given(_source_expressions())
@@ -411,6 +416,26 @@ def test_sparse_render_key_orders_like_the_dense_one(monos):
     assert sorted(monos, key=_monomial_sort_key) == sorted(monos, key=dense_sort_key)
 
 
+# s and fs factors of a few small indices, so monomials share runs of one index
+_index_heavy_monomials = st.lists(
+    st.tuples(st.tuples(st.sampled_from(["s", "fs"]),
+                        st.sampled_from([(), (1,), (0, 1), (2,), (1, 1)])),
+              st.integers(min_value=1, max_value=5)), max_size=4)
+
+
+@given(st.lists(_index_heavy_monomials, max_size=40))
+@settings(max_examples=300)
+def test_run_length_render_key_orders_like_the_dense_one(monos):
+    monos = list({next(iter(SymbolicExpr({tuple(m): 1}).terms)) for m in monos})
+    assert sorted(monos, key=_monomial_sort_key) == sorted(monos, key=dense_sort_key)
+
+
+def test_huge_exponents_render_at_once():
+    # the render key holds one entry per index, not one per unit of exponent
+    text = "s_01^4*s_1^999999999 + s_01^3*s_1^1000000000"
+    assert render_expr(parse_expr(text)) == text
+
+
 class TestFloatScalars:
     """Floats are refused by every operator and constructor: nothing is inexact."""
 
@@ -429,3 +454,118 @@ class TestFloatScalars:
     def test_constructor_refuses_a_float(self, build):
         with pytest.raises(TypeError, match="float"):
             build()
+
+
+# -- sums on integer numerators against the retired Fraction route ---------------
+
+
+def ref_add(p, q):
+    """The retired sum: one Fraction add per shared monomial."""
+    terms = dict(p.terms)
+    for mono, x in q.terms.items():
+        if x := x + terms.get(mono, 0):
+            terms[mono] = x
+        else:
+            del terms[mono]
+    return SymbolicExpr(terms)
+
+
+def ref_neg(p):
+    return SymbolicExpr({m: -x for m, x in p.terms.items()})
+
+
+def ref_scale(p, value):
+    return SymbolicExpr({m: x * value for m, x in p.terms.items()} if value else {})
+
+
+def assert_canonical(e):
+    """_ints is (D > 0, numerators coprime to D, none of them zero), so == and
+    hash, which read _ints, agree with the expression rebuilt from its terms."""
+    den, nums = e._ints
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    assert all(type(x) is Fraction for x in e.terms.values())
+    rebuilt = SymbolicExpr(e.terms)
+    assert e == rebuilt and hash(e) == hash(rebuilt)
+
+
+@given(_operands(), _operands(), st.fractions(min_value=-5, max_value=5, max_denominator=6),
+       st.lists(_operands(), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_sums_match_the_fraction_route(p, q, x, more):
+    three = SymbolicExpr.constant(3)
+    cases = [
+        (p + q, ref_add(p, q)),
+        (p - q, ref_add(p, ref_neg(q))),
+        (-p, ref_neg(p)),
+        (x * p, ref_scale(p, x)),
+        (p * x, ref_scale(p, x)),
+        (p + 3, ref_add(p, three)),
+        (3 - p, ref_add(three, ref_neg(p))),
+        (sum([p, *more]), reduce(ref_add, more, p)),
+    ]
+    if x:
+        cases.append((p / x, ref_scale(p, 1 / x)))
+    for got, want in cases:
+        assert got.terms == want.terms
+        assert got == want and hash(got) == hash(want)
+        assert_canonical(got)
+
+
+@given(_operands(), _operands(), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_products_and_powers_are_canonical(p, q, n):
+    for e in (p, q, p * q, q * p, p ** n, (p - p) * q):
+        assert_canonical(e)
+
+
+@given(st.lists(st.tuples(_monomials, st.fractions(min_value=-4, max_value=4,
+                                                   max_denominator=6)), max_size=6))
+@settings(max_examples=80)
+def test_constructor_merges_to_the_canonical_form(pairs):
+    # monomials written in any order, with repeated symbols, meet on one key
+    terms = {}
+    for mono, x in pairs:
+        mono = tuple(mono) + tuple(mono)[:1]  # a repeated symbol
+        terms[mono[::-1]] = terms.get(mono[::-1], 0) + x
+    assert_canonical(SymbolicExpr(terms))
+
+
+@pytest.mark.parametrize("text", [
+    "1/2*c1 + 1/2*c1", "3/4*c2 - 3/4*c2", "2/3*fs_0 + 4/3*fs_0 - fs_1", "1/6 + 1/3", "0",
+])
+def test_parse_is_canonical_with_cancelling_terms(text):
+    assert_canonical(parse_expr(text))
+
+
+@pytest.mark.parametrize("expr", [
+    c(1) * fs() - fs(1),  # the two terms meet and cancel
+    c(1) * fs() / 2 + fs(1) / 2,  # they meet, and 1/2 + 1/2 leaves the denominator
+    c(2) * fs(1) / 3 + 2 * c(1) * fs(0, 1) / 3 - fs(1) * fs(0, 1) / 3,
+    SymbolicExpr.zero(),
+])
+def test_push_is_canonical_with_cancelling_terms(expr):
+    assert_canonical(sify(expr))
+    assert_canonical(_push(expr, "fs"))
+
+
+def test_engine_outputs_are_canonical():
+    db = default_db()
+    for spec, kappa in [("A0,A0,A0", 1), ("A0,A1", 1), ("A1,A1,A1", -1), ("A0,A0,A0,A0", 1)]:
+        t = multi_type(spec, kappa, db)
+        for side, expand in (("target", expand_target), ("source", expand_source)):
+            known = expand(t, db)
+            assert_canonical(known)
+            assert_canonical(extract_residual(t, known, side, db.copy()))
+    for kappa, k in [(-1, 2), (0, 3), (1, 4)]:
+        assert_canonical(thom_porteous(kappa, k))
+    solution = {(2,): Fraction(1, 2), (0, 1): Fraction(3, 2)}
+    assert_canonical(SolveResult(status="unique", solution=solution).residual())
+
+
+def test_equal_scalars_and_constants_collapse_in_a_set():
+    assert SymbolicExpr.constant(3) == 3
+    assert len({SymbolicExpr.constant(3), 3}) == 1
+    assert len({SymbolicExpr.zero(), 0, c(-1)}) == 1
+    assert len({SymbolicExpr.constant(Fraction(-5, 6)), Fraction(-5, 6)}) == 1
+    assert len({c(0), 1, Fraction(1), parse_expr("1/2 + 1/2")}) == 1
+    assert len({c(1), s(), fs(), c(1) * 1}) == 3
