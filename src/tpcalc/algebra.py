@@ -11,9 +11,9 @@ built on first read.  Sums, negation, scalar multiples, ``==`` and ``hash``
 run on those numerators in the base class, through one sum, `_sum`.  Both
 classes multiply in one product loop, `_mul_packed`, on monomials in one
 packed-integer layout, `Packing`, which encodes and decodes its own
-monomials: a ring bounds its fields (so the loop truncates) and reads
-exponent tuples, the symbolic kernel sizes them per call (so nothing
-overflows) and reads symbol tuples.
+monomials: a ring bounds its fields and its degree (so the loop truncates)
+and reads exponent tuples, the symbolic kernel sizes them per call (so
+nothing overflows) and reads symbol tuples.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .grammar import parse_sum, render_sum
@@ -42,21 +43,32 @@ class Packing:
     adds 2^width - 1 - n_i to field i (`bias`), so a guard bit is set exactly
     when an exponent passes n_i: truncation is one ``& guard`` test.
 
+    A ring's packing (`bounds` given) tops the key with one more such field,
+    the total degree sum e_i d_i for generator degrees d_i, bounded by the top
+    degree, so the same test truncates by degree: `capped(cap)` is the layout
+    with that field's bias set for a lower cap, and `degree` reads it.  Its
+    carry needs no room: a product past the top degree sets an exponent guard.
+
     A packing carries its codec: `encode` maps a monomial to its key and
     `decode` a key back, the constant monomial to and from 0.  A bounded
-    packing reads a ring's exponent tuples by fixed shifts, memoised; an
-    unbounded one reads tuples of (symbol, exponent) pairs, symbol i of
-    `symbols` in field i, from the highest field down, one step per symbol
-    a key holds."""
+    packing reads a ring's exponent tuples by fixed shifts, memoised, and
+    ignores the degree field; an unbounded one reads tuples of (symbol,
+    exponent) pairs, symbol i of `symbols` in field i, from the highest field
+    down, one step per symbol a key holds."""
 
-    __slots__ = ("stride", "bias", "guard", "encode", "decode")
+    __slots__ = ("stride", "bias", "guard", "encode", "decode", "cap", "_shift")
 
-    def __init__(self, width: int, bounds: tuple[int, ...] = (), symbols: Sequence = ()):
-        self.stride = stride = width + 1 if bounds else width
-        self.bias = sum(((1 << width) - 1 - b) << i * stride for i, b in enumerate(bounds))
-        self.guard = sum(1 << i * stride + width for i in range(len(bounds)))
-        if bounds:
+    def __init__(self, width: int, bounds: tuple[int, ...] | None = None, symbols: Sequence = (),
+                 degrees: tuple[int, ...] = ()):
+        self.stride = stride = width if bounds is None else width + 1
+        fields = []  # (shift, width, bound) of each bounded field
+        if bounds is not None:
             shifts, mask, memo = range(0, len(bounds) * stride, stride), (1 << width) - 1, {}
+            self._shift = top_shift = len(bounds) * stride  # the degree field
+            self.cap = top = sum(map(mul, degrees, bounds))
+            fields = [(s, width, b) for s, b in zip(shifts, bounds)]
+            fields.append((top_shift, top.bit_length(), top))
+            units = [1 << s | d << top_shift for s, d in zip(shifts, degrees)]
 
             def decode(key: int) -> tuple[int, ...]:
                 mono = memo.get(key)
@@ -64,7 +76,7 @@ class Packing:
                     mono = memo[key] = tuple(key >> s & mask for s in shifts)
                 return mono
 
-            self.encode = lambda mono: sum(e << s for e, s in zip(mono, shifts))
+            self.encode = lambda mono: sum(map(mul, mono, units))
         else:
             shift = {sym: i * stride for i, sym in enumerate(symbols)}
 
@@ -79,6 +91,20 @@ class Packing:
 
             self.encode = lambda mono: sum(e << shift[sym] for sym, e in mono)
         self.decode = decode
+        self.bias = sum(((1 << w) - 1 - b) << s for s, w, b in fields)
+        self.guard = sum(1 << s + w for s, w, _ in fields)
+
+    def degree(self, key: int) -> int:
+        """The total degree of a bounded packing's key."""
+        return key >> self._shift
+
+    def capped(self, cap: int) -> "Packing":
+        """This ring packing, its products cut above degree cap (0 to the top)."""
+        view = object.__new__(Packing)
+        for name in Packing.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.bias, view.cap = self.bias + (self.cap - cap << self._shift), cap
+        return view
 
     def pack(self, nums: Mapping, scale: int = 1) -> dict[int, int]:
         """{key: scale * n} over integer numerators {monomial: n}."""
@@ -92,7 +118,8 @@ class RingSpec:
     A monomial is a tuple of exponents in generator order; it is in normal
     form iff every exponent e_i <= n_i.  The top class is the monomial
     (n_1, ..., n_k) of degree ``top_degree``.  `_packing` gives generator i
-    field i, bounded by n_i, and reads keys back as exponent tuples.
+    field i, bounded by n_i, and the degree a last field, bounded by the top;
+    it reads keys back as exponent tuples.
     """
 
     __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index", "_packing")
@@ -115,7 +142,8 @@ class RingSpec:
         self.bounds = tuple(g[2] for g in gens)
         self.top_degree = sum(d * b for (_, d, b) in gens)
         self._index = {name: i for i, name in enumerate(names)}
-        self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds)
+        self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds,
+                                degrees=self.degrees)
 
     def index(self, name: str) -> int:
         try:
@@ -137,7 +165,8 @@ class RingSpec:
         return GradedClass._from_ints(self, 1, {0: 1})  # the constant monomial packs to 0
 
     def gen(self, name: str) -> "GradedClass":
-        key = 1 << self.index(name) * self._packing.stride  # exponent 1 in the name's field
+        i = self.index(name)
+        key = self._packing.encode([int(i == j) for j in range(len(self.gens))])
         return GradedClass._from_ints(self, 1, {key: 1})
 
     def monomials_of_degree(self, d: int) -> Iterator[tuple[int, ...]]:
@@ -340,14 +369,14 @@ class GradedClass(_SparseSum):
     def components(self) -> dict[int, "GradedClass"]:
         """Decomposition into homogeneous pieces, keyed by degree, split on the packed form."""
         ring, (den, nums), parts = self.ring, self._ints, {}
-        deg, decode = ring.monomial_degree, ring._packing.decode
+        degree = ring._packing.degree
         for k, n in nums.items():
-            parts.setdefault(deg(decode(k)), {})[k] = n
+            parts.setdefault(degree(k), {})[k] = n
         return {d: GradedClass._from_ints(ring, den, parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
-        deg, decode = self.ring.monomial_degree, self.ring._packing.decode
-        return all(deg(decode(k)) == d for k in self._ints[1])
+        degree = self.ring._packing.degree
+        return all(degree(k) == d for k in self._ints[1])
 
     def invert(self) -> "GradedClass":
         """Multiplicative inverse of a unit, by degreewise recursion.
@@ -365,7 +394,7 @@ class GradedClass(_SparseSum):
         parts: dict[int, list[tuple[int, int]]] = {}  # i -> -a^(i-1) P_i
         for k, n in nums.items():
             if k:
-                i = ring.monomial_degree(packing.decode(k))
+                i = packing.degree(k)
                 parts.setdefault(i, []).append((k, -n * a ** (i - 1)))
         q: list[dict[int, int]] = [{0: 1}]
         total = {0: den * a ** top}
@@ -420,8 +449,14 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
     pairs with the term of q at the complementary monomial top/m."""
     if p.ring != ring or q.ring != ring:
         raise RingError("class does not live in the given ring")
-    (den1, left), (den2, right), top = p._ints, q._ints, ring._packing.encode(ring.bounds)
-    return Fraction(sum(n * right.get(top - k, 0) for k, n in left.items()), den1 * den2)
+    (den1, left), (den2, right) = p._ints, q._ints
+    return Fraction(_pair(ring, left, right), den1 * den2)
+
+
+def _pair(ring: RingSpec, left: Mapping[int, int], right: Mapping[int, int]) -> int:
+    """The top coefficient of left * right, numerator maps of ring, by pairing."""
+    top, get = ring._packing.encode(ring.bounds), right.get
+    return sum(n * get(top - k, 0) for k, n in left.items())
 
 
 def _combine(ring: RingSpec, pairs: Iterable[tuple[Scalar, GradedClass]],

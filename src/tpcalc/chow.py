@@ -54,20 +54,23 @@ def _effective_degree_one(ring: RingSpec, L: GradedClass, kind: str) -> GradedCl
     return L
 
 
-def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]]) -> GradedClass:
+def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]],
+                   cap: int | None = None) -> GradedClass:
     """prod (1 + D)^a over (D, a) pairs, D a degree-1 class and a an integer of
     either sign; pairs with equal D add their exponents first.  Each factor is
     the binomial series sum_e C(a, e) D^e, C(a, e+1) = C(a, e) (a - e) / (e + 1),
     stopped where C(a, e) or D^e is 0; D^e has degree e, so its terms are new.
+    A `cap` (0 to the top degree) builds only the components up to it, exactly,
+    since cutting at a degree commutes with products: all run capped there.
     It runs on packed integer numerators: for D = N / q, q^E times the series
-    is sum_e C(a, e) q^(E - e) N^e, with E = a > 0, else the top degree (the
-    last e for which D^e can be nonzero)."""
+    is sum_e C(a, e) q^(E - e) N^e, with E = min(a, cap) if a > 0, else the cap
+    (the last e for which D^e can be nonzero); the cap defaults to the top."""
     merged: dict[GradedClass, int] = {}
     for D, a in roots:
         merged[D] = merged.get(D, 0) + a
-    packing, den, total = ring._packing, 1, {0: 1}
+    packing, den, total = ring._packing.capped(ring.top_degree if cap is None else cap), 1, {0: 1}
     for D, a in ((D, a) for D, a in merged.items() if a):
-        (q, N), E = D._ints, a if a > 0 else ring.top_degree
+        (q, N), E = D._ints, packing.cap if a < 0 else min(a, packing.cap)
         series, power, coeff, e = {}, {0: 1}, 1, 0  # power = N^e, coeff = C(a, e)
         while coeff and power:
             scale = coeff * q ** (E - e)

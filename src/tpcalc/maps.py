@@ -8,7 +8,8 @@ X).  They fix the rest: f^* is the ring map sending h_i to f^*(h_i), and
 since the monomials m of Y and their duals m^v = top/m are dual bases,
 f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
 c(f) = c(f^*TY - TX) is `chern_of_roots` over the pulled-back roots of TY and
-the negated roots of TX, and each c^I is built once.
+the negated roots of TX, built once up to dim X (alpha * [X] is zero above
+it), in full only when a higher c_j is read, and each c^I is built once.
 The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, _combine, _integrate_product, _numerators
+from .algebra import GradedClass, _combine, _pair, _sum
 from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _integers,
                    chern_of_roots, parse_variety, product_projective)
 from .symbolic import Index, canon_index, index_c_degree, index_str
@@ -94,18 +95,24 @@ class MapModel:
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         raise NotImplementedError
 
+    def _chern_of_roots(self, cap: int | None = None) -> GradedClass:
+        roots = [(self.pullback(D), a) for D, a in self.target.tangent_roots]
+        roots += [(D, -a) for D, a in self.source.tangent_roots]
+        return chern_of_roots(self.source.ambient, roots, cap)
+
     def quotient_chern(self) -> GradedClass:
         """Total class of f^*TY - TX in the source's ambient ring, from their roots."""
         if self._chern_total is None:
-            roots = [(self.pullback(D), a) for D, a in self.target.tangent_roots]
-            self._chern_total = chern_of_roots(
-                self.source.ambient, roots + [(D, -a) for D, a in self.source.tangent_roots])
+            self._chern_total = self._chern_of_roots()
         return self._chern_total
 
     def chern(self, j: int) -> GradedClass:
-        """c_j(f); c_0 = 1, c_{<0} = 0."""
+        """c_j(f); c_0 = 1, c_{<0} = 0.  Built once up to dim X, with the cap
+        there; one above dim X is read from the full `quotient_chern`."""
+        if self.source.dimension < j <= self.source.ambient.top_degree:
+            return self.quotient_chern().graded_component(j)
         if self._chern is None:
-            self._chern = self.quotient_chern().components()
+            self._chern = self._chern_of_roots(self.source.dimension).components()
         return self._chern.get(j, self.source.ambient.zero())
 
     def chern_monomial(self, I: Index) -> GradedClass:
@@ -170,14 +177,13 @@ class ProductTargetMap(MapModel):
         ambient = self.source.ambient
         if alpha.ring != ambient:
             raise ModelError("pushforward argument lives in the wrong ring")
-        ring, top, decode = self.target_ring, self.target_ring.top_monomial, ambient._packing.decode
-        terms = {}
-        for d in {ambient.monomial_degree(decode(k)) for k in alpha._ints[1]}:
+        ring, top, (den, nums) = self.target_ring, self.target_ring.top_monomial, alpha._ints
+        terms = []  # (1, (den * q, {key of m: n})) with n / (den * q) = int_X alpha [X] f^*(top/m)
+        for d in {ambient._packing.degree(k) for k in nums}:
             for m in ring.monomials_of_degree(d + self.kappa):
-                dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))
-                if x := _integrate_product(ambient, alpha, dual):
-                    terms[ring._packing.encode(m)] = x
-        return GradedClass._from_ints(ring, *_numerators(terms))
+                q, dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))._ints
+                terms.append((1, (den * q, {ring._packing.encode(m): _pair(ambient, nums, dual)})))
+        return GradedClass._from_ints(ring, *_sum(terms))
 
 
 def projection_from_product(X: VarietyModel,

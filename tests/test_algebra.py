@@ -17,6 +17,7 @@ from tpcalc.algebra import (
     multiply,
     parse_class,
     render_class,
+    _mul_packed,
 )
 from tpcalc.maps import get_model, model_names
 
@@ -321,9 +322,49 @@ def test_bounded_keys_decode_to_their_exponents(bounds, data):
     packing = make_ring([(f"g{i}", 1, b) for i, b in enumerate(bounds)])._packing
     mono = tuple(data.draw(st.integers(0, b)) for b in bounds)
     key = packing.encode(mono)
-    assert key == sum(e << i * packing.stride for i, e in enumerate(mono))
+    # field i at bit i * stride, then the total degree in the field above the last
+    width, top_shift, top = max(bounds).bit_length(), len(bounds) * packing.stride, sum(bounds)
+    assert packing.stride == width + 1
+    assert key == sum(e << i * packing.stride for i, e in enumerate(mono)) + (sum(mono) << top_shift)
+    assert packing.guard == (sum(1 << i * packing.stride + width for i in range(len(bounds)))
+                             + (1 << top_shift + top.bit_length()))
+    assert packing.bias == (sum((2 ** width - 1 - b) << i * packing.stride
+                                for i, b in enumerate(bounds))
+                            + (2 ** top.bit_length() - 1 - top << top_shift))
     assert packing.decode(key) == mono
     assert packing.decode(key) is packing.decode(key)  # memoised
+
+
+@given(ring_with_classes(count=1))
+@settings(max_examples=60, deadline=None)
+def test_the_degree_field_holds_the_weighted_degree(case):
+    ring, _ = case  # some generators of degree 2
+    packing = ring._packing
+    for d in range(ring.top_degree + 1):
+        for m in ring.monomials_of_degree(d):
+            assert packing.degree(packing.encode(m)) == ring.monomial_degree(m) == d
+    for i, name in enumerate(ring.names):
+        (key,) = ring.gen(name)._ints[1]
+        assert ring.gen(name).terms == {packing.decode(key): 1}
+        assert key == packing.encode(tuple(int(i == j) for j in range(len(ring.gens))))
+        assert packing.degree(key) == ring.degrees[i]
+
+
+@given(ring_with_classes(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_capped_product_is_the_product_cut_at_the_cap(case, data):
+    ring, (p, q, r) = case
+    packing = ring._packing
+    cap = data.draw(st.integers(0, ring.top_degree))
+    capped = packing.capped(cap)
+    assert (capped.stride, capped.guard, capped.cap) == (packing.stride, packing.guard, cap)
+    assert packing.cap == ring.top_degree  # the view leaves the ring's packing as it was
+    for left, right in ((p, q), (q, r), (p * q, r), (r, r)):
+        pairs = [(left._ints[1].items(), right._ints[1].items())]
+        full = _mul_packed(pairs, packing)
+        assert _mul_packed(pairs, capped) == {k: n for k, n in full.items()
+                                              if packing.degree(k) <= cap}
+        assert _mul_packed(pairs, capped.capped(ring.top_degree)) == full
 
 
 @given(st.integers(1, 12), st.dictionaries(st.integers(0, 300), st.integers(1, 4095)))

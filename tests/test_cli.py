@@ -89,6 +89,14 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.splitlines()[0] == "error: --normalized applies only to --type"
 
+    @pytest.mark.parametrize("expr,printed", [("c1^5", "10*h^2*H^3"), ("c5", "0")])
+    def test_source_classes_above_dim_x_keep_their_ambient_representatives(
+            self, capsys, expr, printed):
+        # web3:4 has dim X = 4 in a ring of top degree 5: c(f) is built up to
+        # degree 4 for counts, and a degree-5 class is still read in full
+        code, out, err = run(capsys, ["eval", "--model", "web3:4", "--expr", expr])
+        assert (code, out.splitlines()[0], err) == (0, printed, "")
+
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, ["eval", "--model", "veronese-p3"])
         assert code == 2

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from functools import reduce
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from tpcalc.maps import (
     ProductTargetMap,
     get_model,
     linear_projection_model,
+    model_names,
     projection_from_product,
     rational_curve_model,
 )
@@ -450,6 +452,83 @@ def test_random_projections_match_the_retired_routes(desc, I):
     assert_model_matches_retired_routes(get_model(desc), I)
 
 
+def assert_chern_is_the_full_class(name):
+    """c_j of a fresh model against the degree-j part of another's full class:
+    built under the cap up to dim X, the full class left unbuilt, then read
+    from it above dim X, and zero above the ambient top."""
+    f, full = get_model(name), get_model(name).quotient_chern()
+    dim, top = f.source.dimension, f.source.ambient.top_degree
+    for j in range(-1, dim + 1):
+        assert f.chern(j) == full.graded_component(j)
+    assert f._chern_total is None
+    assert all(j <= dim and part.is_homogeneous(j) for j, part in f._chern.items())
+    for j in range(dim + 1, top + 2):
+        assert f.chern(j) == full.graded_component(j)
+
+
+@pytest.mark.parametrize("name", [name.replace("<d>", "4") for name in model_names()])
+def test_chern_of_every_named_model_is_the_full_class_at_every_degree(name):
+    assert_chern_is_the_full_class(name)
+
+
+@given(projection_descriptions())
+@settings(max_examples=60, deadline=None)
+def test_chern_of_random_projections_is_the_full_class_at_every_degree(desc):
+    assert_chern_is_the_full_class(desc)
+
+
+CI_256 = ("product [3,3,3,3] ci [(1,2,1,1),(1,2,2,3),(1,1,2,3),(1,1,2,3),(1,2,3,3),(3,3,1,1),"
+          "(2,1,2,2),(2,3,2,3),(2,3,3,1),(1,3,2,1)] -> [3]")  # the model of CI's timed count
+
+
+def test_a_count_builds_c_f_only_up_to_dim_x():
+    f = get_model(CI_256)
+    assert (prod(n + 1 for n in f.source.ambient.bounds), f.source.dimension) == (256, 2)
+    assert count_points(f, multi_type("A0,A0,A0", f.kappa), default_db()) == 69579681570678777882
+    assert f._chern_total is None  # the full c(f) of the 256-monomial ring is never built
+    assert f._chern and all(j <= f.source.dimension and part.is_homogeneous(j)
+                            for j, part in f._chern.items())
+
+
+def fraction_pushforward(f, alpha):
+    """The retired Fraction route: one Fraction integral of alpha against each
+    dual [X] f^*(top/m), its numerators rebuilt by the class constructor."""
+    ambient, ring, top = f.source.ambient, f.target_ring, f.target_ring.top_monomial
+    terms = {}
+    for d in {ambient.monomial_degree(m) for m in alpha.terms}:
+        for m in ring.monomials_of_degree(d + f.kappa):
+            dual = f._image(f._cycles, tuple(b - e for b, e in zip(top, m)))
+            if x := _integrate_product(ambient, alpha, dual):
+                terms[m] = x
+    return GradedClass(ring, terms)
+
+
+def fractional_hyperplane_models():
+    """Maps whose duals [X] f^*(top/m) have denominators other than 1."""
+    X = parse_variety("product [2,2] ci [(1,2)]")
+    a, b = X.ambient.gen("h"), X.ambient.gen("H")
+    return [linear_projection_model(X, Fraction(3, 2) * a + Fraction(2, 5) * b, 2),
+            ProductTargetMap(X, product_projective([1, 1]), [a / 3, a + Fraction(1, 4) * b], "x")]
+
+
+@st.composite
+def fractional_model_with_classes(draw):
+    f = draw(st.sampled_from(fractional_hyperplane_models()))
+    return f, draw(classes_in(f.source.ambient)), None
+
+
+@given(st.one_of(model_with_classes(), fractional_model_with_classes()))
+@settings(max_examples=200, deadline=None)
+def test_pushforward_pairs_on_integers_as_the_fraction_route_did(case):
+    f, alpha, _ = case
+    for a in (alpha, alpha * f.source.ambient.gen(f.source.ambient.names[0]) / 7):
+        got = f.pushforward(a)
+        assert got == fraction_pushforward(f, a)
+        assert got.terms == fraction_pushforward(f, a).terms
+        den, nums = got._ints  # canonical: D > 0, in lowest terms, no zero numerator
+        assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+
+
 def test_a_variety_is_its_ring_and_its_divisors():
     for desc in ("product [2,1]", "product [2,3] ci [(4,1)]", "product [3,3] ci [(3,0),(1,1)]"):
         X = parse_variety(desc)
@@ -597,6 +676,17 @@ def test_chern_of_roots_matches_powers(case):
     got = chern_of_roots(ring, roots)
     assert got == expected
     assert got.terms == fraction_chern_of_roots(ring, roots).terms
+
+
+@given(rings_and_roots(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_capped_chern_of_roots_is_the_full_class_up_to_the_cap(case, data):
+    ring, roots = case
+    cap = data.draw(st.integers(0, ring.top_degree))
+    full = chern_of_roots(ring, roots).components()
+    assert chern_of_roots(ring, roots, cap).components() == {
+        d: part for d, part in full.items() if d <= cap}
+    assert chern_of_roots(ring, roots, ring.top_degree).components() == full
 
 
 def fraction_chern_of_roots(ring, roots):
