@@ -117,12 +117,13 @@ class RingSpec:
 
     A monomial is a tuple of exponents in generator order; it is in normal
     form iff every exponent e_i <= n_i.  The top class is the monomial
-    (n_1, ..., n_k) of degree ``top_degree``.  `_packing` gives generator i
-    field i, bounded by n_i, and the degree a last field, bounded by the top;
-    it reads keys back as exponent tuples.
+    (n_1, ..., n_k) of degree ``top_degree``, with packed key `_top_key`.
+    `_packing` gives generator i field i, bounded by n_i, and the degree a last
+    field, bounded by the top; it reads keys back as exponent tuples.
     """
 
-    __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index", "_packing")
+    __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index", "_packing",
+                 "_top_key")
 
     def __init__(self, gens: Iterable[tuple[str, int, int]]):
         gens = tuple((str(n), int(d), int(b)) for (n, d, b) in gens)
@@ -144,6 +145,7 @@ class RingSpec:
         self._index = {name: i for i, name in enumerate(names)}
         self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds,
                                 degrees=self.degrees)
+        self._top_key = self._packing.encode(self.bounds)
 
     def index(self, name: str) -> int:
         try:
@@ -455,16 +457,8 @@ def _integrate_product(ring: RingSpec, p: GradedClass, q: GradedClass) -> Fracti
 
 def _pair(ring: RingSpec, left: Mapping[int, int], right: Mapping[int, int]) -> int:
     """The top coefficient of left * right, numerator maps of ring, by pairing."""
-    top, get = ring._packing.encode(ring.bounds), right.get
+    top, get = ring._top_key, right.get
     return sum(n * get(top - k, 0) for k, n in left.items())
-
-
-def _combine(ring: RingSpec, pairs: Iterable[tuple[Scalar, GradedClass]],
-             den: int) -> GradedClass:
-    """sum x * p / den over (scalar x, class p of ring) pairs, through `_sum`;
-    the sum's terms are built only when read."""
-    d, nums = _sum([(x, p._ints) for x, p in pairs])
-    return GradedClass._from_ints(ring, den * d, nums)
 
 
 # -- textual grammar -----------------------------------------------------

@@ -4,18 +4,21 @@ Writing the unknown residual as R = sum a_I c^I over the Chern monomials of
 the right degree, the integrated target expansion of a multi-type is affine
 in the a_I, so each constraint contributes one exact linear equation.  A
 constraint has one shape, a (label, model, known count) triple.  Solving is
-one Gauss-Jordan pass over the rationals: pivots are exact,
-under-determination is reported as a kernel basis and inconsistency points
-back at the labels of the offending constraints.
+one fraction-free Bareiss elimination on rows scaled to integers, the one the
+curve oracle's resultant runs, then back-substitution on integers: pivots are
+exact, under-determination is reported as a kernel basis and inconsistency
+points back at the labels of the offending constraints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 from typing import Sequence
 
 from .algebra import RingSpec, integrate_top
+from .oracle import _bareiss
 from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr
 from .tpcore import MultiSingType, ResidualDB, _partition_sum, evaluate
 
@@ -83,46 +86,42 @@ def assemble_system(t: MultiSingType, db: ResidualDB,
 
 
 def solve_exact(system: LinearSystem) -> SolveResult:
-    """Exact Gauss-Jordan elimination; every outcome is a typed result.
+    """Exact fraction-free elimination; every outcome is a typed result.
 
-    Each row is augmented by its right-hand side and a unit vector naming
-    it, so one row operation updates all three.  Rows past the rank with a
-    non-zero right-hand side name the violated constraints.
+    Rows scaled to integers, each augmented by its right-hand side and a unit
+    vector naming it, go through `oracle._bareiss`.  Its entries are minors, so
+    its zeros are Gauss-Jordan's: rows past the rank with a non-zero right-hand
+    side name the violated constraints.  Integer back-substitution gives the
+    reduced rows times the last pivot d, and each value is one Fraction over d.
     """
     n, m = len(system.unknowns), len(system.rows)
     work = []
     for i, (vec, rhs, _label) in enumerate(system.rows):
         if len(vec) != n:
             raise ValueError("row length does not match unknown count")
-        unit = [Fraction(int(j == i)) for j in range(m)]
-        work.append([Fraction(x) for x in vec] + [Fraction(rhs)] + unit)
-
-    pivots: list[int] = []  # the pivot column of each row, in row order
-    for col in range(n):
-        r = len(pivots)
-        pivot = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][col]
-        prow = work[r] = [x * inv for x in work[r]]
-        for i, row in enumerate(work):
-            factor = row[col]
-            if i != r and factor != 0:
-                work[i] = [a - factor * b for a, b in zip(row, prow)]
-        pivots.append(col)
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*vec, rhs)]
+        scale = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row]
+                    + [int(j == i) for j in range(m)])
+    pivots = _bareiss(work, n)[0]
 
     violated: list[str] = []
     for row in work[len(pivots):]:
-        if row[n] != 0:
-            names = [system.rows[j][2] for j, x in enumerate(row[n + 1:]) if x != 0]
+        if row[n]:
+            names = [system.rows[j][2] for j, x in enumerate(row[n + 1:]) if x]
             violated.extend(nm for nm in names if nm not in violated)
     if violated:
         return SolveResult(status="inconsistent", violated=violated)
 
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for r in reversed(range(len(pivots))):  # row r becomes d times the reduced row r
+        row, p = work[r], pivots[r]
+        work[r] = [0] * p + [d] + [
+            (d * row[j] - sum(row[q] * work[k][j] for k, q in enumerate(pivots[r + 1:], r + 1)))
+            // row[p] for j in range(p + 1, n + 1)]
     unknowns = system.unknowns
     free_cols = [col for col in range(n) if col not in pivots]
-    solution = {unknowns[col]: work[r][n] for r, col in enumerate(pivots)}
+    solution = {unknowns[col]: Fraction(work[r][n], d) for r, col in enumerate(pivots)}
     solution.update((unknowns[col], Fraction(0)) for col in free_cols)
     if not free_cols:
         return SolveResult(status="unique", solution=solution)
@@ -130,7 +129,7 @@ def solve_exact(system: LinearSystem) -> SolveResult:
     kernel = []
     for fc in free_cols:
         vec = {unknowns[fc]: Fraction(1)}
-        vec.update((unknowns[col], -work[r][fc])
-                   for r, col in enumerate(pivots) if work[r][fc] != 0)
+        vec.update((unknowns[col], Fraction(-work[r][fc], d))
+                   for r, col in enumerate(pivots) if work[r][fc])
         kernel.append(vec)
     return SolveResult(status="underdetermined", solution=solution, kernel=kernel)

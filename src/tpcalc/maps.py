@@ -9,7 +9,9 @@ since the monomials m of Y and their duals m^v = top/m are dual bases,
 f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
 c(f) = c(f^*TY - TX) is `chern_of_roots` over the pulled-back roots of TY and
 the negated roots of TX, built once up to dim X (alpha * [X] is zero above
-it), in full only when a higher c_j is read, and each c^I is built once.
+it), in full only when a higher c_j is read.  c^I and s_I = f_*(c^I) are
+cached as integer numerators, which a class brings to lowest terms only when
+a public method hands it out.
 The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
@@ -27,22 +29,22 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .algebra import GradedClass, _combine, _pair, _sum
+from .algebra import GradedClass, _mul_packed, _pair, _sum
 from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _integers,
                    chern_of_roots, parse_variety, product_projective)
 from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
-def _memo(table: dict, key, step) -> GradedClass:
-    """table[key] = table[lower] * factor for (lower, factor) = step(key), filled up
-    from the nearest cached entry in a loop, so no recursion depth grows with key."""
+def _memo(table: dict, key, step, mul):
+    """table[key] = mul(table[lower], factor) for (lower, factor) = step(key), filled
+    up from the nearest cached entry in a loop, so no recursion depth grows with key."""
     chain, k = [], key
     while k not in table:
         lower, factor = step(k)
         chain.append((k, lower, factor))
         k = lower
     for k, lower, factor in reversed(chain):
-        table[k] = table[lower] * factor
+        table[k] = mul(table[lower], factor)
     return table[key]
 
 
@@ -71,8 +73,9 @@ class LNIndex(tuple):
 class MapModel:
     """A proper map f: X -> Y: quotient Chern class, c^I and LN classes, cached.
 
-    Subclasses give ``pullback`` and ``pushforward``; the target is a
-    VarietyModel without divisors, whose ambient ring holds the target classes.
+    Subclasses give ``pullback``, ``pushforward`` and ``_push`` (f_* on numerators);
+    the target is a VarietyModel without divisors, whose ambient ring holds the
+    target classes.
     """
 
     kind = "abstract"
@@ -86,7 +89,7 @@ class MapModel:
         self.kappa = self.target_ring.top_degree - source.dimension
         self._chern_total: GradedClass | None = None
         self._chern: dict[int, GradedClass] | None = None
-        self._c_monomials = {(): source.ambient.one()}  # I -> c^I
+        self._c_ints = {(): (1, {0: 1})}  # I -> (D, numerators) of c^I, not in lowest terms
         self._ln_cache: dict[tuple[int, ...], GradedClass] = {}
 
     def pullback(self, beta: GradedClass) -> GradedClass:
@@ -113,21 +116,29 @@ class MapModel:
             return self.quotient_chern().graded_component(j)
         if self._chern is None:
             self._chern = self._chern_of_roots(self.source.dimension).components()
-        return self._chern.get(j, self.source.ambient.zero())
+        return self._chern.get(j) or self.source.ambient.zero()  # a class is truthy
+
+    def _c_monomial(self, I: Index) -> tuple[int, dict]:
+        """c^I as (D, numerators), not in lowest terms, for a canonical index I,
+        cached: c^(I - e_j) * c_j with j = len(I), one packed product."""
+        packing = self.source.ambient._packing
+        return _memo(self._c_ints, I,
+                     lambda I: (canon_index(I[:-1] + (I[-1] - 1,)), self.chern(len(I))._ints),
+                     lambda a, b: (a[0] * b[0], _mul_packed([(a[1].items(), b[1].items())],
+                                                            packing)))
 
     def chern_monomial(self, I: Index) -> GradedClass:
-        """c^I for a canonical index I, cached, as c^(I - e_j) * c_j with j = len(I)."""
-        return _memo(self._c_monomials, I,
-                     lambda I: (canon_index(I[:-1] + (I[-1] - 1,)), self.chern(len(I))))
+        """c^I for a canonical index I."""
+        return GradedClass._from_ints(self.source.ambient, *self._c_monomial(I))
 
     def landweber_novikov(self, I: Iterable[int]) -> GradedClass:
-        """s_I(f) = f_*(c^I) in the target ring; zero above its top degree, where
-        c^I is not built."""
+        """s_I(f) = f_*(c^I) in the target ring, cached; zero above its top degree,
+        where c^I is not built."""
         I = canon_index(I)
         if I not in self._ln_cache:
             above = self.kappa + index_c_degree(I) > self.target_ring.top_degree
-            self._ln_cache[I] = (self.target_ring.zero() if above
-                                 else self.pushforward(self.chern_monomial(I)))
+            self._ln_cache[I] = GradedClass._from_ints(
+                self.target_ring, *((1, {}) if above else self._push(*self._c_monomial(I))))
         return self._ln_cache[I]
 
     def __repr__(self) -> str:
@@ -157,33 +168,41 @@ class ProductTargetMap(MapModel):
         fundamental = source.fundamental
         self._cycles = (self._pulled if fundamental == amb.one()
                         else {(0,) * n: fundamental})
+        self._duals: dict[int, list] = {}  # source degree d -> its dual rows
 
     def _image(self, table: dict, m: tuple[int, ...]) -> GradedClass:
         """The unit entry of table times f^*(m), cached in table."""
         def step(m):
             i = next(i for i, e in enumerate(m) if e)
             return m[:i] + (m[i] - 1,) + m[i + 1:], self.hyperplanes[i]
-        return _memo(table, m, step)
+        return _memo(table, m, step, GradedClass.__mul__)
 
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:
             raise ModelError("pullback argument lives in the wrong ring")
         (den, nums), decode = beta._ints, beta.ring._packing.decode
-        return _combine(self.source.ambient,
-                        [(n, self._image(self._pulled, decode(k))) for k, n in nums.items()], den)
+        d, out = _sum([(n, self._image(self._pulled, decode(k))._ints) for k, n in nums.items()])
+        return GradedClass._from_ints(self.source.ambient, den * d, out)
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         """The coefficient of m is int_X alpha * f^*(top/m)."""
-        ambient = self.source.ambient
-        if alpha.ring != ambient:
+        if alpha.ring != self.source.ambient:
             raise ModelError("pushforward argument lives in the wrong ring")
-        ring, top, (den, nums) = self.target_ring, self.target_ring.top_monomial, alpha._ints
-        terms = []  # (1, (den * q, {key of m: n})) with n / (den * q) = int_X alpha [X] f^*(top/m)
+        return GradedClass._from_ints(self.target_ring, *self._push(*alpha._ints))
+
+    def _push(self, den: int, nums: dict) -> tuple[int, dict]:
+        """f_* on the numerators nums / den: each degree d pairs with its dual rows,
+        (key of m, numerators of [X] f^*(top/m)) over the target monomials m of
+        degree d + kappa, built once per model and degree."""
+        ambient, ring, terms = self.source.ambient, self.target_ring, []
         for d in {ambient._packing.degree(k) for k in nums}:
-            for m in ring.monomials_of_degree(d + self.kappa):
-                q, dual = self._image(self._cycles, tuple(b - e for b, e in zip(top, m)))._ints
-                terms.append((1, (den * q, {ring._packing.encode(m): _pair(ambient, nums, dual)})))
-        return GradedClass._from_ints(ring, *_sum(terms))
+            if d not in self._duals:
+                self._duals[d] = [(ring._packing.encode(m), self._image(
+                    self._cycles, tuple(b - e for b, e in zip(ring.top_monomial, m)))._ints)
+                    for m in ring.monomials_of_degree(d + self.kappa)]
+            terms += [(1, (den * q, {key: _pair(ambient, nums, dual)}))
+                      for key, (q, dual) in self._duals[d]]
+        return _sum(terms)
 
 
 def projection_from_product(X: VarietyModel,

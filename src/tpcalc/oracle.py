@@ -11,9 +11,10 @@ The resultant is the Sylvester determinant. Each row's denominators are
 cleared first, and the Kronecker substitution t = 2^B makes every entry one
 integer. Since ||f*g||_1 <= ||f||_1 * ||g||_1, the product over the rows of
 their entries' summed coefficient 1-norms bounds the determinant's coefficients;
-B is its bit length plus 2. Bareiss elimination over Z, every division exact,
-gives the determinant at t = 2^B, whose balanced base-2^B digits are its
-coefficients in t. The scale is divided back out once.
+B is its bit length plus 2. Bareiss elimination over Z (`_bareiss`, which
+`interp.solve_exact` runs too) gives the determinant at t = 2^B, whose
+balanced base-2^B digits are its coefficients in t. The scale is divided
+back out once.
 """
 
 from __future__ import annotations
@@ -102,22 +103,24 @@ def parse_poly(text: str, var: str = "t", max_degree: int | None = None) -> Poly
 # -- resultants ----------------------------------------------------------------
 
 
-def _bareiss_det(M: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; every // is exact."""
-    n, sign, prev = len(M), 1, 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pivot, row = M[k][k], M[k][k + 1:]
-        for i in range(k + 1, n):
-            lead = M[i][k]
-            M[i][k + 1:] = [(a * pivot - lead * b) // prev for a, b in zip(M[i][k + 1:], row)]
+def _bareiss(M: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of the integer rows M in place, pivots in
+    the first ncols columns (Bareiss): a row below a pivot becomes (pivot * row -
+    lead * pivot row) // previous pivot.  Returns the pivot columns and swap sign."""
+    pivots, sign, prev, m = [], 1, 1, len(M)
+    for col in range(ncols):
+        r = len(pivots)
+        swap = r if r < m and M[r][col] else next((i for i in range(r + 1, m) if M[i][col]), None)
+        if swap is None:
+            continue
+        M[r], M[swap], sign = M[swap], M[r], sign if swap == r else -sign
+        pivot, row = M[r][col], M[r][col + 1:]
+        for i in range(r + 1, m):
+            lead = M[i][col]
+            M[i][col + 1:] = [(a * pivot - lead * b) // prev for a, b in zip(M[i][col + 1:], row)]
+        pivots.append(col)
         prev = pivot
-    return sign * M[n - 1][n - 1]
+    return pivots, sign
 
 
 def _digits(value: int, bits: int) -> Poly:
@@ -140,7 +143,7 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
 
     With this layout Res(u - a, q) = q(a) and Res(p, q*r) = Res(p,q)*Res(p,r).
     The rows are made integral by Res(c*p, q) = c^deg(q) * Res(p, q), and
-    t = 2^bits makes every entry one integer, so the elimination runs over Z.
+    t = 2^bits makes every entry one integer: `_bareiss` runs over Z.
     """
     p, q = _trim(list(p)), _trim(list(q))
     if not p and not q:
@@ -158,8 +161,9 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
     # n shifted rows of p's coefficients above m of q's, highest u-degree first
     matrix = [[0] * i + P + [0] * (n - 1 - i) for i in range(n)]
     matrix += [[0] * i + Q + [0] * (m - 1 - i) for i in range(m)]
-    scale = cp**n * cq**m
-    return tuple(Fraction(x, scale) for x in _digits(_bareiss_det(matrix), bits))
+    pivots, sign = _bareiss(matrix, m + n)
+    det, scale = sign * matrix[-1][-1] if len(pivots) == m + n else 0, cp**n * cq**m
+    return tuple(Fraction(x, scale) for x in _digits(det, bits))
 
 
 # -- parametrized curves ---------------------------------------------------------

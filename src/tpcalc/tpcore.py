@@ -21,15 +21,13 @@ order of the tuple's symmetry group.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import GradedClass, _combine, _mul_packed, integrate_top
+from .algebra import GradedClass, _mul_packed, _sum, integrate_top
 from .grammar import _TOO_BIG, MAX_DIGITS
 from .maps import MapModel
 from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
@@ -482,27 +480,32 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
         raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
     ring = f.target_ring if actual == "target" else f.source.ambient
     den, nums = expr._ints
-    pairs = []  # (numerator, class) of each monomial, summed in one pass
+    pairs = []  # (scalar, (D, numerators)) of each monomial, summed in one `_sum`
     for mono, n in nums.items():
         if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
             continue  # zero in the ring, so no index is built
         K = c_exponents(mono)  # the c-part is the model's cached c^K
-        factors = [(f.chern_monomial(K), 1)] if K else []
+        factors = [(f._c_monomial(K), 1)] if K else []
         for (kind, payload), e in mono:
             if kind != "c":
                 beta = f.landweber_novikov(payload)
-                factors.append((beta if kind == "s" else f.pullback(beta), e))
-        if any(p.is_zero() for p, _e in factors):
+                factors.append(((beta if kind == "s" else f.pullback(beta))._ints, e))
+        if any(not ps for (_d, ps), _e in factors):
             continue  # before any power is taken, however large
-        for p, e in factors:  # one of positive degree is nilpotent; a constant's power is bounded
-            d, ps = p._ints
-            if ps.keys() == {0} and (e * (max(abs(ps[0]), d).bit_length() - 1)
-                                     > _TOO_BIG.bit_length()):
+        d, chain = 1, []  # the monomial is n * (the product of chain) / d
+        for (q, ps), e in factors:  # e <= top unless constant, whose power is bounded
+            constant = ps.keys() == {0}
+            if constant and e * (max(abs(ps[0]), q).bit_length() - 1) > _TOO_BIG.bit_length():
                 raise ValueError(f"the term {render_expr(SymbolicExpr({mono: 1}))} takes a "
                                  f"power of more than {MAX_DIGITS} digits")
-        powers = [p ** e for p, e in factors]
-        pairs.append((n, reduce(operator.mul, powers) if powers else ring.one()))
-    return _combine(ring, pairs, den)
+            chain += [{0: ps[0] ** e}] if constant else [ps] * e
+            d *= q ** e
+        value = chain[0] if chain else {0: 1}
+        for ps in chain[1:]:
+            value = _mul_packed([(value.items(), ps.items())], ring._packing)
+        pairs.append((n, (d, value)))
+    d, total = _sum(pairs)
+    return GradedClass._from_ints(ring, den * d, total)
 
 
 def count_points(f: MapModel, t: MultiSingType, db: ResidualDB) -> Fraction:

@@ -362,6 +362,22 @@ class TestInterp:
         assert out.splitlines()[:2] == ["status: inconsistent",
                                         "violated: ['veronese-p3']"]
 
+    def test_recover_sized_system(self, capsys):
+        """Ten closed-form triple-cusp counts against the five unknowns of
+        R_{A1^3}: one direction (c4) stays free."""
+        argv = ["interp", "--type", "A1,A1,A1", "--kappa", "-1"]
+        for d in range(3, 8):
+            argv += ["--constraint", f"dual-surface:{d}={verify_suites.salmon_count(d)}"]
+        for d in range(4, 9):
+            argv += ["--constraint", f"web3:{d}={verify_suites.roberts_count(d)}"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "status: underdetermined",
+            "particular: {'c1^4': '138', 'c1^2*c2': '-158', 'c1*c3': '20', 'c2^2': '2', "
+            "'c4': '0'}",
+            "kernel: ['c4=1']"]
+
 
 class TestInterpDegreeLimit:
     def test_at_the_limit_runs(self, capsys):

@@ -417,6 +417,110 @@ def test_chern_and_ln_classes_match_references(name, I):
     assert f.quotient_chern() == reference_quotient_chern(f)
 
 
+# -- the c^I and s_I tables on integer numerators, queried in any order ----------
+
+
+def fractional_models():
+    """Maps with denominators above 1.  In c(f), from a divisor with a Fraction
+    coefficient: a surface h/2 in P^3 mapped to P^3 by h, and one cut by a/2 + b
+    from P^2 x P^2 projected to its second factor.  In the duals [X] f^*(top/m),
+    from a hyperplane class with Fraction coefficients on P^1 x P^1.  Each linear
+    map's target is as large as the source's ambient ring, so f^* of the
+    target's truncated classes agrees with the pulled-back roots there, which
+    the reference c(f) needs."""
+    P3 = product_projective([3])
+    X = VarietyModel(P3.ambient, [Fraction(1, 2) * P3.ambient.gen("h")])
+    P22 = product_projective([2, 2], names=("a", "b"))
+    a, b = P22.ambient.gen("a"), P22.ambient.gen("b")
+    Y = VarietyModel(P22.ambient, [Fraction(1, 2) * a + b])
+    Z = product_projective([1, 1], names=("a", "b"))
+    e = Fraction(3, 2) * Z.ambient.gen("a") + Fraction(2, 5) * Z.ambient.gen("b")
+    return {"half-divisor-linear": linear_projection_model(X, X.ambient.gen("h"), 3),
+            "half-divisor-projection": projection_from_product(Y, [1]),
+            "fractional-hyperplane": linear_projection_model(Z, e, 3)}
+
+
+TABLE_MODELS = ["veronese-p3", "scroll-q-p3", "ratcurve:4", "pencil:2", "web3:2",
+                "dual-surface:2", *seeded_descriptions(7, 2, 1), *seeded_descriptions(8, 2, 2),
+                *fractional_models()]
+FRACTIONAL_NAMES = set(fractional_models())
+
+
+def table_model(name):
+    return fractional_models()[name] if name in FRACTIONAL_NAMES else get_model(name)
+
+
+warm_table_model = functools.lru_cache(maxsize=None)(table_model)  # warmer with each example
+
+
+def test_fractional_models_have_denominators_above_1():
+    models = fractional_models()
+    for name in ("half-divisor-linear", "half-divisor-projection"):
+        assert models[name].quotient_chern()._ints[0] > 1 and models[name].chern(1)._ints[0] > 1
+    f = models["fractional-hyperplane"]
+    assert f._image(f._cycles, (1,))._ints[0] > 1  # a dual [X] f^*(h)
+    assert all(g.quotient_chern() == reference_quotient_chern(g) for g in models.values())
+
+
+def class_product_evaluate(expr, f):
+    """evaluate from the reference classes: c_j the degree-j part of the retired
+    quotient Chern class, s_I the retired LN class, fs_I its retired pullback,
+    each raised with ** and multiplied with *, the monomials added one class at a
+    time; a scalar lands on the source side."""
+    ring = f.target_ring if expr.side == "target" else f.source.ambient
+    total = ring.zero()
+    for mono, coeff in expr.terms.items():
+        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+            continue
+        value = ring.one()
+        for (kind, payload), e in mono:
+            if kind == "c":
+                factor = reference_quotient_chern(f).graded_component(payload)
+            else:
+                factor = reference_landweber_novikov(f, payload)
+                factor = factor if kind == "s" else reference_pullback(f, factor)
+            value = value * factor ** e
+        total = total + coeff * value
+    return total
+
+
+@st.composite
+def table_queries(draw):
+    """1-6 queries of chern_monomial, landweber_novikov and evaluate, in a random
+    order; an expression is a sum of up to 4 monomials of one side."""
+    symbols = {"target": st.tuples(st.just("s"), st.sampled_from(LN_INDICES)),
+               "source": st.one_of(st.tuples(st.just("c"), st.integers(1, 4)),
+                                   st.tuples(st.just("fs"), st.sampled_from(LN_INDICES)))}
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["chern_monomial", "landweber_novikov", "evaluate"]))
+        if kind == "evaluate":
+            factor = st.tuples(symbols[draw(st.sampled_from(sorted(symbols)))], st.integers(1, 3))
+            mono = st.lists(factor, min_size=1, max_size=3).map(tuple)
+            queries.append((kind, SymbolicExpr(draw(st.dictionaries(mono, coeff, min_size=1,
+                                                                     max_size=4)))))
+        else:
+            queries.append((kind, LNIndex(draw(st.sampled_from(LN_INDICES)))))
+    return queries
+
+
+@given(st.sampled_from(TABLE_MODELS), st.booleans(), table_queries())
+@settings(max_examples=150, deadline=None)
+def test_integer_tables_answer_in_any_order(name, fresh, queries):
+    f = table_model(name) if fresh else warm_table_model(name)
+    for kind, arg in queries:
+        if kind == "chern_monomial":
+            got, want = f.chern_monomial(arg), reference_c_monomial(f, arg)
+        elif kind == "landweber_novikov":
+            got, want = f.landweber_novikov(arg), reference_landweber_novikov(f, arg)
+        else:
+            got, want = evaluate(arg, f), class_product_evaluate(arg, f)
+        assert got == want
+        den, nums = got._ints  # canonical: D > 0, in lowest terms, no zero numerator
+        assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+
+
 @st.composite
 def projection_descriptions(draw):
     """A random 'product [...] ci [...] -> [...]' factor projection."""
