@@ -8,10 +8,10 @@ X).  They fix the rest: f^* is the ring map sending h_i to f^*(h_i), and
 since the monomials m of Y and their duals m^v = top/m are dual bases,
 f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
 c(f) = c(f^*TY - TX) is `chern_of_roots` over the pulled-back roots of TY and
-the negated roots of TX, built once up to dim X (alpha * [X] is zero above
-it), in full only when a higher c_j is read.  c^I and s_I = f_*(c^I) are
-cached as integer numerators, which a class brings to lowest terms only when
-a public method hands it out.
+the negated roots of TX, under one cap that grows with the degrees read; an
+s_I takes it to dim X at once (alpha * [X] is zero above it), so a count builds
+c(f) once.  f^*(m), [X] f^*(m), c^I and s_I are cached as integer numerators,
+which a class brings to lowest terms only when a public method hands it out.
 The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
@@ -35,16 +35,18 @@ from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _
 from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
-def _memo(table: dict, key, step, mul):
-    """table[key] = mul(table[lower], factor) for (lower, factor) = step(key), filled
-    up from the nearest cached entry in a loop, so no recursion depth grows with key."""
+def _memo(table: dict, key, step, packing):
+    """table[key] = table[lower] * factor for (lower, factor) = step(key), all (D,
+    numerators) of packing, not in lowest terms, filled up from the nearest cached
+    entry, one packed product each, in a loop, so no recursion depth grows."""
     chain, k = [], key
     while k not in table:
         lower, factor = step(k)
         chain.append((k, lower, factor))
         k = lower
-    for k, lower, factor in reversed(chain):
-        table[k] = mul(table[lower], factor)
+    for k, lower, (q, nums) in reversed(chain):
+        d, below = table[lower]
+        table[k] = (d * q, _mul_packed([(below.items(), nums.items())], packing))
     return table[key]
 
 
@@ -87,8 +89,8 @@ class MapModel:
         self.target = target
         self.target_ring = target.ambient
         self.kappa = self.target_ring.top_degree - source.dimension
-        self._chern_total: GradedClass | None = None
-        self._chern: dict[int, GradedClass] | None = None
+        one = source.ambient.one()
+        self._cap, self._total, self._chern = 0, one, {0: one}  # c(f) up to degree _cap
         self._c_ints = {(): (1, {0: 1})}  # I -> (D, numerators) of c^I, not in lowest terms
         self._ln_cache: dict[tuple[int, ...], GradedClass] = {}
 
@@ -98,47 +100,45 @@ class MapModel:
     def pushforward(self, alpha: GradedClass) -> GradedClass:
         raise NotImplementedError
 
-    def _chern_of_roots(self, cap: int | None = None) -> GradedClass:
-        roots = [(self.pullback(D), a) for D, a in self.target.tangent_roots]
-        roots += [(D, -a) for D, a in self.source.tangent_roots]
-        return chern_of_roots(self.source.ambient, roots, cap)
-
     def quotient_chern(self) -> GradedClass:
-        """Total class of f^*TY - TX in the source's ambient ring, from their roots."""
-        if self._chern_total is None:
-            self._chern_total = self._chern_of_roots()
-        return self._chern_total
+        """Total class of f^*TY - TX in the source's ambient ring: c(f) read at the top."""
+        self.chern(self.source.ambient.top_degree)
+        return self._total
 
     def chern(self, j: int) -> GradedClass:
-        """c_j(f); c_0 = 1, c_{<0} = 0.  Built once up to dim X, with the cap
-        there; one above dim X is read from the full `quotient_chern`."""
-        if self.source.dimension < j <= self.source.ambient.top_degree:
-            return self.quotient_chern().graded_component(j)
-        if self._chern is None:
-            self._chern = self._chern_of_roots(self.source.dimension).components()
+        """c_j(f): c_0 = 1, zero below 0 and above the top, where nothing is built.
+        A j above the cap rebuilds c(f) at max(j, 2 * cap), no higher than dim X
+        while j is not; each build is exact up to its cap, so cached c^I stay."""
+        dim, top = self.source.dimension, self.source.ambient.top_degree
+        if self._cap < j <= top:
+            self._cap = min(max(j, 2 * self._cap), dim if j <= dim else top)
+            roots = [(self.pullback(D), a) for D, a in self.target.tangent_roots]
+            roots += [(D, -a) for D, a in self.source.tangent_roots]
+            self._total = chern_of_roots(self.source.ambient, roots, self._cap)
+            self._chern = self._total.components()
         return self._chern.get(j) or self.source.ambient.zero()  # a class is truthy
 
     def _c_monomial(self, I: Index) -> tuple[int, dict]:
         """c^I as (D, numerators), not in lowest terms, for a canonical index I,
         cached: c^(I - e_j) * c_j with j = len(I), one packed product."""
-        packing = self.source.ambient._packing
         return _memo(self._c_ints, I,
                      lambda I: (canon_index(I[:-1] + (I[-1] - 1,)), self.chern(len(I))._ints),
-                     lambda a, b: (a[0] * b[0], _mul_packed([(a[1].items(), b[1].items())],
-                                                            packing)))
+                     self.source.ambient._packing)
 
     def chern_monomial(self, I: Index) -> GradedClass:
         """c^I for a canonical index I."""
         return GradedClass._from_ints(self.source.ambient, *self._c_monomial(I))
 
     def landweber_novikov(self, I: Iterable[int]) -> GradedClass:
-        """s_I(f) = f_*(c^I) in the target ring, cached; zero above its top degree,
-        where c^I is not built."""
+        """s_I(f) = f_*(c^I) in the target ring, cached; zero outside degrees 0 to
+        the top, where c^I is not built.  Else c(f) is built up to dim X at once."""
         I = canon_index(I)
         if I not in self._ln_cache:
-            above = self.kappa + index_c_degree(I) > self.target_ring.top_degree
+            outside = not 0 <= self.kappa + index_c_degree(I) <= self.target_ring.top_degree
+            if I and not outside:  # alpha * [X] is zero above dim X
+                self.chern(self.source.dimension)
             self._ln_cache[I] = GradedClass._from_ints(
-                self.target_ring, *((1, {}) if above else self._push(*self._c_monomial(I))))
+                self.target_ring, *((1, {}) if outside else self._push(*self._c_monomial(I))))
         return self._ln_cache[I]
 
     def __repr__(self) -> str:
@@ -162,26 +162,23 @@ class ProductTargetMap(MapModel):
             _effective_degree_one(source.ambient, H, "hyperplane") for H in hyperplanes)
         if len(hyperplanes) != len(target.ambient.gens):
             raise ModelError("one hyperplane class per target generator")
-        amb, n = source.ambient, len(hyperplanes)
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        self._pulled = {(0,) * n: amb.one(), **dict(zip(units, hyperplanes))}
-        fundamental = source.fundamental
-        self._cycles = (self._pulled if fundamental == amb.one()
-                        else {(0,) * n: fundamental})
+        unit = (0,) * len(hyperplanes)  # tables of (D, numerators): f^*(m), [X] f^*(m)
+        self._pulled = {unit: (1, {0: 1})}
+        self._cycles = {unit: source.fundamental._ints} if source.divisors else self._pulled
         self._duals: dict[int, list] = {}  # source degree d -> its dual rows
 
-    def _image(self, table: dict, m: tuple[int, ...]) -> GradedClass:
-        """The unit entry of table times f^*(m), cached in table."""
+    def _image(self, table: dict, m: tuple[int, ...]) -> tuple[int, dict]:
+        """The unit entry of table times f^*(m), as (D, numerators), cached in table."""
         def step(m):
             i = next(i for i, e in enumerate(m) if e)
-            return m[:i] + (m[i] - 1,) + m[i + 1:], self.hyperplanes[i]
-        return _memo(table, m, step, GradedClass.__mul__)
+            return m[:i] + (m[i] - 1,) + m[i + 1:], self.hyperplanes[i]._ints
+        return _memo(table, m, step, self.source.ambient._packing)
 
     def pullback(self, beta: GradedClass) -> GradedClass:
         if beta.ring != self.target_ring:
             raise ModelError("pullback argument lives in the wrong ring")
         (den, nums), decode = beta._ints, beta.ring._packing.decode
-        d, out = _sum([(n, self._image(self._pulled, decode(k))._ints) for k, n in nums.items()])
+        d, out = _sum([(n, self._image(self._pulled, decode(k))) for k, n in nums.items()])
         return GradedClass._from_ints(self.source.ambient, den * d, out)
 
     def pushforward(self, alpha: GradedClass) -> GradedClass:
@@ -198,7 +195,7 @@ class ProductTargetMap(MapModel):
         for d in {ambient._packing.degree(k) for k in nums}:
             if d not in self._duals:
                 self._duals[d] = [(ring._packing.encode(m), self._image(
-                    self._cycles, tuple(b - e for b, e in zip(ring.top_monomial, m)))._ints)
+                    self._cycles, tuple(b - e for b, e in zip(ring.top_monomial, m))))
                     for m in ring.monomials_of_degree(d + self.kappa)]
             terms += [(1, (den * q, {key: _pair(ambient, nums, dual)}))
                       for key, (q, dual) in self._duals[d]]

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from tpcalc.algebra import (GradedClass, _integrate_product, integrate_top, make_ring,
                             parse_class, render_class)
-from tpcalc import chow
+from tpcalc import chow, maps
 from tpcalc.chow import (ModelError, VarietyModel, chern_of_roots, complete_intersection,
                          integrate_on, parse_variety, product_projective)
-from tpcalc.interp import chern_monomials_of_degree
+from tpcalc.interp import assemble_system, chern_monomials_of_degree
 from tpcalc.maps import (
     _PARAMETRIC_MODELS,
     LNIndex,
@@ -458,7 +458,7 @@ def test_fractional_models_have_denominators_above_1():
     for name in ("half-divisor-linear", "half-divisor-projection"):
         assert models[name].quotient_chern()._ints[0] > 1 and models[name].chern(1)._ints[0] > 1
     f = models["fractional-hyperplane"]
-    assert f._image(f._cycles, (1,))._ints[0] > 1  # a dual [X] f^*(h)
+    assert product_image(f, (1,), cycle=True)._ints[0] > 1  # a dual [X] f^*(h)
     assert all(g.quotient_chern() == reference_quotient_chern(g) for g in models.values())
 
 
@@ -558,14 +558,15 @@ def test_random_projections_match_the_retired_routes(desc, I):
 
 def assert_chern_is_the_full_class(name):
     """c_j of a fresh model against the degree-j part of another's full class:
-    built under the cap up to dim X, the full class left unbuilt, then read
-    from it above dim X, and zero above the ambient top."""
+    built under a cap that stays at most dim X while no higher c_j is read, so
+    the full class is left unbuilt, then rebuilt above dim X, and zero above the
+    ambient top."""
     f, full = get_model(name), get_model(name).quotient_chern()
     dim, top = f.source.dimension, f.source.ambient.top_degree
     for j in range(-1, dim + 1):
         assert f.chern(j) == full.graded_component(j)
-    assert f._chern_total is None
-    assert all(j <= dim and part.is_homogeneous(j) for j, part in f._chern.items())
+    assert f._cap <= dim
+    assert all(j <= f._cap and part.is_homogeneous(j) for j, part in f._chern.items())
     for j in range(dim + 1, top + 2):
         assert f.chern(j) == full.graded_component(j)
 
@@ -589,9 +590,103 @@ def test_a_count_builds_c_f_only_up_to_dim_x():
     f = get_model(CI_256)
     assert (prod(n + 1 for n in f.source.ambient.bounds), f.source.dimension) == (256, 2)
     assert count_points(f, multi_type("A0,A0,A0", f.kappa), default_db()) == 69579681570678777882
-    assert f._chern_total is None  # the full c(f) of the 256-monomial ring is never built
-    assert f._chern and all(j <= f.source.dimension and part.is_homogeneous(j)
+    assert f._cap == f.source.dimension  # the cap only grows, so it never passed dim X
+    assert f._chern and all(j <= f._cap and part.is_homogeneous(j)
                             for j, part in f._chern.items())
+
+
+def counted_builds(monkeypatch):
+    """The argument lists of every `chern_of_roots` call `tpcalc.maps` makes from now on."""
+    calls, build = [], maps.chern_of_roots
+    monkeypatch.setattr(maps, "chern_of_roots", lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name, spec, count", [
+    (CI_256, "A0,A0,A0", 69579681570678777882),
+    ("dual-surface:4", "A1,A1,A1", 3200),
+    ("web3:4", "A1,A1,A1", 675),
+])
+def test_a_count_builds_c_f_once(monkeypatch, name, spec, count):
+    f = get_model(name)
+    calls = counted_builds(monkeypatch)
+    assert count_points(f, multi_type(spec, f.kappa), default_db()) == count
+    assert [cap for _ring, _roots, cap in calls] == [f.source.dimension]
+
+
+def test_an_interpolation_system_builds_c_f_once_per_model(monkeypatch):
+    t, db = multi_type("A1,A1,A1", -1), default_db().copy()
+    db.remove(t.key, -1)
+    models = [get_model("dual-surface:3"), get_model("web3:4")]
+    calls = counted_builds(monkeypatch)
+    system = assemble_system(t, db, [(str(n), f, 0) for n, f in enumerate(models)])
+    assert len(system.rows) == 2 and len(system.unknowns) > 1
+    assert [cap for _ring, _roots, cap in calls] == [f.source.dimension for f in models]
+
+
+def uncapped_chern(f):
+    """c(f) from the uncapped `chern_of_roots`, over roots pulled back by the reference."""
+    roots = [(reference_pullback(f, D), a) for D, a in f.target.tangent_roots]
+    roots += [(D, -a) for D, a in f.source.tangent_roots]
+    return chern_of_roots(f.source.ambient, roots)
+
+
+@st.composite
+def cap_reads(draw, f):
+    """Every c_j from j = -1 to one above the ambient top, in a random order,
+    with up to 6 reads of the total class and of LN classes put in between."""
+    reads = draw(st.permutations(range(-1, f.source.ambient.top_degree + 2)))
+    others = st.one_of(st.just("total"), st.sampled_from(LN_INDICES).map(LNIndex))
+    for other in draw(st.lists(others, max_size=6)):
+        reads.insert(draw(st.integers(0, len(reads))), other)
+    return reads
+
+
+@given(st.one_of(st.sampled_from(SHIPPED_NAMES + sorted(FRACTIONAL_NAMES)),
+                 projection_descriptions()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_growing_cap_reads_c_f_in_any_order(name, data):
+    f = table_model(name)
+    full, top = uncapped_chern(f), f.source.ambient.top_degree
+    parts = full.components()
+    for read in data.draw(cap_reads(f)):
+        cap = f._cap
+        if read == "total":
+            assert f.quotient_chern() == full
+        elif isinstance(read, LNIndex):
+            assert f.landweber_novikov(read) == reference_landweber_novikov(f, read)
+            if read and 0 <= read.degree(f.kappa) <= f.target_ring.top_degree:
+                assert f._cap >= f.source.dimension  # an s_I builds c(f) up to dim X
+        else:
+            assert f.chern(read) == parts.get(read, f.source.ambient.zero())
+            if not 0 < read <= top:
+                assert f._cap == cap  # c_0 = 1 and a zero below 0 or above the top build nothing
+        assert cap <= f._cap <= top and set(f._chern) <= set(range(f._cap + 1))
+
+
+DIVISORS_200 = ("product [2047,1] ci [" + ",".join(f"({i},1)" for i in range(1, 201))
+                + "] -> [1]")  # CI's c(f) timing model: dim X = 1848, kappa = -1847
+
+
+@pytest.mark.parametrize("name, I", [
+    (DIVISORS_200, (1,)), (DIVISORS_200, (0, 1)), (DIVISORS_200, (3, 0, 2)),
+    ("product [3,3] ci [(1,0)] -> [0]", (1,)),  # kappa = -2, so s_1 has degree -1
+    ("veronese-p3", (3,)), ("veronese-p3", (0, 0, 1)),  # degree 4 on P^3
+], ids=["200-divisors-s_1", "200-divisors-s_01", "200-divisors-s_302", "kappa-2-s_1",
+        "veronese-s_3", "veronese-s_001"])
+def test_an_s_i_outside_the_target_degrees_is_zero_with_nothing_built(monkeypatch, name, I):
+    f = get_model(name)
+    assert not 0 <= LNIndex(I).degree(f.kappa) <= f.target_ring.top_degree
+    calls = counted_builds(monkeypatch)
+    assert f.landweber_novikov(I).is_zero() and calls == [] and f._c_ints == {(): (1, {0: 1})}
+    assert f.landweber_novikov(I) == get_model(name).pushforward(get_model(name).chern_monomial(I))
+
+
+def product_image(f, m, cycle=False):
+    """f^*(m), or [X] f^*(m) for a cycle, as a product of powers of the hyperplane
+    classes with GradedClass products, not through the model's tables."""
+    start = f.source.fundamental if cycle else f.source.ambient.one()
+    return reduce(operator.mul, [H ** e for H, e in zip(f.hyperplanes, m)], start)
 
 
 def fraction_pushforward(f, alpha):
@@ -601,7 +696,7 @@ def fraction_pushforward(f, alpha):
     terms = {}
     for d in {ambient.monomial_degree(m) for m in alpha.terms}:
         for m in ring.monomials_of_degree(d + f.kappa):
-            dual = f._image(f._cycles, tuple(b - e for b, e in zip(top, m)))
+            dual = product_image(f, tuple(b - e for b, e in zip(top, m)), cycle=True)
             if x := _integrate_product(ambient, alpha, dual):
                 terms[m] = x
     return GradedClass(ring, terms)
@@ -884,7 +979,7 @@ def fraction_pullback(f, beta):
     added one Fraction at a time into one terms dict."""
     terms = {}
     for mono, coeff in beta.terms.items():
-        for m, x in f._image(f._pulled, mono).terms.items():
+        for m, x in product_image(f, mono).terms.items():
             terms[m] = terms.get(m, 0) + coeff * x
     return GradedClass(f.source.ambient, terms)
 
