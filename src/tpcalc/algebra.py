@@ -54,7 +54,8 @@ class Packing:
     packing reads a ring's exponent tuples by fixed shifts, memoised, and
     ignores the degree field; an unbounded one reads tuples of (symbol,
     exponent) pairs, symbol i of `symbols` in field i, from the highest field
-    down, one step per symbol a key holds."""
+    down, one step per symbol a key holds, and encodes a monomial on another
+    symbol or with an exponent past its field as None."""
 
     __slots__ = ("stride", "bias", "guard", "encode", "decode", "cap", "_shift")
 
@@ -89,7 +90,15 @@ class Packing:
                     pairs.append((symbols[i], e))
                 return tuple(pairs[::-1])
 
-            self.encode = lambda mono: sum(e << shift[sym] for sym, e in mono)
+            def encode(mono) -> int | None:
+                key = 0
+                for sym, e in mono:
+                    s = shift.get(sym)
+                    if s is None or e >> width:  # not a monomial of this packing
+                        return None
+                    key += e << s
+                return key
+            self.encode = encode
         self.decode = decode
         self.bias = sum(((1 << w) - 1 - b) << s for s, w, b in fields)
         self.guard = sum(1 << s + w for s, w, _ in fields)

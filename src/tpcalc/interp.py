@@ -71,7 +71,7 @@ def assemble_system(t: MultiSingType, db: ResidualDB,
     """
     degree = t.ell_total - t.kappa
     system = LinearSystem(unknowns=chern_monomials_of_degree(degree))
-    proper = _partition_sum(t, db, "target", proper=True)
+    proper = SymbolicExpr._from_packed(*_partition_sum(t, db, "target", proper=True))
     for label, model, count in constraints:
         if t.ell_total != model.target_ring.top_degree:
             raise ValueError(

@@ -223,7 +223,10 @@ def projection_from_product(X: VarietyModel,
 
 def linear_projection_model(X: VarietyModel, e: GradedClass,
                             target_dim: int) -> ProductTargetMap:
-    """Generic linear projection to P^{target_dim} of X embedded by e."""
+    """Generic linear projection to P^{target_dim}, target_dim >= dim X, of X embedded by e."""
+    if target_dim < X.dimension:
+        raise ModelError(f"a linear projection of a variety of dimension {X.dimension} "
+                         f"to P^{target_dim} is not a morphism")
     return ProductTargetMap(X, product_projective([target_dim]), [e], "linear-projection")
 
 

@@ -151,11 +151,14 @@ class SymbolicExpr(_SparseSum):
             return "source"
         return "scalar"
 
-    def monomial_degree(self, mono: Monomial, kappa: int) -> int:
-        return sum(symbol_degree(sym, kappa) * e for sym, e in mono)
+    def _degrees(self, kappa: int) -> list[int]:
+        """Each monomial's degree, in `_ints` order, each distinct symbol's once."""
+        monos = self._ints[1]
+        deg = {sym: symbol_degree(sym, kappa) for sym in {sym for m in monos for sym, _e in m}}
+        return [sum(deg[sym] * e for sym, e in m) for m in monos]
 
     def is_homogeneous(self, degree: int, kappa: int) -> bool:
-        return all(self.monomial_degree(m, kappa) == degree for m in self._ints[1])
+        return all(d == degree for d in self._degrees(kappa))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(_canon_monomial(mono), Fraction(0))
@@ -242,7 +245,7 @@ def _push(expr: SymbolicExpr, kind: str) -> SymbolicExpr:
         for (sym_kind, I), e in mono:
             if sym_kind == "fs":
                 powers[kind, I] = powers.get((kind, I), 0) + e
-        mono = tuple(sorted(powers.items()))  # one kind: canonical order is index order
+        mono = tuple(sorted(powers.items()) if len(powers) > 1 else powers.items())  # index order
         acc[mono] = acc[mono] + n if mono in acc else n
     return SymbolicExpr._from_ints(None, den, {m: n for m, n in acc.items() if n})
 

@@ -27,7 +27,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import GradedClass, _mul_packed, _sum, integrate_top
+from .algebra import GradedClass, Packing, _mul_packed, _sum, integrate_top
 from .grammar import _TOO_BIG, MAX_DIGITS
 from .maps import MapModel
 from .symbolic import SymbolicExpr, _push, c, c_exponents, packing_of, parse_expr, render_expr
@@ -336,7 +336,7 @@ def default_db() -> ResidualDB:
 
 
 def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
-                   proper: bool = False) -> SymbolicExpr:
+                   proper: bool = False) -> tuple[Packing, int, dict[int, int]]:
     """Sum over the set partitions of t's entries of the product of block values.
 
     On the target side every block contributes its pushed residual; on the
@@ -350,7 +350,7 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
     filled in bottom-up by increasing size over the prod (m_n + 1) sub-multisets,
     on packed integers (symbolic.packing_of): with lam the lcm of the residuals'
     denominators D, value(D) is scaled by lam^|D|, so F(v) is lam^|v| times an
-    integer polynomial, over lam^r at the end.
+    integer polynomial: it returns (packing, lam^r, {key: numerator}) of F(M).
     """
     names = sorted(set(t.entries))
     full = tuple(t.entries.count(n) for n in names)
@@ -378,23 +378,24 @@ def _partition_sum(t: MultiSingType, db: ResidualDB, side: str,
                 continue
             weight = math.prod(math.comb(k - (n == lead_v), e - (n == lead_v))
                                for n, (k, e) in enumerate(zip(v, d)))
-            products.append(([(key, n * weight) for key, n in packed[d, top and keep].items()],
+            terms = packed[d, top and keep].items()
+            products.append((terms if weight == 1 else [(key, n * weight) for key, n in terms],
                              sums[tuple(k - e for k, e in zip(v, d))].items()))
         sums[v] = _mul_packed(products, packing)
-    return SymbolicExpr._from_packed(packing, lam ** t.r, sums[full])
+    return packing, lam ** t.r, sums[full]
 
 
 def expand_target(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
     """Target expansion: the sum over set partitions of products of pushed
     residuals, a homogeneous polynomial of degree ell(t) in the s_I."""
-    return _partition_sum(t, db, "target")
+    return SymbolicExpr._from_packed(*_partition_sum(t, db, "target"))
 
 
 def expand_source(t: MultiSingType, db: ResidualDB) -> SymbolicExpr:
     """Source expansion: over set partitions, the residual of the block
     containing entry 1 stays in Chern symbols while the other blocks
     contribute pulled-back pushforwards; homogeneous of degree ell(t) - kappa."""
-    return _partition_sum(t, db, "source")
+    return SymbolicExpr._from_packed(*_partition_sum(t, db, "source"))
 
 
 def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
@@ -403,7 +404,9 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
     `known`, insert it into the db and return it.
 
     `side` is 'target' or 'source'; `known` must be homogeneous of degree
-    ell(t) (target) or ell(t) - kappa (source).
+    ell(t) (target) or ell(t) - kappa (source).  `known` cancels against the
+    proper part on packed keys, a monomial the packing cannot hold keeping its
+    tuple; only the leftover is decoded, `known`'s monomials first.
     """
     if side not in ("source", "target"):
         raise ValueError("side must be 'source' or 'target'")
@@ -412,9 +415,13 @@ def extract_residual(t: MultiSingType, known: SymbolicExpr, side: str,
         raise InconsistentExtraction(
             f"known expansion is not homogeneous of degree {want}"
         )
-    den, delta = (known - _partition_sum(t, db, side, proper=True))._ints
+    packing, lam, proper = _partition_sum(t, db, side, proper=True)
+    keyed = {m if (k := packing.encode(m)) is None else k: n for m, n in known._ints[1].items()}
+    den, delta = _sum([(1, (known._ints[0], keyed)), (-1, (lam, proper))])
     nums = {}
     for mono, n in delta.items():
+        if type(mono) is int:
+            mono = packing.decode(mono)
         if side == "source" and any(kind != "c" for (kind, _), _e in mono):
             raise InconsistentExtraction(
                 "no residual reproduces the given source expansion: "
@@ -443,21 +450,22 @@ def thom_porteous(kappa: int, k: int) -> SymbolicExpr:
     Laplace expansion along the top row, memoised over column subsets: the
     minors of the bottom rows are built row by row from the bottom, one layer
     of column masks at a time (about 2^k * k products in place of k! * k).
+    Its 2k - 1 diagonals m = j - i are packed once, with both signs.
     """
     if k < 1:
         raise ValueError("thom_porteous needs k >= 1")
-    entries = {(i, j): c(kappa + k + j - i)._ints[1] for i in range(k) for j in range(k)}
-    packing = packing_of(entries.values(), k)
-    entries = {ij: packing.pack(nums) for ij, nums in entries.items()}
+    diagonals = {m: c(kappa + k + m)._ints[1] for m in range(1 - k, k)}
+    packing = packing_of(diagonals.values(), k)
+    signed = {m: [[(key, sign * n) for key, n in packing.pack(nums).items()] for sign in (1, -1)]
+              for m, nums in diagonals.items()}  # diagonal -> its terms times 1, then -1
     minors: dict[int, dict] = {0: {0: 1}}  # column mask -> packed minor
     for i in range(k - 1, -1, -1):
         layer: dict[int, list] = {}
         for mask, minor in minors.items():
             for j in range(k):
                 if not mask >> j & 1:
-                    sign = (-1) ** bin(mask & ((1 << j) - 1)).count("1")
-                    layer.setdefault(mask | 1 << j, []).append(
-                        ([(key, sign * n) for key, n in entries[i, j].items()], minor.items()))
+                    odd = (mask & ((1 << j) - 1)).bit_count() & 1
+                    layer.setdefault(mask | 1 << j, []).append((signed[j - i][odd], minor.items()))
         minors = {mask: _mul_packed(products, packing) for mask, products in layer.items()}
     return SymbolicExpr._from_packed(packing, 1, minors[(1 << k) - 1])
 
@@ -480,10 +488,11 @@ def evaluate(expr: SymbolicExpr, f: MapModel, side: str | None = None) -> Graded
         raise ValueError(f"a {actual}-side expression cannot be evaluated on the {side} side")
     ring = f.target_ring if actual == "target" else f.source.ambient
     den, nums = expr._ints
+    # a monomial above the top degree is zero in the ring, so no index is built
+    live = [mn for mn, d in zip(nums.items(), expr._degrees(f.kappa)) if d <= ring.top_degree]
+    f.chern(max((j for mono, _n in live for (kind, j), _e in mono if kind == "c"), default=0))
     pairs = []  # (scalar, (D, numerators)) of each monomial, summed in one `_sum`
-    for mono, n in nums.items():
-        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
-            continue  # zero in the ring, so no index is built
+    for mono, n in live:
         K = c_exponents(mono)  # the c-part is the model's cached c^K
         factors = [(f._c_monomial(K), 1)] if K else []
         for (kind, payload), e in mono:

@@ -175,8 +175,8 @@ def nested_triple_point_class(model: MapModel) -> GradedClass:
     """The classical nested route: f^*f_*(m2) - 2 c_1 f^*f_*(1) + R3 with
     m2 = f^*f_*(1) - c_1, for kappa = 1 models."""
     one = model.source.ambient.one()
+    c2 = model.chern(2)  # the higher first, so c(f) is built once
     c1 = model.chern(1)
-    c2 = model.chern(2)
     pp1 = model.pullback(model.pushforward(one))
     m2 = pp1 - c1
     ppm2 = model.pullback(model.pushforward(m2))

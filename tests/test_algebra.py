@@ -379,6 +379,14 @@ def test_unbounded_keys_decode_to_their_fields(width, exponents):
     assert packing.bias == packing.guard == 0
 
 
+def test_an_unbounded_packing_encodes_what_it_cannot_hold_as_none():
+    packing = Packing(3, symbols=("a", "b"))
+    assert packing.encode((("a", 7), ("b", 1))) == 7 | 1 << 3
+    assert packing.encode((("a", 8),)) is None  # past the 3-bit field
+    assert packing.encode((("a", 1), ("c", 1))) is None  # not one of its symbols
+    assert packing.encode((("b", 10 ** 50),)) is None
+
+
 def test_the_constant_monomial_packs_to_zero():
     # the {0: 1} seeds of the expansions and invert's constant term rely on it
     for bounds in [(), (1,), (3, 2), (8, 1, 15)]:

@@ -27,9 +27,9 @@ from tpcalc.maps import (
     projection_from_product,
     rational_curve_model,
 )
-from tpcalc.symbolic import SymbolicExpr, c, c_exponents, fs
+from tpcalc.symbolic import SymbolicExpr, c, c_exponents, fs, parse_expr, symbol_degree
 from tpcalc.tpcore import count_points, default_db, evaluate, expand_target, multi_type
-from tpcalc.verify import PROPERTY_MODELS, projection_formula_holds
+from tpcalc.verify import PROPERTY_MODELS, nested_triple_point_class, projection_formula_holds
 
 
 class TestLNIndex:
@@ -470,7 +470,7 @@ def class_product_evaluate(expr, f):
     ring = f.target_ring if expr.side == "target" else f.source.ambient
     total = ring.zero()
     for mono, coeff in expr.terms.items():
-        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+        if sum(symbol_degree(sym, f.kappa) * e for sym, e in mono) > ring.top_degree:
             continue
         value = ring.one()
         for (kind, payload), e in mono:
@@ -624,6 +624,30 @@ def test_an_interpolation_system_builds_c_f_once_per_model(monkeypatch):
     assert [cap for _ring, _roots, cap in calls] == [f.source.dimension for f in models]
 
 
+@pytest.mark.parametrize("name, read", [
+    ("dual-surface:4", lambda f: evaluate(parse_expr("c1 + c2 + c3 + c4"), f)),
+    ("dual-surface:4", lambda f: evaluate(parse_expr("c4 + c3 + c2 + c1"), f)),
+    ("veronese-p3", nested_triple_point_class),
+], ids=["c_j-increasing", "c_j-decreasing", "nested-triple-point"])
+def test_c_f_is_built_once_whatever_order_the_c_j_come_in(monkeypatch, name, read):
+    f = get_model(name)
+    calls = counted_builds(monkeypatch)
+    got = read(f)
+    assert len(calls) == 1
+    assert got == read(get_model(name))
+
+
+def test_a_linear_projection_below_dim_x_is_refused():
+    X = parse_variety("product [2,2] ci [(1,2)]")  # dim 3
+    e = Fraction(3, 2) * X.ambient.gen("h") + Fraction(2, 5) * X.ambient.gen("H")
+    with pytest.raises(ModelError, match="dimension 3 to P\\^2 is not a morphism"):
+        linear_projection_model(X, e, 2)
+    assert linear_projection_model(X, e, 3).kappa == 0
+    for name in ["veronese-p3", "scroll-q-p3"] + [f"ratcurve:{d}" for d in range(1, 6)]:
+        f = get_model(name)
+        assert f.kappa == 1 and f.landweber_novikov(()) == f.pushforward(f.source.ambient.one())
+
+
 def uncapped_chern(f):
     """c(f) from the uncapped `chern_of_roots`, over roots pulled back by the reference."""
     roots = [(reference_pullback(f, D), a) for D, a in f.target.tangent_roots]
@@ -706,7 +730,7 @@ def fractional_hyperplane_models():
     """Maps whose duals [X] f^*(top/m) have denominators other than 1."""
     X = parse_variety("product [2,2] ci [(1,2)]")
     a, b = X.ambient.gen("h"), X.ambient.gen("H")
-    return [linear_projection_model(X, Fraction(3, 2) * a + Fraction(2, 5) * b, 2),
+    return [linear_projection_model(X, Fraction(3, 2) * a + Fraction(2, 5) * b, 3),
             ProductTargetMap(X, product_projective([1, 1]), [a / 3, a + Fraction(1, 4) * b], "x")]
 
 
@@ -797,7 +821,12 @@ def test_one_rule_admits_divisors_and_hyperplanes(case, t):
     Y = product_projective([t])
     direct = outcome(lambda: ProductTargetMap(X, Y, [L], "linear-projection"))
     via_lp = outcome(lambda: linear_projection_model(X, L, t))
-    assert direct[0] == via_lp[0] == ("built" if effective else "refused")
+    assert direct[0] == ("built" if effective else "refused")
+    if t < X.dimension:  # no morphism, whatever L is
+        assert via_lp == ("refused", f"a linear projection of a variety of dimension "
+                                     f"{X.dimension} to P^{t} is not a morphism")
+        return
+    assert via_lp[0] == direct[0]
     if direct[0] == "built":
         assert direct[1].kappa == via_lp[1].kappa == t - ring.top_degree
         assert direct[1].quotient_chern() == via_lp[1].quotient_chern()
@@ -912,8 +941,7 @@ def test_quotient_chern_matches_the_retired_product_near_the_ring_limit():
 
 
 def test_a_long_chain_of_chern_monomials_needs_no_deep_recursion():
-    X = product_projective([1200])  # 1201 monomials; c_1^1100 is not zero
-    f = linear_projection_model(X, X.ambient.gen("h"), 1)
+    f = get_model("product [1200,1] -> [1]")  # 2402 monomials; c_1^1100 is not zero
     cI = f.chern_monomial((1100,))
     assert not cI.is_zero() and cI == f.chern(1) ** 1100
 
@@ -960,7 +988,7 @@ def fraction_evaluate(expr, f, side=None):
     ring = f.target_ring if actual == "target" else f.source.ambient
     terms = {}
     for mono, coeff in expr.terms.items():
-        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+        if sum(symbol_degree(sym, f.kappa) * e for sym, e in mono) > ring.top_degree:
             continue
         K = c_exponents(mono)
         factors = [f.chern_monomial(K)] if K else []
@@ -993,7 +1021,7 @@ def reference_evaluate(expr, f, side=None):
     ring = f.target_ring if actual == "target" else f.source.ambient
     total = ring.zero()
     for mono, coeff in expr.terms.items():
-        if expr.monomial_degree(mono, f.kappa) > ring.top_degree:
+        if sum(symbol_degree(sym, f.kappa) * e for sym, e in mono) > ring.top_degree:
             continue  # zero in the ring, so no index is built
         K = c_exponents(mono)  # the c-part is the model's cached c^K
         factors = [f.chern_monomial(K)] if K else []

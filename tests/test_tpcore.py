@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from tpcalc import tpcore
 from tpcalc.algebra import render_class
 from tpcalc.maps import get_model
-from tpcalc.symbolic import (SymbolicExpr, _push, c, c_monomial, fs, parse_expr, render_expr,
-                             s, sify)
+from tpcalc.symbolic import (SymbolicExpr, _push, c, c_monomial, canon_index, fs, parse_expr,
+                             render_expr, s, sify)
 from tpcalc.tpcore import (
     _partition_sum,
     InconsistentExtraction,
@@ -92,6 +93,39 @@ def oracle_proper_part(t, db, side):
                 term = term * _push(db.get(_block_names(t, block), t.kappa), "fs")
         total = total + term
     return total
+
+
+def proper_part(t, db, side):
+    """The packed proper part of an expansion, decoded."""
+    return SymbolicExpr._from_packed(*_partition_sum(t, db, side, proper=True))
+
+
+def reference_extract(t, known, side, db):
+    """The retired extraction route: `known` minus the decoded proper part on
+    tuple keys, then the leftover checked in the same order."""
+    want = t.ell_total if side == "target" else t.ell_total - t.kappa
+    if not known.is_homogeneous(want, t.kappa):
+        raise InconsistentExtraction(f"known expansion is not homogeneous of degree {want}")
+    den, delta = (known - proper_part(t, db, side))._ints
+    nums = {}
+    for mono, n in delta.items():
+        if side == "source" and any(kind != "c" for (kind, _), _e in mono):
+            raise InconsistentExtraction(
+                "no residual reproduces the given source expansion: "
+                f"leftover non-Chern term {render_expr(SymbolicExpr({mono: 1}))!r}"
+            )
+        if side == "target":
+            if [(kind, e) for (kind, _), e in mono] != [("s", 1)]:
+                raise InconsistentExtraction(
+                    "no residual reproduces the given target expansion: "
+                    f"leftover term {render_expr(SymbolicExpr({mono: 1}))!r} "
+                    "is not a single s-symbol"
+                )
+            mono = tuple((("c", j), e) for j, e in enumerate(mono[0][0][1], start=1) if e)
+        nums[mono] = n
+    R = SymbolicExpr._from_ints(None, den, nums)
+    db.insert(t.key, t.kappa, R)
+    return R
 
 
 def oracle_porteous(kappa, k):
@@ -380,7 +414,7 @@ class TestAgainstPartitionOracle:
         assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
         assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
         for side in ("target", "source"):
-            assert (render_expr(_partition_sum(t, db, side, proper=True))
+            assert (render_expr(proper_part(t, db, side))
                     == render_expr(oracle_proper_part(t, db, side)))
 
     @settings(max_examples=8, deadline=None)
@@ -391,7 +425,7 @@ class TestAgainstPartitionOracle:
         assert render_expr(expand_target(t, db)) == render_expr(oracle_expand_target(t, db))
         assert render_expr(expand_source(t, db)) == render_expr(oracle_expand_source(t, db))
         for side in ("target", "source"):
-            assert (render_expr(_partition_sum(t, db, side, proper=True))
+            assert (render_expr(proper_part(t, db, side))
                     == render_expr(oracle_proper_part(t, db, side)))
 
     def test_eight_immersion_points_push_forward(self):
@@ -445,10 +479,10 @@ class TestFractionResiduals:
         for side in ("target", "source"):
             want = render_expr(oracle_proper_part(t, db, side))
             log = ReadLog(db)
-            assert render_expr(_partition_sum(t, log, side, proper=True)) == want
+            assert render_expr(proper_part(t, log, side)) == want
             assert (t.key, t.kappa) not in log.reads  # extraction removes that entry
             log.remove(t.key, t.kappa)
-            assert render_expr(_partition_sum(t, log, side, proper=True)) == want
+            assert render_expr(proper_part(t, log, side)) == want
 
     @settings(max_examples=15, deadline=None)
     @given(_MIXED, st.integers(0, 2 ** 16))
@@ -561,6 +595,107 @@ class TestExtractResidual:
         bad = fs() ** 2  # cannot be absorbed into a Chern polynomial
         with pytest.raises(InconsistentExtraction):
             extract_residual(multi_type("A0,A0", 1), bad, "source", db.copy())
+
+
+def _outcome(extract, t, known, side, db):
+    """('residual', its numerators in order) or ('inconsistent', the message)."""
+    try:
+        R = extract(t, known, side, db.copy())
+    except InconsistentExtraction as err:
+        return "inconsistent", str(err)
+    return "residual", R._ints[0], list(R._ints[1].items())
+
+
+def _random_index(rng, d):
+    """An index of c-degree d: c_1^a * c_(d-a) for a random a, so its last slot
+    may be one the residuals never reach."""
+    I = [0] * max(d, 1)
+    a = rng.randint(0, d)
+    I[0] += a
+    if d > a:
+        I[d - a - 1] += 1
+    return canon_index(I)
+
+
+def _stray_terms(rng, t, side, count):
+    """`count` monomials of the degree `known` has at kappa = 1: on the target
+    side s_I * s_J (several s-symbols) or one s_J, on the source side
+    fs_I * c^K (a non-Chern term) or one c^K; the latter of each pair may still
+    extract.  Their indices may be on symbols the proper part never forms."""
+    want = t.ell_total - (side == "source")
+    out = []
+    for _ in range(count):
+        if side == "target" and want >= 2 and rng.random() < 0.7:
+            a = rng.randint(0, want - 2)
+            mono = ((("s", _random_index(rng, a)), 1), (("s", _random_index(rng, want - 2 - a)), 1))
+        elif side == "target":
+            mono = ((("s", _random_index(rng, want - 1)), 1),)
+        elif want >= 1 and rng.random() < 0.7:
+            a = rng.randint(0, want - 1)
+            K = _random_index(rng, want - 1 - a)
+            mono = ((("fs", _random_index(rng, a)), 1),
+                    *((("c", j), e) for j, e in enumerate(K, start=1) if e))
+        else:
+            mono = tuple((("c", j), e) for j, e in enumerate(_random_index(rng, want), start=1)
+                         if e)
+        out.append((mono, rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+    return out
+
+
+class TestPackedExtraction:
+    """`extract_residual` cancels on the packed keys of the proper part; the
+    retired route subtracted the decoded proper part on tuple keys."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(_MIXED, st.integers(0, 2 ** 16), st.booleans())
+    def test_the_residual_matches_the_reference(self, entries, seed, fractions):
+        t = MultiSingType(tuple(entries), 1)
+        db = (fraction_db if fractions else seeded_db)(entries, 1, seed)
+        scratch = db.copy()
+        scratch.remove(t.key, t.kappa)
+        for side, expand in (("target", expand_target), ("source", expand_source)):
+            known = expand(t, db)
+            got = _outcome(extract_residual, t, known, side, scratch)
+            assert got == _outcome(reference_extract, t, known, side, scratch)
+            assert got[0] == "residual" and (got[1], dict(got[2])) == db.get(t.key, 1)._ints
+
+    @settings(max_examples=30, deadline=None)
+    @given(_MIXED, st.integers(0, 2 ** 16), st.booleans(), st.sampled_from(["target", "source"]))
+    def test_the_inconsistent_message_matches_the_reference(self, entries, seed, fractions,
+                                                            side):
+        """Stray terms on symbols the sum does and does not form, put before,
+        among and after the expansion's terms, some of which are dropped, so
+        the first leftover may come from `known` or from the proper part."""
+        rng = random.Random(seed)
+        t = MultiSingType(tuple(entries), 1)
+        db = (fraction_db if fractions else seeded_db)(entries, 1, seed)
+        scratch = db.copy()
+        scratch.remove(t.key, t.kappa)
+        known = list((expand_target if side == "target" else expand_source)(t, db).terms.items())
+        known = [term for term in known if rng.random() < 0.9]
+        for term in _stray_terms(rng, t, side, rng.randint(0, 3)):
+            known.insert(rng.randint(0, len(known)), term)
+        known = SymbolicExpr(dict(known))
+        got = _outcome(extract_residual, t, known, side, scratch)
+        assert got == _outcome(reference_extract, t, known, side, scratch)
+
+    @pytest.mark.parametrize("side", ["target", "source"])
+    def test_a_huge_exponent_is_a_leftover_at_once(self, db, side):
+        """s_0^(10^50) * s_(N), or its fs twin, of the expansion's degree."""
+        t = multi_type("A1,A1", -1)  # s_0 and fs_0 have degree -1
+        want = t.ell_total if side == "target" else t.ell_total - t.kappa
+        huge = 10 ** 50
+        kind = "s" if side == "target" else "fs"
+        mono = (((kind, ()), huge), ((kind, (huge + want - t.kappa,)), 1))
+        expand = expand_target if side == "target" else expand_source
+        known = expand(t, db) + SymbolicExpr({mono: 3})
+        scratch = db.copy()
+        scratch.remove(t.key, t.kappa)
+        start = time.perf_counter()
+        got = _outcome(extract_residual, t, known, side, scratch)
+        assert time.perf_counter() - start < 1.0
+        assert got[0] == "inconsistent" and str(huge) in got[1]
+        assert got == _outcome(reference_extract, t, known, side, scratch)
 
 
 class TestThomPorteous:
