@@ -51,11 +51,11 @@ class Packing:
 
     A packing carries its codec: `encode` maps a monomial to its key and
     `decode` a key back, the constant monomial to and from 0.  A bounded
-    packing reads a ring's exponent tuples by fixed shifts, memoised, and
-    ignores the degree field; an unbounded one reads tuples of (symbol,
-    exponent) pairs, symbol i of `symbols` in field i, from the highest field
-    down, one step per symbol a key holds, and encodes a monomial on another
-    symbol or with an exponent past its field as None."""
+    packing reads a ring's exponent tuples by fixed shifts and ignores the
+    degree field; an unbounded one reads tuples of (symbol, exponent) pairs,
+    symbol i of `symbols` in field i, from the highest field down, one step
+    per symbol a key holds, and encodes a monomial on another symbol or with
+    an exponent past its field as None."""
 
     __slots__ = ("stride", "bias", "guard", "encode", "decode", "cap", "_shift")
 
@@ -64,20 +64,14 @@ class Packing:
         self.stride = stride = width if bounds is None else width + 1
         fields = []  # (shift, width, bound) of each bounded field
         if bounds is not None:
-            shifts, mask, memo = range(0, len(bounds) * stride, stride), (1 << width) - 1, {}
+            shifts, mask = range(0, len(bounds) * stride, stride), (1 << width) - 1
             self._shift = top_shift = len(bounds) * stride  # the degree field
             self.cap = top = sum(map(mul, degrees, bounds))
             fields = [(s, width, b) for s, b in zip(shifts, bounds)]
             fields.append((top_shift, top.bit_length(), top))
             units = [1 << s | d << top_shift for s, d in zip(shifts, degrees)]
-
-            def decode(key: int) -> tuple[int, ...]:
-                mono = memo.get(key)
-                if mono is None:
-                    mono = memo[key] = tuple(key >> s & mask for s in shifts)
-                return mono
-
             self.encode = lambda mono: sum(map(mul, mono, units))
+            self.decode = lambda key: tuple(key >> s & mask for s in shifts)
         else:
             shift = {sym: i * stride for i, sym in enumerate(symbols)}
 
@@ -98,8 +92,7 @@ class Packing:
                         return None
                     key += e << s
                 return key
-            self.encode = encode
-        self.decode = decode
+            self.encode, self.decode = encode, decode
         self.bias = sum(((1 << w) - 1 - b) << s for s, w, b in fields)
         self.guard = sum(1 << s + w for s, w, _ in fields)
 

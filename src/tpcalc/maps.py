@@ -1,18 +1,20 @@
 """Proper-map models: pullback, pushforward, quotient Chern classes,
 Landweber-Novikov classes.
 
-Every shipped model is a map f: X -> Y onto a product of projective spaces
-Y = P^{t_1} x ... x P^{t_k}, given by its source X, its target Y and the
-pullbacks f^*(h_i) of the target's hyperplane classes (degree-1 classes on
-X).  They fix the rest: f^* is the ring map sending h_i to f^*(h_i), and
-since the monomials m of Y and their duals m^v = top/m are dual bases,
-f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection formula.
+Every model is a `ProductTargetMap`: a map f: X -> Y onto a product of
+projective spaces Y = P^{t_1} x ... x P^{t_k}, given by its source X, its
+target Y and the pullbacks f^*(h_i) of the target's hyperplane classes
+(degree-1 classes on X).  They fix the rest: f^* is the ring map sending h_i
+to f^*(h_i), and since the monomials m of Y and their duals m^v = top/m are
+dual bases, f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection
+formula.
 c(f) = c(f^*TY - TX) is `chern_of_roots` over the pulled-back roots of TY and
 the negated roots of TX, under one cap that grows with the degrees read; an
 s_I takes it to dim X at once (alpha * [X] is zero above it), so a count builds
 c(f) once.  f^*(m), [X] f^*(m), c^I and s_I are cached as integer numerators,
 which a class brings to lowest terms only when a public method hands it out.
-The shipped kinds are
+Its base `MapModel` is the half that derives c(f), c^I and s_I from its
+`pullback` and `_push`.  The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
   onto a subset of the factors (f^*(h_i) the factor's own generator);
@@ -72,15 +74,15 @@ class LNIndex(tuple):
         return f"LNIndex({tuple(self)})"
 
 
+# Kept apart from ProductTargetMap: perfbench's tracer wraps quotient_chern and
+# landweber_novikov where MapModel defines them, and pullback and pushforward in
+# its subclasses.
 class MapModel:
-    """A proper map f: X -> Y: quotient Chern class, c^I and LN classes, cached.
-
-    Subclasses give ``pullback``, ``pushforward`` and ``_push`` (f_* on numerators);
-    the target is a VarietyModel without divisors, whose ambient ring holds the
-    target classes.
+    """The half of `ProductTargetMap` that derives c(f), c^I and the LN classes
+    s_I = f_*(c^I), cached, from its ``pullback`` and ``_push`` (f_* on
+    numerators); the target is a VarietyModel without divisors, whose ambient
+    ring holds the target classes.
     """
-
-    kind = "abstract"
 
     def __init__(self, source: VarietyModel, target: VarietyModel):
         if target.divisors:  # kappa and the dual-basis pushforward read a bare product
@@ -93,12 +95,6 @@ class MapModel:
         self._cap, self._total, self._chern = 0, one, {0: one}  # c(f) up to degree _cap
         self._c_ints = {(): (1, {0: 1})}  # I -> (D, numerators) of c^I, not in lowest terms
         self._ln_cache: dict[tuple[int, ...], GradedClass] = {}
-
-    def pullback(self, beta: GradedClass) -> GradedClass:
-        raise NotImplementedError
-
-    def pushforward(self, alpha: GradedClass) -> GradedClass:
-        raise NotImplementedError
 
     def quotient_chern(self) -> GradedClass:
         """Total class of f^*TY - TX in the source's ambient ring: c(f) read at the top."""
@@ -248,11 +244,11 @@ def landweber_novikov(f: MapModel, I: Iterable[int]) -> GradedClass:
     return f.landweber_novikov(I)
 
 
-def pushforward(f: MapModel, alpha: GradedClass) -> GradedClass:
+def pushforward(f: ProductTargetMap, alpha: GradedClass) -> GradedClass:
     return f.pushforward(alpha)
 
 
-def pullback(f: MapModel, beta: GradedClass) -> GradedClass:
+def pullback(f: ProductTargetMap, beta: GradedClass) -> GradedClass:
     return f.pullback(beta)
 
 
@@ -291,7 +287,7 @@ def model_names() -> list[str]:
 _PROJECTION_DESC_RE = re.compile(rf"(.*?)\s*->\s*\[\s*({_NATURALS})\s*\]\s*")
 
 
-def get_model(name: str) -> MapModel:
+def get_model(name: str) -> ProductTargetMap:
     """Resolve a model name.
 
     Accepts the built-in names ('veronese-p3', 'pencil:4', ...) or a factor

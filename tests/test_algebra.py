@@ -332,7 +332,6 @@ def test_bounded_keys_decode_to_their_exponents(bounds, data):
                                 for i, b in enumerate(bounds))
                             + (2 ** top.bit_length() - 1 - top << top_shift))
     assert packing.decode(key) == mono
-    assert packing.decode(key) is packing.decode(key)  # memoised
 
 
 @given(ring_with_classes(count=1))
@@ -575,3 +574,19 @@ def test_equal_scalars_and_constants_collapse_in_a_set():
     assert len({P2.zero(), 0, P2.gen("h") - P2.gen("h")}) == 1
     assert len({P2.one() / 2, Fraction(1, 2), parse_class(P2, "1/4 + 1/4")}) == 1
     assert len({P2.gen("h"), P2.gen("h") + 0, P2.one(), 1}) == 2
+
+
+def test_ring_refusals_and_lookups():
+    with pytest.raises(RingError, match=r"^bad generator name '1h'$"):
+        make_ring([("1h", 1, 2)])
+    ring = make_ring([("h", 1, 2), ("H", 1, 1)])
+    with pytest.raises(RingError, match=r"^no generator named 'z'$"):
+        ring.gen("z")
+    assert hash(ring) == hash(make_ring([("h", 1, 2), ("H", 1, 1)]))
+    assert len({ring, make_ring([("h", 1, 2), ("H", 1, 1)])}) == 1
+    p = parse_class(ring, "3/2*h^2*H - h")
+    assert p.coefficient((2, 1)) == Fraction(3, 2)
+    assert p.coefficient([1, 0]) == -1
+    assert p.coefficient((0, 1)) == 0
+    with pytest.raises(RingError, match=r"^class does not live in the given ring$"):
+        integrate_top(make_ring([("h", 1, 2)]), p)

@@ -211,3 +211,13 @@ class TestDescriptionGrammar:
         assert X.fundamental == 2 * X.ambient.gen("h")
         with pytest.raises(ModelError, match="cannot parse"):
             parse_variety("product [3,1] ci [(2,1,)]")
+
+
+def test_shape_refusals_and_repr():
+    with pytest.raises(ModelError, match=r"^one generator name per projective factor$"):
+        product_projective([2, 1], names=("h",))
+    P2xP1 = product_projective([2, 1])
+    with pytest.raises(ModelError, match=r"^multidegree vector has wrong length$"):
+        complete_intersection(P2xP1, [(1, 2, 3)])
+    assert repr(P2xP1) == "<P2xP1>"
+    assert repr(complete_intersection(P2xP1, [(3, 1)])) == "<CI of 1 divisors in P2xP1>"

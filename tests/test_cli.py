@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from tpcalc import cli
 from tpcalc import verify as verify_suites
 from tpcalc.grammar import MAX_DIGITS
+from tpcalc.tpcore import default_db
 
 
 def run(capsys, argv):
@@ -514,6 +516,40 @@ class TestVerify:
         assert code == 1
         assert "FAIL broken" in out
 
+    @pytest.mark.parametrize("suite,name,broken,line", [
+        ("table1", "TABLE1_ROWS", [("A0,A0", "fs_0", False)],
+         "FAIL table1 A0,A0: expected fs_0, got fs_0 - c1"),
+        ("classical", "salmon_count", lambda d, count=verify_suites.salmon_count: count(d) + 1,
+         "FAIL salmon d=3: expected 46, got 45"),
+        ("series", "verify_generating_series", lambda types, max_r, db: False,
+         "FAIL generating series A0 (kappa=1) up to r=4: expected True, got False"),
+        ("properties", "projection_formula_holds", lambda model: False,
+         "FAIL projection formula on veronese-p3 (100 pairs): expected True, got False"),
+    ])
+    def test_each_suite_reports_a_failed_check(self, capsys, monkeypatch, suite, name,
+                                               broken, line):
+        monkeypatch.setattr(verify_suites, name, broken)
+        code, out, _ = run(capsys, ["verify", "--suite", suite])
+        assert code == 1
+        assert line in out.splitlines()
+
+    def test_properties_expands_each_store_entry_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("expand_source", "expand_target"):
+            def counted(t, db, name=name, expand=getattr(verify_suites, name)):
+                calls[name, t.entries, t.kappa] += 1
+                return expand(t, db)
+            monkeypatch.setattr(verify_suites, name, counted)
+        assert all(c["pass"] for c in verify_suites.run_suite("properties"))
+        entries = default_db().keys()
+        assert len(entries) == 9
+        for name in ("expand_source", "expand_target"):
+            assert [calls[name, names, kappa] for names, kappa in entries] == [1] * 9
+
+    def test_unknown_suite_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unknown suite 'tables'$"):
+            verify_suites.run_suite("tables")
+
 
 class TestJsonOutput:
     def test_payload_matches_text(self, capsys):
@@ -636,20 +672,32 @@ class TestDeclaredTypes:
 
 
 class TestClosedPipe:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
     def test_reader_closing_early_exits_1_without_traceback(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         # about 128 KB of output, more than a pipe buffer holds, so the write
         # is still under way when the reader closes its end
         argv = [sys.executable, "-m", "tpcalc.cli", "porteous", "--kappa", "1", "--k", "8"]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as proc:
+                              env=self.env) as proc:
             assert os.read(proc.stdout.fileno(), 10)
             proc.stdout.close()
             err = proc.stderr.read()
             code = proc.wait(timeout=60)
         assert (code, err) == (1, b"")
+
+    def test_reader_gone_before_the_first_write_exits_1_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader from the start: the one short write fails
+        try:
+            done = subprocess.run([sys.executable, "-m", "tpcalc.cli", "porteous", "--kappa",
+                                   "1", "--k", "1"], stdout=write_end, stderr=subprocess.PIPE,
+                                  env=self.env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestRingSizeLimit:

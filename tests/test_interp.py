@@ -433,3 +433,10 @@ def test_residual_matches_the_running_sum(solution):
     running = sum((c_monomial(I) * a for I, a in solution.items()), SymbolicExpr.zero())
     residual = SolveResult(status="unique", solution=solution).residual()
     assert residual == running
+
+
+def test_row_of_the_wrong_length_is_refused():
+    system = LinearSystem([canon_index((1,)), canon_index((0, 1))],
+                          [([Fraction(1)], Fraction(2), "short")])
+    with pytest.raises(ValueError, match=r"^row length does not match unknown count$"):
+        solve_exact(system)

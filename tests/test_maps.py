@@ -182,6 +182,12 @@ class TestProjectionFormula:
     def test_holds_exactly(self, name):
         assert projection_formula_holds(get_model(name))
 
+    def test_fails_on_a_pushforward_that_is_off(self, monkeypatch):
+        f = get_model("veronese-p3")
+        push = f.pushforward  # f_*(alpha) + 1 breaks f_*(alpha f^* beta) = f_*(alpha) beta
+        monkeypatch.setattr(f, "pushforward", lambda alpha: push(alpha) + f.target_ring.one())
+        assert not projection_formula_holds(f)
+
 
 class TestDegreeShift:
     @pytest.mark.parametrize("name", PROPERTY_MODELS)
@@ -1122,3 +1128,25 @@ def test_evaluate_matches_the_running_sum(case):
     assert got == reference_evaluate(expr, f, side)
     assert got.terms == fraction_evaluate(expr, f, side).terms
     assert all(type(x) is Fraction and x for x in got.terms.values())
+
+
+def test_wrong_ring_and_factor_refusals():
+    f = get_model("veronese-p3")  # source P^2 and target P^3: two rings
+    with pytest.raises(ModelError, match=r"^pullback argument lives in the wrong ring$"):
+        f.pullback(f.source.ambient.one())
+    with pytest.raises(ModelError, match=r"^pushforward argument lives in the wrong ring$"):
+        f.pushforward(f.target_ring.one())
+    with pytest.raises(ModelError, match=r"^target factor index out of range$"):
+        projection_from_product(product_projective([2, 1]), [2])
+
+
+def test_reprs_and_module_level_aliases():
+    assert repr(LNIndex((0, 1, 0))) == "LNIndex((0, 1))"
+    f = get_model("veronese-p3")
+    assert repr(f) == "<linear-projection map, kappa=1>"
+    assert repr(get_model("pencil:3")) == "<product-projection map, kappa=-1>"
+    h, H = f.source.ambient.gen("h"), f.target_ring.gen("h")
+    assert maps.quotient_chern(f) == f.quotient_chern()
+    assert maps.landweber_novikov(f, (0, 1)) == f.landweber_novikov((0, 1))
+    assert maps.pushforward(f, h) == f.pushforward(h) == 2 * H ** 2
+    assert maps.pullback(f, H) == f.pullback(H) == 2 * h

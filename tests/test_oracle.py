@@ -456,3 +456,12 @@ class TestOracleAgreement:
             d = 3 + trial % 4
             curve = _random_immersive_curve(rng, d)
             assert double_point_degree(curve) == engine_double_point_degree(d)
+
+
+def test_parse_and_degenerate_refusals():
+    with pytest.raises(OracleError, match=r"^unknown variable 'x' \(expected 't'\)$"):
+        parse_poly("t^2 + x")
+    assert poly_content_free(()) == ()
+    # x(t) = 1: the curve runs along the line x = 1 by t -> t^2, two to one
+    with pytest.raises(OracleError, match=r"^non-birational parametrization: resultant vanishes$"):
+        double_point_resultant(CurveParam.parse("1, t^2"))

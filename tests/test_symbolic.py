@@ -569,3 +569,18 @@ def test_equal_scalars_and_constants_collapse_in_a_set():
     assert len({SymbolicExpr.constant(Fraction(-5, 6)), Fraction(-5, 6)}) == 1
     assert len({c(0), 1, Fraction(1), parse_expr("1/2 + 1/2")}) == 1
     assert len({c(1), s(), fs(), c(1) * 1}) == 3
+
+
+@pytest.mark.parametrize("mono,message", [
+    (((("c", 1), -1),), "negative exponent"),
+    (((("q", 1), 1),), "unknown symbol kind 'q'"),
+    (((("c", 0), 1),), r"c-symbols need index >= 1 \(c0 is the constant 1\)"),
+])
+def test_malformed_monomials_are_refused(mono, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SymbolicExpr({mono: 1})
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match=r"^negative powers of symbolic expressions$"):
+        (c(1) + 1) ** -1

@@ -827,3 +827,16 @@ class TestTwoRouteAgreement:
         for name in ["veronese-p3", "scroll-q-p3", "ratcurve:2", "ratcurve:5"]:
             f = get_model(name)
             assert evaluate(expand_source(t, db), f) == nested_triple_point_class(f)
+
+
+def test_small_cases_and_refusals():
+    assert multi_type(iter(["A1", "A0"]), 1).entries == ("A1", "A0")
+    assert bell_number(0) == 1
+    with pytest.raises(MissingResidual, match=r"^no residual polynomial for "
+                                              r"types=\[A0,A0,A0,A0\] kappa=1$"):
+        residual_a0_family(4, 1)
+    db = default_db()
+    with pytest.raises(ValueError, match=r"^side must be 'source' or 'target'$"):
+        extract_residual(multi_type("A1", 1), c(2), "both", db)
+    with pytest.raises(ValueError, match=r"^max_r must be >= 1$"):
+        verify_generating_series([get_sing_type("A0", 1)], 0, db)
