@@ -18,6 +18,7 @@ nothing overflows) and reads symbol tuples.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -121,14 +122,16 @@ class RingSpec:
     form iff every exponent e_i <= n_i.  The top class is the monomial
     (n_1, ..., n_k) of degree ``top_degree``, with packed key `_top_key`.
     `_packing` gives generator i field i, bounded by n_i, and the degree a last
-    field, bounded by the top; it reads keys back as exponent tuples.
+    field, bounded by the top; it reads keys back as exponent tuples.  The
+    generators' keys, `_gen_keys`, are encoded once.  A degree or bound that is
+    not an integer (a float, a Fraction) raises TypeError.
     """
 
     __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index", "_packing",
-                 "_top_key")
+                 "_top_key", "_gen_keys")
 
     def __init__(self, gens: Iterable[tuple[str, int, int]]):
-        gens = tuple((str(n), int(d), int(b)) for (n, d, b) in gens)
+        gens = tuple((str(n), operator.index(d), operator.index(b)) for (n, d, b) in gens)
         names = tuple(g[0] for g in gens)
         if len(set(names)) != len(names):
             raise RingError("duplicate generator name")
@@ -148,6 +151,8 @@ class RingSpec:
         self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds,
                                 degrees=self.degrees)
         self._top_key = self._packing.encode(self.bounds)
+        self._gen_keys = tuple(self._packing.encode([int(i == j) for j in range(len(gens))])
+                               for i in range(len(gens)))
 
     def index(self, name: str) -> int:
         try:
@@ -169,9 +174,7 @@ class RingSpec:
         return GradedClass._from_ints(self, 1, {0: 1})  # the constant monomial packs to 0
 
     def gen(self, name: str) -> "GradedClass":
-        i = self.index(name)
-        key = self._packing.encode([int(i == j) for j in range(len(self.gens))])
-        return GradedClass._from_ints(self, 1, {key: 1})
+        return GradedClass._from_ints(self, 1, {self._gen_keys[self.index(name)]: 1})
 
     def monomials_of_degree(self, d: int) -> Iterator[tuple[int, ...]]:
         """All normal-form monomials of total degree d, lex order."""

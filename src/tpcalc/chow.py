@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from operator import index
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, RingSpec, _integrate_product, _mul_packed, make_ring
@@ -85,9 +84,10 @@ def chern_of_roots(ring: RingSpec, roots: Iterable[tuple[GradedClass, int]],
 class VarietyModel:
     """The complete intersection of the divisors L_j (effective degree-1 classes,
     fewer than the ambient dimension) in the product of projective spaces with
-    intersection ring `ambient`, of at most MAX_RING_SIZE monomials.  Its tangent
-    bundle has the roots (h_i, n_i + 1) and (L_j, -1); c(TX) and c(TX)^{-1} are
-    `chern_of_roots` over them, built on each read."""
+    intersection ring `ambient`, of at most MAX_RING_SIZE monomials.  [X] = prod L_j
+    is one chain of packed products, reduced once.  Its tangent bundle has the
+    roots (h_i, n_i + 1), h_i read off the ring's generator keys, and (L_j, -1);
+    c(TX) and c(TX)^{-1} are `chern_of_roots` over them, built on each read."""
 
     __slots__ = ("ambient", "divisors", "factor_dims", "dimension", "fundamental",
                  "tangent_roots")
@@ -104,8 +104,12 @@ class VarietyModel:
             raise ModelError("too many divisors: dimension would drop to zero or below")
         self.factor_dims = ambient.bounds
         self.dimension = ambient.top_degree - len(self.divisors)
-        self.fundamental = reduce(mul, self.divisors, ambient.one())
-        gens = [(ambient.gen(n), d + 1) for n, d in zip(ambient.names, ambient.bounds)]
+        den, nums = 1, {0: 1}
+        for q, N in (L._ints for L in self.divisors):
+            den, nums = den * q, _mul_packed([(nums.items(), N.items())], ambient._packing)
+        self.fundamental = GradedClass._from_ints(ambient, den, nums)
+        gens = [(GradedClass._from_ints(ambient, 1, {k: 1}), n + 1)
+                for k, n in zip(ambient._gen_keys, ambient.bounds)]
         self.tangent_roots = tuple(gens + [(L, -1) for L in self.divisors])
 
     @property
@@ -125,8 +129,8 @@ class VarietyModel:
 
 def product_projective(dims: Iterable[int],
                        names: Sequence[str] | None = None) -> VarietyModel:
-    """The product P^{d_1} x ... x P^{d_k}."""
-    dims = tuple(int(d) for d in dims)
+    """The product P^{d_1} x ... x P^{d_k}; a d_i that is not an integer raises TypeError."""
+    dims = tuple(map(index, dims))
     if not dims:
         raise ModelError("need at least one projective factor")
     if any(d < 1 for d in dims):
@@ -141,18 +145,19 @@ def complete_intersection(ambient: VarietyModel,
     """Cut a complete intersection out of a product of projective spaces.
 
     Each multidegree is either a degree-1 ambient class or an integer vector
-    (d_1, ..., d_k) standing for sum d_i * g_i; `VarietyModel` admits them.
+    (d_1, ..., d_k) standing for sum d_i * g_i, built on the ring's generator
+    keys over denominator 1 (an entry that is not an integer raises TypeError);
+    `VarietyModel` admits them.
     """
     if ambient.divisors:
         raise ModelError("ambient model must be a bare product of projective spaces")
     ring, classes = ambient.ambient, []
     for md in multidegrees:
         if not isinstance(md, GradedClass):
-            vec = tuple(int(x) for x in md)
+            vec = tuple(map(index, md))
             if len(vec) != len(ring.gens):
                 raise ModelError("multidegree vector has wrong length")
-            md = GradedClass(ring, {tuple(int(i == j) for j in range(len(vec))): x
-                                    for i, x in enumerate(vec)})
+            md = GradedClass._from_ints(ring, 1, {k: d for k, d in zip(ring._gen_keys, vec) if d})
         classes.append(md)
     return VarietyModel(ring, classes) if classes else ambient
 

@@ -8,13 +8,13 @@ target Y and the pullbacks f^*(h_i) of the target's hyperplane classes
 to f^*(h_i), and since the monomials m of Y and their duals m^v = top/m are
 dual bases, f_*(alpha) = sum_m (int_X alpha * f^*(m^v)) m by the projection
 formula.
-c(f) = c(f^*TY - TX) is `chern_of_roots` over the pulled-back roots of TY and
-the negated roots of TX, under one cap that grows with the degrees read; an
+c(f) = c(f^*TY - TX) is `chern_of_roots` over the roots (f^*(h_i), t_i + 1) of
+f^*TY and the negated roots of TX, under one cap that grows with degrees read; an
 s_I takes it to dim X at once (alpha * [X] is zero above it), so a count builds
 c(f) once.  f^*(m), [X] f^*(m), c^I and s_I are cached as integer numerators,
 which a class brings to lowest terms only when a public method hands it out.
 Its base `MapModel` is the half that derives c(f), c^I and s_I from its
-`pullback` and `_push`.  The shipped kinds are
+`hyperplanes` and `_push`.  The shipped kinds are
 
 * projections of a complete intersection in a product of projective spaces
   onto a subset of the factors (f^*(h_i) the factor's own generator);
@@ -29,6 +29,7 @@ The test suite checks the projection formula on random classes.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _mul_packed, _pair, _sum
@@ -79,7 +80,8 @@ class LNIndex(tuple):
 # its subclasses.
 class MapModel:
     """The half of `ProductTargetMap` that derives c(f), c^I and the LN classes
-    s_I = f_*(c^I), cached, from its ``pullback`` and ``_push`` (f_* on
+    s_I = f_*(c^I), cached, from its ``hyperplanes`` (the f^*(h_i), paired with
+    the target's exponents t_i + 1 as the roots of f^*TY) and ``_push`` (f_* on
     numerators); the target is a VarietyModel without divisors, whose ambient
     ring holds the target classes.
     """
@@ -108,7 +110,7 @@ class MapModel:
         dim, top = self.source.dimension, self.source.ambient.top_degree
         if self._cap < j <= top:
             self._cap = min(max(j, 2 * self._cap), dim if j <= dim else top)
-            roots = [(self.pullback(D), a) for D, a in self.target.tangent_roots]
+            roots = [(H, t + 1) for H, t in zip(self.hyperplanes, self.target.factor_dims)]
             roots += [(D, -a) for D, a in self.source.tangent_roots]
             self._total = chern_of_roots(self.source.ambient, roots, self._cap)
             self._chern = self._total.components()
@@ -201,7 +203,7 @@ class ProductTargetMap(MapModel):
 def projection_from_product(X: VarietyModel,
                             target_factors: Sequence[int]) -> ProductTargetMap:
     """Projection of X inside P^{n_1} x ... x P^{n_k} onto a subset of factors."""
-    factors = sorted(int(i) for i in target_factors)
+    factors = sorted(map(index, target_factors))
     k = len(X.factor_dims)
     if not factors:
         raise ModelError("need at least one target factor")

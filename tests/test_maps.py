@@ -654,8 +654,9 @@ def test_a_linear_projection_below_dim_x_is_refused():
         assert f.kappa == 1 and f.landweber_novikov(()) == f.pushforward(f.source.ambient.one())
 
 
-def uncapped_chern(f):
-    """c(f) from the uncapped `chern_of_roots`, over roots pulled back by the reference."""
+def reference_cf(f):
+    """c(f) from the uncapped `chern_of_roots`, over the target's roots pulled back
+    by the reference, the route `MapModel.chern` left for the hyperplane classes."""
     roots = [(reference_pullback(f, D), a) for D, a in f.target.tangent_roots]
     roots += [(D, -a) for D, a in f.source.tangent_roots]
     return chern_of_roots(f.source.ambient, roots)
@@ -677,7 +678,7 @@ def cap_reads(draw, f):
 @settings(max_examples=150, deadline=None)
 def test_one_growing_cap_reads_c_f_in_any_order(name, data):
     f = table_model(name)
-    full, top = uncapped_chern(f), f.source.ambient.top_degree
+    full, top = reference_cf(f), f.source.ambient.top_degree
     parts = full.components()
     for read in data.draw(cap_reads(f)):
         cap = f._cap
@@ -692,6 +693,20 @@ def test_one_growing_cap_reads_c_f_in_any_order(name, data):
             if not 0 < read <= top:
                 assert f._cap == cap  # c_0 = 1 and a zero below 0 or above the top build nothing
         assert cap <= f._cap <= top and set(f._chern) <= set(range(f._cap + 1))
+
+
+@given(st.one_of(st.sampled_from(SHIPPED_NAMES + sorted(FRACTIONAL_NAMES)),
+                 projection_descriptions()))
+@settings(max_examples=60, deadline=None)
+def test_c_f_is_the_reference_at_every_cap(name):
+    """A fresh model's first read of c_j builds c(f) at cap j (at the top above
+    dim X), from the hyperplane classes: the reference's parts up to that cap."""
+    parts = reference_cf(table_model(name)).components()
+    for j in range(1, table_model(name).source.ambient.top_degree + 1):
+        f = table_model(name)
+        f.chern(j)
+        assert f._total == sum((part for d, part in parts.items() if d <= f._cap),
+                               f.source.ambient.zero())
 
 
 DIVISORS_200 = ("product [2047,1] ci [" + ",".join(f"({i},1)" for i in range(1, 201))
@@ -759,12 +774,14 @@ def test_pushforward_pairs_on_integers_as_the_fraction_route_did(case):
 
 
 def test_a_variety_is_its_ring_and_its_divisors():
-    for desc in ("product [2,1]", "product [2,3] ci [(4,1)]", "product [3,3] ci [(3,0),(1,1)]"):
+    for desc in ("product [2,1]", "product [2,3] ci [(4,1)]", "product [3,3] ci [(3,0),(1,1)]",
+                 "product [1,3] ci [(1,0),(1,0)]"):  # the last [X] is h^2 = 0
         X = parse_variety(desc)
         Y = VarietyModel(X.ambient, X.divisors)
         assert Y.factor_dims == X.ambient.bounds
         assert Y.dimension == X.ambient.top_degree - len(X.divisors)
         assert Y.fundamental == reference_fundamental(X)
+        assert Y.fundamental.is_zero() == desc.endswith("(1,0)]")
         assert Y.tangent_total == reference_tangent(X)
     with pytest.raises(TypeError):
         VarietyModel(X.ambient, X.factor_dims, X.divisors, X.dimension, X.tangent_total,
@@ -774,6 +791,91 @@ def test_a_variety_is_its_ring_and_its_divisors():
             VarietyModel(X.ambient, X.divisors, **{old: getattr(X, old)})
     with pytest.raises(ModelError, match="degree-1 generators"):
         VarietyModel(make_ring([("h", 1, 2), ("q", 2, 1)]))
+
+
+def reference_divisor(ring, vector):
+    """The retired route from a multidegree vector: its length checked, then the
+    validating class constructor on exponent tuples."""
+    if len(vector) != len(ring.gens):
+        raise ModelError("multidegree vector has wrong length")
+    return GradedClass(ring, {tuple(int(i == j) for j in range(len(vector))): x
+                              for i, x in enumerate(vector)})
+
+
+@st.composite
+def multidegree_vectors(draw):
+    """A bare product of 1 to 3 factors and an integer vector for it: most of the
+    right length, with entries in [-2, 3] (so zero and negative vectors come
+    up), some one entry short or long."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    length = draw(st.sampled_from([len(dims)] * 4 + [len(dims) - 1, len(dims) + 1]))
+    return product_projective(dims), draw(st.lists(st.integers(-2, 3), min_size=length,
+                                                   max_size=length))
+
+
+@given(multidegree_vectors())
+@settings(max_examples=200, deadline=None)
+def test_a_vector_divisor_is_the_class_the_validating_constructor_built(case):
+    X, vector = case
+    ring = X.ambient
+    got = outcome(lambda: complete_intersection(X, [vector]))
+    want = outcome(lambda: VarietyModel(ring, [reference_divisor(ring, vector)]))
+    if got[0] == "built":
+        assert want[0] == "built" and got[1].divisors == want[1].divisors
+    else:
+        assert got == want
+    if len(vector) != len(ring.gens):
+        assert got == ("refused", "multidegree vector has wrong length")
+    elif not any(vector):
+        assert got == ("refused", "divisor classes must be homogeneous of degree 1")
+    elif min(vector) < 0:
+        assert got == ("refused", "divisor classes need non-negative multidegree entries")
+    elif ring.top_degree == 1:
+        assert got == ("refused", "too many divisors: dimension would drop to zero or below")
+    else:
+        (L,) = got[1].divisors
+        assert L._ints == (1, {k: x for k, x in zip(ring._gen_keys, vector) if x})
+
+
+@st.composite
+def divisor_lists(draw):
+    """A product of 1 to 3 factors and fewer divisors than its dimension, each a
+    nonzero sum of generators with weights 0 to 2 or of denominator 2 to 5, so
+    that [X] is often zero (h^2 on P^1) and carries a denominator."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ring = product_projective(dims).ambient
+    weight = st.one_of(st.integers(0, 2), st.builds(Fraction, st.integers(1, 9),
+                                                    st.integers(2, 5)))
+    divisor = st.lists(weight, min_size=len(dims), max_size=len(dims)).filter(any).map(
+        lambda ws: sum((w * ring.gen(n) for n, w in zip(ring.names, ws)), ring.zero()))
+    return ring, draw(st.lists(divisor, max_size=ring.top_degree - 1))
+
+
+@given(divisor_lists())
+@settings(max_examples=200, deadline=None)
+def test_the_fundamental_class_is_the_product_of_the_divisors(case):
+    ring, divisors = case
+    X = VarietyModel(ring, divisors)
+    assert X.fundamental == reference_fundamental(X)
+    den, nums = X.fundamental._ints  # canonical: D > 0, in lowest terms, no zero numerator
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    assert [D for D, _ in X.tangent_roots[:len(ring.gens)]] == [ring.gen(n) for n in ring.names]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, Fraction(5, 2)])
+@pytest.mark.parametrize("build, as_before", [
+    (lambda x: make_ring([("h", 1, x)]), lambda ring: ring.bounds == (2,)),
+    (lambda x: make_ring([("h", x, 1)]), lambda ring: ring.degrees == (2,)),
+    (lambda x: product_projective([x, 1]), lambda X: X.factor_dims == (2, 1)),
+    (lambda x: complete_intersection(product_projective([2, 1]), [(x, 1)]),
+     lambda X: X.divisors == (parse_class(X.ambient, "2*h + H"),)),
+    (lambda x: projection_from_product(product_projective([1, 2, 3]), [x]),
+     lambda f: f.target_ring.names == ("h3",) and f.kappa == 3 - 6),
+], ids=["ring-bound", "ring-degree", "product", "ci-vector", "projection-factor"])
+def test_model_constructors_refuse_a_non_integer(build, as_before, value):
+    with pytest.raises(TypeError):
+        build(value)
+    assert as_before(build(2))
 
 
 @st.composite
