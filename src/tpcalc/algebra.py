@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .grammar import parse_sum, render_sum
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 
@@ -53,12 +53,13 @@ class Packing:
     A packing carries its codec: `encode` maps a monomial to its key and
     `decode` a key back, the constant monomial to and from 0.  A bounded
     packing reads a ring's exponent tuples by fixed shifts and ignores the
-    degree field; an unbounded one reads tuples of (symbol, exponent) pairs,
-    symbol i of `symbols` in field i, from the highest field down, one step
-    per symbol a key holds, and encodes a monomial on another symbol or with
-    an exponent past its field as None."""
+    degree field, a key being the sum of its `units` (the generators' keys)
+    weighted by the exponents; an unbounded one reads tuples of (symbol,
+    exponent) pairs, symbol i of `symbols` in field i, from the highest field
+    down, one step per symbol a key holds, and encodes a monomial on another
+    symbol or with an exponent past its field as None."""
 
-    __slots__ = ("stride", "bias", "guard", "encode", "decode", "cap", "_shift")
+    __slots__ = ("stride", "bias", "guard", "encode", "decode", "cap", "units", "_shift")
 
     def __init__(self, width: int, bounds: tuple[int, ...] | None = None, symbols: Sequence = (),
                  degrees: tuple[int, ...] = ()):
@@ -70,7 +71,7 @@ class Packing:
             self.cap = top = sum(map(mul, degrees, bounds))
             fields = [(s, width, b) for s, b in zip(shifts, bounds)]
             fields.append((top_shift, top.bit_length(), top))
-            units = [1 << s | d << top_shift for s, d in zip(shifts, degrees)]
+            self.units = units = tuple(1 << s | d << top_shift for s, d in zip(shifts, degrees))
             self.encode = lambda mono: sum(map(mul, mono, units))
             self.decode = lambda key: tuple(key >> s & mask for s in shifts)
         else:
@@ -123,8 +124,8 @@ class RingSpec:
     (n_1, ..., n_k) of degree ``top_degree``, with packed key `_top_key`.
     `_packing` gives generator i field i, bounded by n_i, and the degree a last
     field, bounded by the top; it reads keys back as exponent tuples.  The
-    generators' keys, `_gen_keys`, are encoded once.  A degree or bound that is
-    not an integer (a float, a Fraction) raises TypeError.
+    generators' keys, `_gen_keys`, are its packing's `units`.  A degree or bound
+    that is not an integer (a float, a Fraction) raises TypeError.
     """
 
     __slots__ = ("gens", "names", "degrees", "bounds", "top_degree", "_index", "_packing",
@@ -151,8 +152,7 @@ class RingSpec:
         self._packing = Packing(max(self.bounds, default=0).bit_length(), self.bounds,
                                 degrees=self.degrees)
         self._top_key = self._packing.encode(self.bounds)
-        self._gen_keys = tuple(self._packing.encode([int(i == j) for j in range(len(gens))])
-                               for i in range(len(gens)))
+        self._gen_keys = self._packing.units
 
     def index(self, name: str) -> int:
         try:
@@ -353,7 +353,7 @@ class GradedClass(_SparseSum):
     def _monomials(self) -> Iterator[tuple[int, ...]]:
         return map(self.ring._packing.decode, self._ints[1])
 
-    def __mul__(self, other: Union["GradedClass", Scalar]) -> "GradedClass":
+    def __mul__(self, other: GradedClass | Scalar) -> GradedClass:
         if isinstance(other, (int, Fraction)):
             return self._times(other)
         ring = self._coerce(other).ring  # RingError across rings

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Sequence
 
 from .algebra import GradedClass, RingSpec, _integrate_product, _mul_packed, make_ring
 from .grammar import MAX_DIGITS
@@ -87,7 +87,7 @@ class VarietyModel:
     intersection ring `ambient`, of at most MAX_RING_SIZE monomials.  [X] = prod L_j
     is one chain of packed products, reduced once.  Its tangent bundle has the
     roots (h_i, n_i + 1), h_i read off the ring's generator keys, and (L_j, -1);
-    c(TX) and c(TX)^{-1} are `chern_of_roots` over them, built on each read."""
+    c(TX) is `chern_of_roots` over them, built on each read."""
 
     __slots__ = ("ambient", "divisors", "factor_dims", "dimension", "fundamental",
                  "tangent_roots")
@@ -115,10 +115,6 @@ class VarietyModel:
     @property
     def tangent_total(self) -> GradedClass:
         return chern_of_roots(self.ambient, self.tangent_roots)
-
-    @property
-    def tangent_inverse(self) -> GradedClass:
-        return chern_of_roots(self.ambient, [(D, -a) for D, a in self.tangent_roots])
 
     def __repr__(self) -> str:
         factors = "x".join(f"P{d}" for d in self.factor_dims)

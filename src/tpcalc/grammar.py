@@ -11,8 +11,8 @@ means, and in which order terms print, is left to each caller.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 Factors = list[tuple[str, int]]  # (name, exponent) pairs in print order
 MAX_DIGITS = 4300  # Python's int-to-str limit, so every coefficient read prints

@@ -12,10 +12,10 @@ points back at the labels of the offending constraints.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
-from typing import Sequence
 
 from .algebra import RingSpec, integrate_top
 from .oracle import _bareiss

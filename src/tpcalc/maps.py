@@ -29,12 +29,13 @@ The test suite checks the projection formula on random classes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from operator import index
-from typing import Iterable, Sequence
 
 from .algebra import GradedClass, _mul_packed, _pair, _sum
 from .chow import (_NATURALS, ModelError, VarietyModel, _effective_degree_one, _integers,
                    chern_of_roots, parse_variety, product_projective)
+from .grammar import MAX_DIGITS
 from .symbolic import Index, canon_index, index_c_degree, index_str
 
 
@@ -301,10 +302,9 @@ def get_model(name: str) -> ProductTargetMap:
         return _FIXED_MODELS[name]()
     head, colon, arg = name.partition(":")
     if colon and head in _PARAMETRIC_MODELS:
-        try:
-            d = int(arg)
-        except ValueError:
-            raise ModelError(f"bad parameter in model name {name!r}") from None
+        if not re.fullmatch("[0-9]+", arg) or len(arg) > MAX_DIGITS:  # as the grammar reads
+            raise ModelError(f"bad parameter in model name {name!r}")
+        d = int(arg)
         if d < 1:
             raise ModelError(f"model {head} needs parameter >= 1")
         build = _PARAMETRIC_MODELS[head]

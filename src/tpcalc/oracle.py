@@ -19,9 +19,10 @@ back out once.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
 
 from .grammar import parse_sum, render_sum
 
@@ -51,7 +52,8 @@ def poly_deg(p: Poly) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 
 
-# no caller in tpcalc; perfbench's tracer counts its calls by name
+# no caller in tpcalc; tests/poly_reference.py and tests/test_oracle.py use it as
+# their reference product, and perfbench's tracer counts its calls by name
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
@@ -169,7 +171,7 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
 # -- parametrized curves ---------------------------------------------------------
 
 
-class CurveParam(NamedTuple("CurveParam", [("x", Poly), ("y", Poly)])):
+class CurveParam(namedtuple("CurveParam", "x y")):
     """An affine chart of a map P^1 -> P^2, t -> (x(t), y(t)); an (x, y) tuple."""
 
     __slots__ = ()
@@ -217,8 +219,6 @@ def double_point_resultant(curve: CurveParam) -> Poly:
     """Content-free resultant of the two divided differences."""
     P = divided_difference(curve.x)
     Q = divided_difference(curve.y)
-    if not P and not Q:
-        raise OracleError("degenerate curve: both coordinates constant")
     if len(P) <= 1 and len(Q) <= 1:
         # affine-linear in both coordinates: injective, no double points
         return (Fraction(1),)

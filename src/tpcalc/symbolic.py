@@ -25,13 +25,12 @@ k = s (f_*, `sify`) or k = fs (f^* f_*).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
-from .algebra import Packing, _mul_packed, _numerators, _scalar, _SparseSum
+from .algebra import Packing, Scalar, _mul_packed, _numerators, _scalar, _SparseSum
 from .grammar import parse_sum, render_sum
 
-Scalar = Union[int, Fraction]
 Index = tuple[int, ...]
 Symbol = tuple[str, object]  # ('c', j) | ('s', I) | ('fs', I)
 Monomial = tuple[tuple[Symbol, int], ...]
@@ -119,7 +118,7 @@ class SymbolicExpr(_SparseSum):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __mul__(self, other: Union["SymbolicExpr", Scalar]) -> "SymbolicExpr":
+    def __mul__(self, other: SymbolicExpr | Scalar) -> SymbolicExpr:
         if isinstance(other, (int, Fraction)):
             return self._times(other)
         (den1, a), (den2, b) = self._ints, self._coerce(other)._ints

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import GradedClass, Packing, _mul_packed, _sum, integrate_top
 from .grammar import _TOO_BIG, MAX_DIGITS
@@ -56,12 +57,11 @@ class InconsistentExtraction(ValueError):
 # -- singularity types ---------------------------------------------------------
 
 
-class SingType(NamedTuple):
-    """A mono-singularity type with its target codimension ell."""
+class SingType(namedtuple("SingType", "name kappa ell")):
+    """A mono-singularity type (name: str, kappa: int) with its target
+    codimension ell: int."""
 
-    name: str
-    kappa: int
-    ell: int
+    __slots__ = ()
 
 
 _A1_ELL = MappingProxyType({("A1", 1): 3, ("A1", -1): 1})  # beside A0's ell = kappa

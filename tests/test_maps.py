@@ -231,8 +231,12 @@ class TestModelRegistry:
     def test_bad_parameter(self):
         with pytest.raises(ModelError):
             get_model("ratcurve:x")
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="needs parameter >= 1"):
             get_model("ratcurve:0")
+        # int() would read each as 4; <d> is [0-9]+, as elsewhere in the model grammar
+        for name in ("pencil:+4", "pencil:0_4", "pencil:\u0664", "pencil: 4"):
+            with pytest.raises(ModelError, match="^bad parameter in model name"):
+                get_model(name)
 
     def test_description_model_matches_named(self):
         described = get_model("product [2,1] ci [(3,1)] -> [1]")
@@ -545,7 +549,8 @@ def assert_model_matches_retired_routes(f, I):
     for X in (f.source, f.target):
         assert X.tangent_total == reference_tangent(X)
         assert X.fundamental == reference_fundamental(X)
-        assert X.tangent_inverse * X.tangent_total == X.ambient.one()
+        inverse = chern_of_roots(X.ambient, [(D, -a) for D, a in X.tangent_roots])
+        assert inverse * X.tangent_total == X.ambient.one()
     assert f.quotient_chern() == reference_quotient_chern(f)
     assert f.chern_monomial(LNIndex(I)) == reference_c_monomial(f, I)
 
@@ -786,7 +791,7 @@ def test_a_variety_is_its_ring_and_its_divisors():
     with pytest.raises(TypeError):
         VarietyModel(X.ambient, X.factor_dims, X.divisors, X.dimension, X.tangent_total,
                      X.fundamental)
-    for old in ("tangent_total", "tangent_inverse", "factor_dims", "dimension", "fundamental"):
+    for old in ("tangent_total", "factor_dims", "dimension", "fundamental"):
         with pytest.raises(TypeError):
             VarietyModel(X.ambient, X.divisors, **{old: getattr(X, old)})
     with pytest.raises(ModelError, match="degree-1 generators"):

@@ -1,16 +1,17 @@
 """The six records against the dataclasses they replaced.
 
-tpcalc defines its records as `typing.NamedTuple`s, `types.SimpleNamespace`s,
-a plain class and a dict, so that importing the package or its command line
-loads neither `dataclasses` nor `inspect`, which every CLI process would pay
-for at start-up.  The dataclass definitions are kept below verbatim as
-references; each replacement must match its reference in fields, equality,
-hashing, repr, refused assignment and deletion, and validation errors.
+tpcalc defines its records as `collections.namedtuple` subclasses,
+`types.SimpleNamespace`s, a plain class and a dict, so that importing the
+package or its command line loads none of `dataclasses`, `inspect` and
+`typing`, which every CLI process would pay for at start-up.  The dataclass
+definitions are kept below verbatim as references; each replacement must
+match its reference in fields, equality, hashing, repr, refused assignment and
+deletion, and validation errors.
 
 Intended differences:
-* `SingType` is a `typing.NamedTuple`, so it also unpacks, indexes and
-  compares as the tuple (name, kappa, ell);
-* `CurveParam` is a `typing.NamedTuple` too, so it also unpacks, indexes and
+* `SingType` is a named tuple, so it also unpacks, indexes and compares as
+  the tuple (name, kappa, ell);
+* `CurveParam` is a named tuple too, so it also unpacks, indexes and
   compares as its (x, y) tuple; its `_make` and `_replace` skip the check in
   `__new__`, and nothing in tpcalc calls them;
 * a `LinearSystem` or `SolveResult` is a `types.SimpleNamespace`, so it also
@@ -295,7 +296,7 @@ def test_sing_type_matches_reference(fields_pair):
     assert_same_hash(new, ref, new_b, ref_b)
     assert_frozen(new, ref, ("name", "kappa", "ell"), 0)
     assert tpcore.SingType(*a) == tpcore.SingType(name=a[0], kappa=a[1], ell=a[2])
-    # the one intended difference: a NamedTuple is also its tuple of fields
+    # the one intended difference: a named tuple is also its tuple of fields
     assert new == a and tuple(new) == a and ref != a
     name, kappa, ell = new
     assert (name, kappa, ell) == a
@@ -358,7 +359,7 @@ def test_curve_param_matches_reference(fields_pair):
         assert_same_equality(new, ref, new_b, ref_b)
         assert_same_hash(new, ref, new_b, ref_b)
     assert oracle.CurveParam(*a) == oracle.CurveParam(y=a[1], x=a[0])
-    # the intended difference: a NamedTuple is also its tuple of fields
+    # the intended difference: a named tuple is also its tuple of fields
     assert new == a and tuple(new) == a and ref != a
     x, y = new
     assert (x, y) == a
@@ -465,15 +466,16 @@ def test_records_copy_and_pickle(curve, system, solve):
 
 @pytest.mark.parametrize("module", ["tpcalc", "tpcalc.cli"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
-    """Compared on the modules the import adds, so that a site which preloads
-    either one cannot fail the test."""
+    """Nor `typing`.  The child runs with -S, so that no `.pth` file of the
+    site preloads any of them, and the test compares the modules the import
+    adds."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys; before = set(sys.modules); import " + module + "; "
             "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     added = set(out.split())
     assert module in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "typing"}
