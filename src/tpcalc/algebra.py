@@ -3,7 +3,7 @@
 A ring is Q[g_1,...,g_k] modulo the relations g_i^(n_i+1) = 0, with each
 generator carrying a positive degree.  This is exactly the intersection ring
 of a product of projective spaces, which is all the substrate the rest of the
-package needs.  Coefficients are exact rationals; a float raises TypeError.
+package needs.  It reads numbers as `grammar` says, so a float raises TypeError.
 `_SparseSum` owns how a polynomial is stored, for `GradedClass` and
 `symbolic.SymbolicExpr` alike: integer numerators on monomial keys over one
 positive denominator, in lowest terms, with the `fractions.Fraction` terms
@@ -25,9 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .grammar import parse_sum, render_sum
-
-Scalar = int | Fraction
+from .grammar import Scalar, _scalar, parse_sum, render_sum
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 
@@ -163,10 +161,6 @@ class RingSpec:
     def monomial_degree(self, mono: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
 
-    @property
-    def top_monomial(self) -> tuple[int, ...]:
-        return self.bounds
-
     def zero(self) -> "GradedClass":
         return GradedClass._from_ints(self, 1, {})
 
@@ -206,13 +200,6 @@ def _monomials(degrees: tuple[int, ...], bounds: tuple[int, ...], d: int, i: int
 def make_ring(spec: Iterable[tuple[str, int, int]]) -> RingSpec:
     """Build the ring Q[g_i]/(g_i^(n_i+1)) from (name, degree, nilpotency) triples."""
     return RingSpec(spec)
-
-
-def _scalar(value) -> Scalar:
-    """An int or Fraction as it is; a float, or anything else, raises TypeError."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise TypeError(f"coefficients are int or Fraction, not {type(value).__name__}")
 
 
 def _numerators(terms: Mapping) -> tuple[int, dict]:
@@ -298,7 +285,7 @@ class _SparseSum:
         return self * Fraction(1, _scalar(other))
 
     def __pow__(self, n: int):
-        if n < 0:
+        if (n := operator.index(n)) < 0:
             return self.invert() ** -n
         if n < 2:
             return self if n else self._coerce(1)
@@ -339,7 +326,7 @@ class GradedClass(_SparseSum):
     def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[int, Scalar] = {}
         for mono, coeff in terms.items():
-            mono = tuple(mono)
+            mono = tuple(map(operator.index, mono))
             if len(mono) != len(ring.gens):
                 raise RingError(f"monomial {mono} has wrong arity for {ring!r}")
             if any(e < 0 for e in mono):
@@ -371,7 +358,7 @@ class GradedClass(_SparseSum):
 
     def graded_component(self, d: int) -> "GradedClass":
         """The sum of terms of total degree exactly d (zero if none)."""
-        return self.components().get(d, self.ring.zero())
+        return self.components().get(operator.index(d), self.ring.zero())
 
     def components(self) -> dict[int, "GradedClass"]:
         """Decomposition into homogeneous pieces, keyed by degree, split on the packed form."""
@@ -382,7 +369,7 @@ class GradedClass(_SparseSum):
         return {d: GradedClass._from_ints(ring, den, parts[d]) for d in sorted(parts)}
 
     def is_homogeneous(self, d: int) -> bool:
-        degree = self.ring._packing.degree
+        degree, d = self.ring._packing.degree, operator.index(d)
         return all(degree(k) == d for k in self._ints[1])
 
     def invert(self) -> "GradedClass":

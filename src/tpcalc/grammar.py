@@ -5,7 +5,10 @@ as signed sums of terms such as ``1/2*fs_0^2 - c1*c2 + 3``.  A term is a
 ``*``-product of factors; a factor is a rational ``p`` or ``p/q``, or a name
 raised to an optional ``^n``.  A name is an identifier, optionally followed
 by a parenthesised index ``(i,j,...)``, as in ``s_(10,0,1)``.  What a name
-means, and in which order terms print, is left to each caller.
+means, and in which order terms print, is left to each caller.  The module
+also owns what a number is: a coefficient or scalar is an int or a Fraction
+(`_scalar`), and a count, dimension, degree, exponent, index, kappa or ell an
+integer (``operator.index``); anything else raises TypeError.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
+Scalar = int | Fraction
 Factors = list[tuple[str, int]]  # (name, exponent) pairs in print order
 MAX_DIGITS = 4300  # Python's int-to-str limit, so every coefficient read prints
 _TOO_BIG = 10 ** MAX_DIGITS
@@ -24,6 +28,13 @@ _FACTOR_PATTERN = re.compile(
     r"(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z_0-9]*(?:\(\d+(?:,\d+)*\))?))"
     r"(?:\^(\d+))?$"
 )
+
+
+def _scalar(value) -> Scalar:
+    """An int or Fraction as it is; a float, or anything else, raises TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"coefficients are int or Fraction, not {type(value).__name__}")
 
 
 def render_sum(terms: Iterable[Term]) -> str:

@@ -15,9 +15,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
+from operator import index
 from types import SimpleNamespace
 
-from .algebra import RingSpec, integrate_top
+from .algebra import _monomials, integrate_top
+from .grammar import _scalar
 from .oracle import _bareiss
 from .symbolic import Index, SymbolicExpr, c_monomial, canon_index, render_expr
 from .tpcore import MultiSingType, ResidualDB, _partition_sum, evaluate
@@ -25,10 +27,11 @@ from .tpcore import MultiSingType, ResidualDB, _partition_sum, evaluate
 
 def chern_monomials_of_degree(degree: int) -> list[Index]:
     """Exponent vectors I with sum j*i_j = degree, c_1-heavy first."""
-    if degree < 0:
+    if (degree := index(degree)) < 0:
         raise ValueError("degree must be non-negative")
-    ring = RingSpec((f"c{j}", j, degree // j) for j in range(1, degree + 1))
-    return [canon_index(I) for I in reversed(list(ring.monomials_of_degree(degree)))]
+    slots = tuple(range(1, degree + 1))  # c_j has degree j, exponent <= degree // j
+    found = _monomials(slots, tuple(degree // j for j in slots), degree)
+    return [canon_index(I) for I in reversed(list(found))]
 
 
 class LinearSystem(SimpleNamespace):
@@ -81,7 +84,7 @@ def assemble_system(t: MultiSingType, db: ResidualDB,
         ring = model.target_ring
         base = integrate_top(ring, evaluate(proper, model, "target"))
         coeffs = [integrate_top(ring, model.landweber_novikov(I)) for I in system.unknowns]
-        system.rows.append((coeffs, t.aut_order * Fraction(count) - base, label))
+        system.rows.append((coeffs, t.aut_order * _scalar(count) - base, label))
     return system
 
 
@@ -99,7 +102,7 @@ def solve_exact(system: LinearSystem) -> SolveResult:
     for i, (vec, rhs, _label) in enumerate(system.rows):
         if len(vec) != n:
             raise ValueError("row length does not match unknown count")
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (*vec, rhs)]
+        row = [_scalar(x) for x in (*vec, rhs)]
         scale = lcm(*(x.denominator for x in row))
         work.append([x.numerator * (scale // x.denominator) for x in row]
                     + [int(j == i) for j in range(m)])

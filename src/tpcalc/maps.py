@@ -108,7 +108,7 @@ class MapModel:
         """c_j(f): c_0 = 1, zero below 0 and above the top, where nothing is built.
         A j above the cap rebuilds c(f) at max(j, 2 * cap), no higher than dim X
         while j is not; each build is exact up to its cap, so cached c^I stay."""
-        dim, top = self.source.dimension, self.source.ambient.top_degree
+        dim, top, j = self.source.dimension, self.source.ambient.top_degree, index(j)
         if self._cap < j <= top:
             self._cap = min(max(j, 2 * self._cap), dim if j <= dim else top)
             roots = [(H, t + 1) for H, t in zip(self.hyperplanes, self.target.factor_dims)]
@@ -194,7 +194,7 @@ class ProductTargetMap(MapModel):
         for d in {ambient._packing.degree(k) for k in nums}:
             if d not in self._duals:
                 self._duals[d] = [(ring._packing.encode(m), self._image(
-                    self._cycles, tuple(b - e for b, e in zip(ring.top_monomial, m))))
+                    self._cycles, tuple(b - e for b, e in zip(ring.bounds, m))))
                     for m in ring.monomials_of_degree(d + self.kappa)]
             terms += [(1, (den * q, {key: _pair(ambient, nums, dual)}))
                       for key, (q, dual) in self._duals[d]]
@@ -232,7 +232,7 @@ def linear_projection_model(X: VarietyModel, e: GradedClass,
 def rational_curve_model(d: int) -> ProductTargetMap:
     """Generic degree-d parametrized rational plane curve P^1 -> P^2."""
     p1 = product_projective([1], names=("p",))
-    return ProductTargetMap(p1, product_projective([2]), [d * p1.ambient.gen("p")],
+    return ProductTargetMap(p1, product_projective([2]), [index(d) * p1.ambient.gen("p")],
                             "rational-curve")
 
 

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .grammar import parse_sum, render_sum
+from .grammar import _scalar, parse_sum, render_sum
 
 Poly = tuple  # coefficient i (int or Fraction) belongs to t^i; () is zero
 UPoly = tuple[Poly, ...]  # coefficient j (a Poly in t) belongs to u^j
@@ -45,7 +45,7 @@ def _trim(out: list) -> tuple:
 
 
 def poly(coeffs: Sequence) -> Poly:
-    return _trim([Fraction(x) for x in coeffs])
+    return _trim([Fraction(_scalar(x)) for x in coeffs])
 
 
 def poly_deg(p: Poly) -> int:
@@ -147,7 +147,7 @@ def resultant(p: UPoly | Sequence[Poly], q: UPoly | Sequence[Poly]) -> Poly:
     The rows are made integral by Res(c*p, q) = c^deg(q) * Res(p, q), and
     t = 2^bits makes every entry one integer: `_bareiss` runs over Z.
     """
-    p, q = _trim(list(p)), _trim(list(q))
+    p, q = (_trim(list(map(poly, f))) for f in (p, q))
     if not p and not q:
         raise OracleError("resultant of two zero polynomials")
     if not p or not q:
@@ -208,22 +208,15 @@ def divided_difference(p: Poly) -> UPoly:
 
     The u^j coefficient is sum_{k > j} p_k t^(k-1-j); no division needed.
     """
-    n = poly_deg(p)
-    cols = []
-    for j in range(max(n, 0)):
-        cols.append(poly([p[k] if k < len(p) else 0 for k in range(j + 1, n + 1)]))
-    return _trim(cols)
+    return _trim([poly(p[j + 1:]) for j in range(poly_deg(p))])
 
 
 def double_point_resultant(curve: CurveParam) -> Poly:
     """Content-free resultant of the two divided differences."""
-    P = divided_difference(curve.x)
-    Q = divided_difference(curve.y)
+    P, Q = divided_difference(curve.x), divided_difference(curve.y)
     if len(P) <= 1 and len(Q) <= 1:
         # affine-linear in both coordinates: injective, no double points
         return (Fraction(1),)
-    if not P or not Q:
-        raise OracleError("non-birational parametrization: resultant vanishes")
     res = resultant(P, Q)
     if not res:
         raise OracleError("non-birational parametrization: resultant vanishes")

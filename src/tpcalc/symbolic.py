@@ -27,9 +27,10 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import index
 
-from .algebra import Packing, Scalar, _mul_packed, _numerators, _scalar, _SparseSum
-from .grammar import parse_sum, render_sum
+from .algebra import Packing, _mul_packed, _numerators, _SparseSum
+from .grammar import Scalar, _scalar, parse_sum, render_sum
 
 Index = tuple[int, ...]
 Symbol = tuple[str, object]  # ('c', j) | ('s', I) | ('fs', I)
@@ -40,7 +41,7 @@ _KIND_RANK = {"s": 0, "fs": 1, "c": 2}
 
 def canon_index(I: Iterable[int]) -> Index:
     """Canonical Landweber-Novikov index: trailing zeros trimmed."""
-    I = tuple(int(i) for i in I)
+    I = tuple(map(index, I))
     if any(i < 0 for i in I):
         raise ValueError(f"negative entry in index {I}")
     while I and I[-1] == 0:
@@ -91,10 +92,8 @@ class SymbolicExpr(_SparseSum):
     def __init__(self, terms: Mapping[Monomial, Scalar]):
         clean: dict[Monomial, Scalar] = {}
         for mono, coeff in terms.items():
-            coeff = _scalar(coeff)
-            if coeff:
-                mono = _canon_monomial(mono)
-                clean[mono] = clean[mono] + coeff if mono in clean else coeff
+            coeff, mono = _scalar(coeff), _canon_monomial(mono)
+            clean[mono] = clean[mono] + coeff if mono in clean else coeff
         self.ring, self._ints, self._terms = None, _numerators(clean), None
 
     @classmethod
@@ -169,7 +168,7 @@ class SymbolicExpr(_SparseSum):
 def _canon_monomial(mono) -> Monomial:
     acc: dict[Symbol, int] = {}
     for sym, e in mono:
-        if e < 0:
+        if (e := index(e)) < 0:
             raise ValueError("negative exponent")
         if e == 0:
             continue
@@ -179,7 +178,7 @@ def _canon_monomial(mono) -> Monomial:
         if kind in ("s", "fs"):
             sym = (kind, canon_index(payload))
         else:
-            j = int(payload)
+            j = index(payload)
             if j < 1:
                 raise ValueError("c-symbols need index >= 1 (c0 is the constant 1)")
             sym = (kind, j)
@@ -201,7 +200,7 @@ def packing_of(termsets: Iterable[Mapping[Monomial, object]], factors: int) -> P
 
 def c(j: int) -> SymbolicExpr:
     """The quotient Chern class symbol c_j; c_0 = 1 and c_{<0} = 0."""
-    if j < 0:
+    if (j := index(j)) < 0:
         return SymbolicExpr.zero()
     if j == 0:
         return SymbolicExpr.constant(1)

@@ -26,6 +26,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
+from operator import index
 from types import MappingProxyType
 
 from .algebra import GradedClass, Packing, _mul_packed, _sum, integrate_top
@@ -69,6 +70,7 @@ _A1_ELL = MappingProxyType({("A1", 1): 3, ("A1", -1): 1})  # beside A0's ell = k
 
 def sing_ell(name: str, kappa: int, db: ResidualDB | None = None) -> int:
     """Target codimension of a mono-singularity type, built in or declared in db."""
+    kappa = index(kappa)
     if name == "A0":
         if kappa < 0:
             raise SingTypeError("A0 is not an isolated-singularity type for kappa < 0")
@@ -237,6 +239,7 @@ class ResidualDB:
     def declare(self, name: str, kappa: int, ell: int) -> None:
         """Declare the target codimension ell of the type `name` at kappa in
         this store; declaring a known type with its own ell again does nothing."""
+        kappa, ell = index(kappa), index(ell)
         if name == "A0" or not re.fullmatch(r"[A-Za-z0-9_]+", name):
             raise SingTypeError(f"cannot declare a type named {name!r}")
         if ell < max(kappa, 0):  # a residual has degree ell - kappa >= 0
@@ -248,7 +251,7 @@ class ResidualDB:
             raise SingTypeError(f"{name} at kappa={kappa} already has ell={known}, not {ell}")
 
     def insert(self, names: Iterable[str], kappa: int, R: SymbolicExpr) -> None:
-        names = tuple(sorted(names))
+        names, kappa = tuple(sorted(names)), index(kappa)
         for mono in R._ints[1]:
             for (kind, _), _e in mono:
                 if kind != "c":

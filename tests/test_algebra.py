@@ -34,7 +34,7 @@ def cls(ring, text):
 class TestMakeRing:
     def test_p2(self):
         assert P2.top_degree == 2
-        assert P2.top_monomial == (2,)
+        assert P2.bounds == (2,)
 
     def test_product(self):
         assert P2xP3.top_degree == 5

@@ -340,6 +340,27 @@ class TestAssemble:
                             [("ratcurve:3", get_model("ratcurve:3"), 1)])
 
 
+class TestFloatScalars:
+    """Entries are read as coefficients are: a float or a string is refused, not converted."""
+
+    @pytest.mark.parametrize("row", [([0.1], 1, "a"), ([1], 0.1, "a"), (["1/3"], 1, "a")],
+                             ids=["coefficient", "rhs", "string"])
+    def test_solve_exact_refuses_a_non_scalar(self, row):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            solve_exact(LinearSystem([(1,)], [row]))
+
+    def test_assemble_system_refuses_a_float_count(self, db):
+        t = multi_type("A0,A0", 1)
+        scratch = db.copy()
+        scratch.remove(t.key, 1)
+        with pytest.raises(TypeError, match="float"):
+            assemble_system(t, scratch, [("ratcurve:4", get_model("ratcurve:4"), 3.0)])
+
+    def test_int_and_fraction_entries_still_work(self):
+        outcome = solve_exact(LinearSystem([(1,)], [([Fraction(1, 3)], 1, "a")]))
+        assert outcome.solution == {(1,): 3}
+
+
 class TestSolve:
     def test_double_point_solution(self, db):
         t = multi_type("A0,A0", 1)

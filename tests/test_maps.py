@@ -27,8 +27,10 @@ from tpcalc.maps import (
     projection_from_product,
     rational_curve_model,
 )
-from tpcalc.symbolic import SymbolicExpr, c, c_exponents, fs, parse_expr, symbol_degree
-from tpcalc.tpcore import count_points, default_db, evaluate, expand_target, multi_type
+from tpcalc.symbolic import (SymbolicExpr, c, c_exponents, canon_index, fs, parse_expr, s,
+                             symbol_degree)
+from tpcalc.tpcore import (ResidualDB, count_points, default_db, evaluate, expand_target,
+                           multi_type)
 from tpcalc.verify import PROPERTY_MODELS, nested_triple_point_class, projection_formula_holds
 
 
@@ -742,7 +744,7 @@ def product_image(f, m, cycle=False):
 def fraction_pushforward(f, alpha):
     """The retired Fraction route: one Fraction integral of alpha against each
     dual [X] f^*(top/m), its numerators rebuilt by the class constructor."""
-    ambient, ring, top = f.source.ambient, f.target_ring, f.target_ring.top_monomial
+    ambient, ring, top = f.source.ambient, f.target_ring, f.target_ring.bounds
     terms = {}
     for d in {ambient.monomial_degree(m) for m in alpha.terms}:
         for m in ring.monomials_of_degree(d + f.kappa):
@@ -878,6 +880,43 @@ def test_the_fundamental_class_is_the_product_of_the_divisors(case):
      lambda f: f.target_ring.names == ("h3",) and f.kappa == 3 - 6),
 ], ids=["ring-bound", "ring-degree", "product", "ci-vector", "projection-factor"])
 def test_model_constructors_refuse_a_non_integer(build, as_before, value):
+    with pytest.raises(TypeError):
+        build(value)
+    assert as_before(build(2))
+
+
+P3 = make_ring([("h", 1, 3)])
+
+
+def declared(kappa, ell):
+    """The dump of a store that declares the type B at kappa with ell."""
+    db = ResidualDB()
+    db.declare("B", kappa, ell)
+    return db.dump()
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, Fraction(5, 2)])
+@pytest.mark.parametrize("build, as_before", [
+    (lambda x: s(x, 1), lambda e: str(e) == "s_21"),
+    (lambda x: c(x), lambda e: str(e) == "c2"),
+    (lambda x: canon_index((1, x)), lambda I: I == (1, 2)),
+    (lambda x: get_model("web3:4").landweber_novikov((0, x)), lambda L: str(L) == "9*H^3"),
+    (lambda x: GradedClass(P3, {(x,): 1}), lambda p: str(p) == "h^2"),
+    (lambda x: P3.gen("h") ** x, lambda p: str(p) == "h^2"),
+    (lambda x: SymbolicExpr({((("c", 1), x),): 1}), lambda e: str(e) == "c1^2"),
+    (lambda x: chern_of_roots(P3, [(P3.gen("h"), x)]), lambda p: str(p) == "1 + 2*h + h^2"),
+    (lambda x: ((1 + P3.gen("h")) ** 2).graded_component(x), lambda p: str(p) == "h^2"),
+    (lambda x: (P3.gen("h") ** 2).is_homogeneous(x), lambda answer: answer is True),
+    (lambda x: get_model("web3:4").chern(x), lambda p: str(p) == "-6*h^2 - 3*h*H"),
+    (rational_curve_model, lambda f: str(f.hyperplanes[0]) == "2*p"),
+    (lambda x: multi_type("A0,A0", x), lambda t: t.ell_total == 4),
+    (lambda x: declared(x, 3), lambda text: text == "type=B kappa=2 ell=3\n"),
+    (lambda x: declared(1, x), lambda text: text == "type=B kappa=1 ell=2\n"),
+], ids=["s", "c", "canon_index", "landweber_novikov", "class-exponent", "power",
+        "expr-exponent", "root-exponent", "component", "homogeneous", "chern",
+        "rational-curve", "kappa", "declare-kappa", "declare-ell"])
+def test_integers_refuse_a_non_integer(build, as_before, value):
+    """Each count, degree, exponent, index, kappa and ell is read by operator.index."""
     with pytest.raises(TypeError):
         build(value)
     assert as_before(build(2))
@@ -1023,11 +1062,13 @@ def test_chern_of_roots_matches_powers(case):
 @settings(max_examples=200, deadline=None)
 def test_a_capped_chern_of_roots_is_the_full_class_up_to_the_cap(case, data):
     ring, roots = case
-    cap = data.draw(st.integers(0, ring.top_degree))
+    cap = data.draw(st.integers(0, ring.top_degree + 3))  # above the top, the whole class
     full = chern_of_roots(ring, roots).components()
     assert chern_of_roots(ring, roots, cap).components() == {
         d: part for d, part in full.items() if d <= cap}
     assert chern_of_roots(ring, roots, ring.top_degree).components() == full
+    with pytest.raises(ValueError, match="below degree 0"):
+        chern_of_roots(ring, roots, -1 - cap)
 
 
 def fraction_chern_of_roots(ring, roots):

@@ -38,6 +38,22 @@ def upoly(*rows):
     return tuple(poly(r) for r in rows)
 
 
+class TestFloatScalars:
+    """Coefficients are int or Fraction: a float or a string is refused, not converted."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: poly([0.1, 1]), lambda: poly(["1/3"]),
+        lambda: resultant([(0.5,), (1,)], [(1,), (1,)]), lambda: resultant([(0.5,)], [(1,)]),
+    ], ids=["poly", "poly-string", "resultant", "resultant-constants"])
+    def test_refuses_a_float(self, build):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            build()
+
+    def test_int_and_fraction_coefficients_still_work(self):
+        assert poly([Fraction(1, 2), 1, 0]) == (Fraction(1, 2), 1)
+        assert resultant(upoly([-2], [1]), upoly([0, 1], [1])) == poly([2, 1])  # q(2) = t + 2
+
+
 class TestPolyBasics:
     def test_divmod(self):
         q, r = poly_divmod(poly([2, 0, 1]), poly([1, 1]))  # (t^2+2)/(t+1)
@@ -126,6 +142,8 @@ class TestResultant:
 
     def test_constant_first_argument(self):
         assert resultant(upoly([1]), upoly([1, 1], [2], [1])) == poly([1])
+        # a u-coefficient written with trailing zeros is read by poly, so a zero top is trimmed
+        assert resultant(((1,), (0, 0)), upoly([1], [1])) == poly([1])
 
     def test_multiplicative(self):
         rng = random.Random(9)

@@ -571,14 +571,23 @@ def test_equal_scalars_and_constants_collapse_in_a_set():
     assert len({c(1), s(), fs(), c(1) * 1}) == 3
 
 
-@pytest.mark.parametrize("mono,message", [
+MALFORMED_MONOMIALS = [
     (((("c", 1), -1),), "negative exponent"),
     (((("q", 1), 1),), "unknown symbol kind 'q'"),
     (((("c", 0), 1),), r"c-symbols need index >= 1 \(c0 is the constant 1\)"),
-])
+]
+
+
+@pytest.mark.parametrize("mono,message", MALFORMED_MONOMIALS)
 def test_malformed_monomials_are_refused(mono, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SymbolicExpr({mono: 1})
+
+
+@pytest.mark.parametrize("mono,message", MALFORMED_MONOMIALS)
+def test_a_zero_coefficient_does_not_skip_the_monomial_check(mono, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SymbolicExpr({mono: 0})
 
 
 def test_negative_power_is_refused():

@@ -232,6 +232,15 @@ class TestDeclaredTypes:
         assert ResidualDB.loads(text).dump() == text
         assert ResidualDB.loads(text, base=db).dump() == text  # a dump merges over its base
 
+    @pytest.mark.parametrize("kappa", [1, True])
+    def test_declare_dump_loads_round_trip(self, kappa):
+        db = ResidualDB()
+        db.declare("B1", kappa, 3)
+        db.insert(("B1",), kappa, c(2))
+        text = db.dump()
+        assert text == "type=B1 kappa=1 ell=3\ntypes=[B1] kappa=1 R= c2\n"
+        assert ResidualDB.loads(text).dump() == text
+
     def test_redeclaring_a_known_type_with_its_ell_is_a_no_op(self):
         db = ResidualDB()
         db.declare("A1", 1, 3)
